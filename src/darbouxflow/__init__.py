@@ -6,29 +6,13 @@ curves, propagates infinitesimal Darboux transformations of discrete polarized
 curves, integrates isoperimetric motions whose potential satisfies the
 semi-discrete potential mKdV equation, and verifies numerically that all three
 constructions produce the same sheets.
+
+The names below are the documented surface (see README.md); everything else
+lives in the submodules.
 """
 
-from .darboux import (
-    ARC_TOL,
-    DarbouxParams,
-    PairSample,
-    PairTable,
-    arclength_darboux,
-    cross_ratio_defect,
-    darboux_transform,
-    lambda_evolution_defects,
-    lemma_defects,
-    pair_diagnostics,
-    pair_table,
-    riccati_rhs,
-    riccati_solve,
-)
-from .equivalence import (
-    EquivalenceReport,
-    frameless_identity_check,
-    iso_darboux_check,
-    pipelines_agree,
-)
+from .darboux import DarbouxParams, arclength_darboux, cross_ratio_defect, darboux_transform
+from .equivalence import frameless_identity_check, iso_darboux_check, pipelines_agree
 from .errors import (
     BlowupError,
     CoincidentPointsError,
@@ -38,119 +22,41 @@ from .errors import (
     NotArclengthPolarizedError,
     SingularTangentError,
 )
-from .expressions import Expression, ExpressionError, parse_expression
-from .geometry import (
-    EPS_REG,
-    DiscretePolarizedCurve,
-    PolarizedCurve,
-    SGrid,
-    Sheet,
-    cross,
-    derivative,
-    dot,
-    fd_derivative,
-    ngon_vertices,
-    rotate,
-    tangential_cross_ratio,
-)
-from .motion import (
-    DiscreteFrameData,
-    MotionResult,
-    MotionState,
-    discrete_frame,
-    frame_compatibility_check,
-    integrate_motion,
-    mkdv_residual,
-    motion_rhs,
-    motion_state,
-    seed_w,
-    smooth_curvature,
-    tangential_angles,
-)
-from .ode import OdeProblem, integrate_rk4, rk4_path
-from .output import read_csv, sheet_from_csv, svg_text, write_csv, write_svg
-from .semidiscrete import (
-    ArclengthFlowReport,
-    FlowSpec,
-    arclength_flow_check,
-    infinitesimal_darboux,
-    is_discrete_arclength,
-    propagate_edge,
-    sheet_cross_ratio_defect,
-)
-from .verification import Artifacts, CheckResult, polyline_vertices, run_suite
+from .geometry import DiscretePolarizedCurve, PolarizedCurve, SGrid, Sheet, ngon_vertices
+from .motion import integrate_motion
+from .output import sheet_from_csv, write_csv, write_svg
+from .semidiscrete import FlowSpec, infinitesimal_darboux
+from .verification import Artifacts, CheckResult, run_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ARC_TOL",
     "arclength_darboux",
-    "arclength_flow_check",
-    "ArclengthFlowReport",
     "Artifacts",
     "BlowupError",
     "CheckResult",
     "CoincidentPointsError",
-    "cross",
     "cross_ratio_defect",
     "CurveError",
     "darboux_transform",
     "DarbouxParams",
-    "derivative",
-    "discrete_frame",
-    "DiscreteFrameData",
     "DiscretePolarizedCurve",
-    "dot",
-    "EPS_REG",
-    "EquivalenceReport",
-    "Expression",
-    "ExpressionError",
-    "fd_derivative",
     "FlowSpec",
-    "frame_compatibility_check",
     "frameless_identity_check",
     "GridTooShortError",
     "infinitesimal_darboux",
     "integrate_motion",
-    "integrate_rk4",
-    "is_discrete_arclength",
     "iso_darboux_check",
-    "lambda_evolution_defects",
-    "lemma_defects",
-    "mkdv_residual",
-    "motion_rhs",
-    "motion_state",
-    "MotionResult",
-    "MotionState",
     "ngon_vertices",
     "NonRegularError",
     "NotArclengthPolarizedError",
-    "OdeProblem",
-    "pair_diagnostics",
-    "pair_table",
-    "PairSample",
-    "PairTable",
-    "parse_expression",
     "pipelines_agree",
     "PolarizedCurve",
-    "polyline_vertices",
-    "propagate_edge",
-    "read_csv",
-    "riccati_rhs",
-    "riccati_solve",
-    "rk4_path",
-    "rotate",
     "run_suite",
-    "seed_w",
     "SGrid",
     "Sheet",
-    "sheet_cross_ratio_defect",
     "sheet_from_csv",
     "SingularTangentError",
-    "smooth_curvature",
-    "svg_text",
-    "tangential_angles",
-    "tangential_cross_ratio",
     "write_csv",
     "write_svg",
 ]

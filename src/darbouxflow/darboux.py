@@ -18,7 +18,7 @@ from .errors import (
     NotArclengthPolarizedError,
     SingularTangentError,
 )
-from .geometry import EPS_REG, PolarizedCurve, dot, fd_derivative, tangential_cross_ratio
+from .geometry import EPS_REG, PolarizedCurve, dot, fd_derivative
 from .ode import rk4_path
 
 #: Tolerance on |1/m - |x'|^2| below which a curve counts as arc-length polarized.
@@ -39,41 +39,14 @@ class DarbouxParams:
             raise CurveError("initial point must be finite")
 
 
-@dataclass(frozen=True)
-class PairSample:
-    """Pointwise diagnostics of a curve pair (x, xh) with tangents attached.
-
-    r and rhat are the inverse distances from x and xh to the common circle
-    center y = x + x'/r = xh + xh'/rhat; lam = |xh - x|^2. ratio_defect is the
-    residual of rhat/r = -(lam/|x'|^2)(mu/m), None at degenerate nodes.
-    """
-
-    s: float
-    cr: complex
-    r: float
-    rhat: float
-    y: complex | None
-    lam: float
-    degenerate: bool
-    ratio_defect: float | None = None
-
-
-def riccati_rhs(x, xp, xh, mu_over_m):
-    """Right-hand side (mu/m)(x - xh)^2 / x' of the transform equation."""
-    d = x - xh
-    return mu_over_m * d * d / xp
-
-
-def riccati_solve(source: PolarizedCurve, mu: float, y0: complex, s0_index: int = 0) -> np.ndarray:
+def riccati_solve(source: PolarizedCurve, mu: float, y0: complex) -> np.ndarray:
     """Integrate the Riccati equation against ``source`` over its whole grid.
 
-    The initial value y0 is imposed at grid node ``s0_index``; integration runs
-    forward and backward from there with classic RK4, evaluating the source
-    curve on the refined (node + midpoint) grid.
+    The initial value y0 is imposed at the first grid node; integration runs
+    forward with classic RK4, evaluating the source curve on the refined
+    (node + midpoint) grid.
     """
     grid = source.grid
-    if not 0 <= s0_index < grid.count:
-        raise CurveError(f"seed index {s0_index} outside 0..{grid.count - 1}")
     if grid.count == 1:
         return np.array([y0], dtype=complex)
     xs, xps, ms = source._stage_data
@@ -90,12 +63,25 @@ def riccati_solve(source: PolarizedCurve, mu: float, y0: complex, s0_index: int 
         d = xs[k] - y
         return coef[k] * d * d / xps[k]
 
-    svals = grid.values()
-    fwd = rk4_path(svals[s0_index:], rhs, complex(y0))
-    if s0_index == 0:
-        return fwd
-    bwd = rk4_path(svals[s0_index::-1], rhs, complex(y0))
-    return np.concatenate([bwd[:0:-1], fwd])
+    return rk4_path(grid.values(), rhs, complex(y0))
+
+
+def _transform_row(curve: PolarizedCurve, mu: float, initial_point: complex) -> PolarizedCurve:
+    """The body of darboux_transform, shared with flow edges
+    (semidiscrete.propagate_edge), which validate mu themselves."""
+    if abs(initial_point - curve.points[0]) <= curve.eps_reg:
+        raise CoincidentPointsError("initial point coincides with the curve start")
+    vals = riccati_solve(curve, mu, initial_point)
+    sep = np.abs(vals - curve.points)
+    if sep.min() <= curve.eps_reg:
+        i = int(np.argmin(sep))
+        raise CoincidentPointsError(f"transform collides with the curve at node {i}")
+    # The pair equation gives the transform's tangent pointwise from the two
+    # position rows, so store it instead of re-differencing the samples.
+    d = vals - curve.points
+    xhp = (mu / curve.m) * d * d / curve.derivatives
+    return PolarizedCurve(curve.grid, vals, curve.m, m_fn=curve.m_fn,
+                          eps_reg=curve.eps_reg, xp_samples=xhp)
 
 
 def darboux_transform(curve: PolarizedCurve, params: DarbouxParams) -> PolarizedCurve:
@@ -104,20 +90,7 @@ def darboux_transform(curve: PolarizedCurve, params: DarbouxParams) -> Polarized
     The result shares the grid and polarization of ``curve``; a collision
     between the pair anywhere on the grid raises CoincidentPointsError.
     """
-    x0 = curve.points[0]
-    if abs(params.initial_point - x0) <= curve.eps_reg:
-        raise CoincidentPointsError("initial point coincides with the curve start")
-    vals = riccati_solve(curve, params.mu, params.initial_point)
-    sep = np.abs(vals - curve.points)
-    if sep.min() <= curve.eps_reg:
-        i = int(np.argmin(sep))
-        raise CoincidentPointsError(f"transform collides with the curve at node {i}")
-    # The pair equation gives the transform's tangent pointwise from the two
-    # position rows, so store it instead of re-differencing the samples.
-    d = vals - curve.points
-    xhp = (params.mu / curve.m) * d * d / curve.derivatives
-    return PolarizedCurve(curve.grid, vals, curve.m, m_fn=curve.m_fn,
-                          eps_reg=curve.eps_reg, xp_samples=xhp)
+    return _transform_row(curve, params.mu, params.initial_point)
 
 
 def arclength_darboux(curve: PolarizedCurve, mu: float, offset_angle: float) -> PolarizedCurve:
@@ -138,25 +111,15 @@ def arclength_darboux(curve: PolarizedCurve, mu: float, offset_angle: float) -> 
     return darboux_transform(curve, DarbouxParams(mu, seed))
 
 
-def pair_diagnostics(x, xp, xh, xhp, mu_over_m, s: float = 0.0,
-                     eps_reg: float = EPS_REG) -> PairSample:
-    """Inverse radii, circle center, cross ratio and lam = |xh - x|^2 at one node."""
-    cr = tangential_cross_ratio(x, xp, xh, xhp, eps_reg)
-    lam = abs(xh - x) ** 2
-    r = 2.0 * dot(xh - x, xp) / lam
-    rhat = 2.0 * dot(x - xh, xhp) / lam
-    degenerate = abs(r) <= eps_reg or abs(rhat) <= eps_reg
-    y = None if abs(r) <= eps_reg else x + xp / r
-    defect = None
-    if not degenerate:
-        defect = abs(rhat / r + (lam / abs(xp) ** 2) * mu_over_m)
-    return PairSample(s=s, cr=cr, r=r, rhat=rhat, y=y, lam=lam,
-                      degenerate=degenerate, ratio_defect=defect)
-
-
 @dataclass(frozen=True, eq=False)
 class PairTable:
-    """Vectorized PairSample data along a curve pair; y is NaN where degenerate."""
+    """Pointwise data of a curve pair (x, xh) with tangents attached.
+
+    cr is the tangential cross ratio x' xh' / (x - xh)^2; r and rhat are the
+    inverse distances from x and xh to the common circle center
+    y = x + x'/r = xh + xh'/rhat, and lam = |xh - x|^2.  y is NaN where r
+    vanishes; ``degenerate`` marks the nodes where r or rhat does.
+    """
 
     s: np.ndarray
     cr: np.ndarray

@@ -27,13 +27,12 @@ class EquivalenceReport:
     identity_defect: float
 
 
-def iso_darboux_check(sheet: Sheet, theta=None, a=None):
+def iso_darboux_check(sheet: Sheet, a=None):
     """Edge cross ratios of a motion sheet against the arc-length parameters.
 
     Returns (max |cr - 1/a_n^2|, max |Im cr|) with cr evaluated from the
-    sheet's row derivatives; ``theta`` is accepted alongside the sheet as
-    integrate_motion produces it but the check needs only the sheet. ``a``
-    defaults to the edge lengths of the first column.
+    sheet's row derivatives; ``a`` defaults to the edge lengths of the first
+    column.
     """
     if a is None:
         a = np.abs(np.diff(sheet.values[:, 0]))

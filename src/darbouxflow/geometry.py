@@ -1,4 +1,4 @@
-"""Plane-curve geometry: grids, polarized curves, sheets, tangential cross ratio.
+"""Plane-curve geometry: grids, polarized curves, discrete curves and sheets.
 
 Points of the plane are complex numbers (re, im) = x + iy, so rotations are
 unit-modulus multiplications and the tangential cross ratio is a ratio of
@@ -299,18 +299,17 @@ class PolarizedCurve:
             ms = _interleave(self.m, _midpoint_interp(self.m))
         else:
             ms = _interleave(self.m, 0.5 * (self.m[:-1] + self.m[1:]))
+        # The node samples passed this check already; the midpoints must too,
+        # or the Riccati coefficient mu/m is infinite or flips sign mid-step.
+        try:
+            _validate_m(ms)
+        except CurveError as exc:
+            raise CurveError(f"{exc} between grid nodes") from None
         return xs, xps, ms
 
     def arclength_deviation(self) -> float:
         """max_i |1/m(s_i) - |x'(s_i)|^2| — zero iff arc-length polarized."""
         return float(np.abs(1.0 / self.m - np.abs(self.derivatives) ** 2).max())
-
-
-def derivative(curve: PolarizedCurve, i: int) -> complex:
-    """x'(s_i): analytic generator if present, else the 4th-order stencil."""
-    if not 0 <= i < curve.grid.count:
-        raise CurveError(f"node index {i} outside 0..{curve.grid.count - 1}")
-    return complex(curve.derivatives[i])
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,17 +406,3 @@ class Sheet:
             return self.tangents
         return fd_derivative(self.values, self.grid.h, axis=1)
 
-
-def tangential_cross_ratio(x, xp, xh, xhp, eps_reg: float = EPS_REG) -> complex:
-    """Cross ratio x' xh' / (x - xh)^2 of a curve pair with tangents attached.
-
-    Real values mark Ribaucour pairs; the constant value mu/m marks a Darboux
-    pair with parameter mu.
-    """
-    sep = abs(x - xh)
-    if sep <= eps_reg:
-        raise CoincidentPointsError(f"points coincide: |x - xh| = {sep:.3e}")
-    if abs(xp) <= eps_reg or abs(xhp) <= eps_reg:
-        raise SingularTangentError("tangent too close to zero for a cross ratio")
-    d = x - xh
-    return xp * xhp / (d * d)

@@ -22,96 +22,58 @@ from .ode import rk4_path
 MAX_ANGLE_JUMP = 0.5 * math.pi
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteFrameData:
-    """Edge data of a discrete curve: lengths a_n, unit tangents/normals,
-    unwrapped edge angles psi_n and interior turning angles kappa (kappa[j] is
-    the turn at vertex j+1, so psi[j+1] = psi[j] + kappa[j])."""
+def _angles(vertices: np.ndarray, w0, n0: int, eps_reg: float) -> np.ndarray:
+    """Velocity angles theta_n of a polygon (shape (V,)) or of a stack of them
+    (shape (N, V), with ``w0`` a scalar or one value per polygon).
 
-    a: np.ndarray
-    tangent: np.ndarray
-    normal: np.ndarray
-    psi: np.ndarray
-    kappa: np.ndarray
+    theta_n = psi_n + w_n, where psi_n are the unwrapped edge angles, kappa_n
+    the turning angles (psi_{n+1} = psi_n + kappa_n), and the deformation
+    angles follow the isoperimetric recursion w_{n+1} = -w_n - kappa_n seeded
+    with w_{n0} = w0 and run outward in both directions.  The final vertex,
+    which has no outgoing edge, gets theta = psi - w of the last edge: that is
+    where the recursion would continue, and it keeps the last edge length
+    conserved.
 
-
-@dataclass(frozen=True, eq=False)
-class MotionState:
-    """One instant of a motion: the vertices, their frame, the deformation
-    angles w (one per edge vertex) and the velocity angles theta (one per vertex)."""
-
-    vertices: np.ndarray
-    frame: DiscreteFrameData
-    w: np.ndarray
-    theta: np.ndarray
-
-
-def discrete_frame(vertices, eps_reg: float = EPS_REG) -> DiscreteFrameData:
-    """Frame of a regular discrete curve; raises NonRegularError at any vertex
-    whose adjacent edges fold back on each other (turning angle at +-pi).
-
-    A zero turning angle (collinear edges pointing the same way) is fine: the
-    curvature and the w-recursion stay well defined, and several motions pass
-    through such configurations.  Only a reversal makes the unwrapped tangent
-    angle ill-defined.
+    Raises CoincidentPointsError at a vanishing edge and NonRegularError at a
+    vertex whose adjacent edges fold back on each other (turning angle at
+    +-pi), in the first polygon of the stack that has one.  A zero turning
+    angle is fine: the recursion stays well defined, and several motions pass
+    through collinear configurations.
     """
-    v = np.asarray(vertices, dtype=complex)
-    if v.ndim != 1 or len(v) < 2:
-        raise CurveError("a discrete frame needs at least two vertices")
-    edges = np.diff(v)
+    edges = np.diff(vertices, axis=-1)
     a = np.abs(edges)
-    if a.min() <= eps_reg:
-        n = int(np.argmin(a))
-        raise CoincidentPointsError(f"edge ({n}, {n + 1}) has length {a.min():.3e}")
+    short = a <= eps_reg
+    if short.any():
+        row = a[np.unravel_index(np.argmax(short), a.shape)[:-1]]
+        n = int(np.argmin(row))
+        raise CoincidentPointsError(f"edge ({n}, {n + 1}) has length {row.min():.3e}")
     t = edges / a
-    turn = np.angle(t[1:] / t[:-1])
+    # A stack holds every grid node at once: free what is no longer needed.
+    del edges, a
+    turn = np.angle(t[..., 1:] / t[..., :-1])
     # Turning bound |kappa| < pi: adjacent edges must not be anti-parallel.
-    slack = math.pi - np.abs(turn)
-    bad = slack <= eps_reg
+    bad = math.pi - np.abs(turn) <= eps_reg
     if bad.any():
-        n = int(np.argmax(bad)) + 1
+        n = int(np.unravel_index(np.argmax(bad), bad.shape)[-1]) + 1
         raise NonRegularError(
             f"vertex {n} is not regular (adjacent edges anti-parallel)", vertex=n)
-    psi = np.empty(len(t))
-    psi[0] = np.angle(t[0])
-    psi[1:] = psi[0] + np.cumsum(turn)
-    return DiscreteFrameData(a=a, tangent=t, normal=1j * t, psi=psi, kappa=turn)
-
-
-def seed_w(frame: DiscreteFrameData, w0: float, n0: int) -> np.ndarray:
-    """Deformation angles from the isoperimetric recursion w_{n+1} = -w_n - kappa_{n+1},
-    seeded with w_{n0} = w0 and run outward in both directions."""
-    num = len(frame.psi)
-    if not 0 <= n0 < num:
-        raise CurveError(f"seed edge {n0} outside 0..{num - 1}")
-    w = np.empty(num)
+    psi = np.empty(t.shape)
+    psi[..., 0] = np.angle(t[..., 0])
+    psi[..., 1:] = psi[..., :1] + np.cumsum(turn, axis=-1)
+    # The recursion runs one vertex column at a time with the stack as the
+    # trailing axis; a closed-form alternating sum would round differently.
+    kappa = turn.T
+    w = np.empty(psi.T.shape)
     w[n0] = w0
-    for k in range(n0, num - 1):
-        w[k + 1] = -w[k] - frame.kappa[k]
+    for k in range(n0, len(w) - 1):
+        w[k + 1] = -w[k] - kappa[k]
     for k in range(n0, 0, -1):
-        w[k - 1] = -w[k] - frame.kappa[k - 1]
-    return w
-
-
-def motion_state(vertices, w0: float, n0: int, eps_reg: float = EPS_REG) -> MotionState:
-    """Assemble the motion state: frame, w-recursion, and velocity angles.
-
-    theta_n = psi_n + w_n at every frame vertex; the final vertex (which has no
-    outgoing edge) gets theta = psi - w of the last edge, which is where the
-    recursion would continue and is what keeps the last edge length conserved.
-    """
-    v = np.asarray(vertices, dtype=complex)
-    frame = discrete_frame(v, eps_reg)
-    w = seed_w(frame, w0, n0)
-    theta = np.empty(len(v))
-    theta[:-1] = frame.psi + w
-    theta[-1] = frame.psi[-1] - w[-1]
-    return MotionState(vertices=v, frame=frame, w=w, theta=theta)
-
-
-def motion_rhs(state: MotionState) -> np.ndarray:
-    """Vertex velocities e^{i theta_n}; unit speed by construction."""
-    return np.exp(1j * state.theta)
+        w[k - 1] = -w[k] - kappa[k - 1]
+    w = w.T
+    theta = np.empty(vertices.shape)
+    theta[..., :-1] = psi + w
+    theta[..., -1] = psi[..., -1] - w[..., -1]
+    return theta
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,23 +109,27 @@ def integrate_motion(curve0, w0, n0: int, grid: SGrid,
     if isinstance(curve0, DiscretePolarizedCurve):
         curve0 = curve0.vertices
     v0 = np.asarray(curve0, dtype=complex)
+    if v0.ndim != 1 or len(v0) < 2:
+        raise CurveError("a motion needs a 1-D sequence of at least two vertices")
+    if not 0 <= n0 < len(v0) - 1:
+        raise CurveError(f"seed edge {n0} outside 0..{len(v0) - 2}")
     w_fn = w0 if callable(w0) else (lambda s: w0)
 
     def rhs(s, x):
-        return motion_rhs(motion_state(x, w_fn(s), n0, eps_reg))
+        return np.exp(1j * _angles(x, w_fn(s), n0, eps_reg))
 
-    states = rk4_path(grid.values(), rhs, v0)
     svals = grid.values()
-    theta = np.empty((grid.count, len(v0)))
-    for i in range(grid.count):
-        theta[i] = motion_state(states[i], w_fn(svals[i]), n0, eps_reg).theta
-        if i:
-            theta[i] += 2.0 * math.pi * np.round((theta[i - 1] - theta[i]) / (2.0 * math.pi))
-            jump = np.abs(theta[i] - theta[i - 1]).max()
-            if jump >= MAX_ANGLE_JUMP:
-                raise BlowupError(
-                    f"angle jump {jump:.3f} at grid index {i}: step too coarse to "
-                    f"track branches", index=i)
+    states = rk4_path(svals, rhs, v0)
+    # w0 is evaluated node by node, as the stages see it: evaluating a callable
+    # on the whole array at once can round differently.
+    theta = _angles(states, np.array([w_fn(s) for s in svals], dtype=float), n0, eps_reg)
+    for i in range(1, grid.count):
+        theta[i] += 2.0 * math.pi * np.round((theta[i - 1] - theta[i]) / (2.0 * math.pi))
+        jump = np.abs(theta[i] - theta[i - 1]).max()
+        if jump >= MAX_ANGLE_JUMP:
+            raise BlowupError(
+                f"angle jump {jump:.3f} at grid index {i}: step too coarse to "
+                f"track branches", index=i)
     th = theta.T.copy()
     return MotionResult(sheet=Sheet(grid, states.T.copy(), tangents=np.exp(1j * th)),
                         theta=th)

@@ -6,22 +6,9 @@ midpoints only, so deterministic refined-grid lookups stay exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .errors import BlowupError
-from .geometry import SGrid
-
-
-@dataclass(frozen=True)
-class OdeProblem:
-    """Initial-value problem y' = rhs(s, y), y(grid.s0) = y0, solved on grid."""
-
-    grid: SGrid
-    rhs: Callable
-    y0: object
 
 
 def rk4_path(s_values, rhs, y0):
@@ -56,7 +43,3 @@ def rk4_path(s_values, rhs, y0):
             out.append(y)
     return np.asarray(out)
 
-
-def integrate_rk4(problem: OdeProblem) -> np.ndarray:
-    """Solve the problem over its whole grid; result has one state per node."""
-    return rk4_path(problem.grid.values(), problem.rhs, problem.y0)

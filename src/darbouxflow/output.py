@@ -19,6 +19,10 @@ __all__ = ["write_csv", "read_csv", "sheet_from_csv", "svg_text", "write_svg"]
 
 _COLORS = ("red", "blue", "black")
 
+#: Relative slack on each s step of a CSV grid.  Values printed with 17
+#: significant digits come back within about 1e-13 h of an even grid.
+SPACING_RTOL = 1e-9
+
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
@@ -42,7 +46,7 @@ def read_csv(path):
     """Parse an n,s,x,y file back into (s values, complex value array by row).
 
     Rows must form a complete rectangular sheet: every n present on the same
-    s grid, in file order.
+    evenly spaced s grid, in file order.
     """
     with open(path, newline="") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -65,6 +69,16 @@ def read_csv(path):
     if any(c != count for c in counts.values()):
         raise CurveError(f"{path}: rows have differing grid lengths")
     svals = ss[ns == labels[0]]
+    if len(svals) > 2:
+        h = (svals[-1] - svals[0]) / (len(svals) - 1)
+        steps = np.diff(svals)
+        off = np.abs(steps - h) > SPACING_RTOL * abs(h)
+        if off.any():
+            i = int(np.argmax(off))
+            raise CurveError(
+                f"{path}: s values are not evenly spaced: row n={int(labels[0])}, "
+                f"s={float(svals[i + 1])!r} follows a step of {float(steps[i])!r}, "
+                f"expected {float(h)!r}")
     values = np.empty((len(labels), count), dtype=complex)
     for k, n in enumerate(labels):
         mask = ns == n

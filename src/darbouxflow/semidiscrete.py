@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .darboux import riccati_solve
-from .errors import CoincidentPointsError, CurveError
+from .darboux import _transform_row
+from .errors import CurveError
 from .geometry import DiscretePolarizedCurve, PolarizedCurve, Sheet, _as_m_array
 
 #: How closely the seeded curve must pass through its base vertex.
@@ -26,52 +26,42 @@ M_MATCH_TOL = 1e-12
 @dataclass(frozen=True, eq=False)
 class FlowSpec:
     """Data for one flow: discrete base curve, smooth polarization m(s), the
-    seeded row index n0, and the smooth curve occupying that row."""
+    seeded row index n0, and the smooth curve occupying that row.  The seed
+    row passes through vertex n0 at the grid start s0, where every edge is
+    seeded."""
 
     base: DiscretePolarizedCurve
     m: object
     n0: int
     initial_curve: PolarizedCurve
-    s0_index: int = 0
 
     def __post_init__(self):
         n = len(self.base.vertices)
         if not 0 <= self.n0 < n:
             raise CurveError(f"seed row {self.n0} outside 0..{n - 1}")
-        grid = self.initial_curve.grid
-        if not 0 <= self.s0_index < grid.count:
-            raise CurveError(f"seed node {self.s0_index} outside 0..{grid.count - 1}")
-        object.__setattr__(self, "m", _as_m_array(self.m, grid))
+        object.__setattr__(self, "m", _as_m_array(self.m, self.initial_curve.grid))
         gap = np.abs(self.initial_curve.m - self.m).max()
         if gap > M_MATCH_TOL:
             raise CurveError(
                 f"initial curve polarization differs from the flow's m by {gap:.3e}"
             )
-        seed_gap = abs(self.initial_curve.points[self.s0_index] - self.base.vertices[self.n0])
+        seed_gap = abs(self.initial_curve.points[0] - self.base.vertices[self.n0])
         if seed_gap > SEED_TOL:
             raise CurveError(
-                f"initial curve misses base vertex {self.n0} by {seed_gap:.3e} at the seed node"
+                f"initial curve misses base vertex {self.n0} by {seed_gap:.3e} at the grid start"
             )
 
 
-def propagate_edge(source: PolarizedCurve, mu_edge: float, initial_point: complex,
-                   direction: int = 1, s0_index: int = 0) -> PolarizedCurve:
-    """Solve one edge of a flow: the neighbor row seeded at ``initial_point``.
+def propagate_edge(source: PolarizedCurve, mu_edge: float, initial_point: complex) -> PolarizedCurve:
+    """Solve one edge of a flow: the neighbor row seeded at ``initial_point``
+    at the grid start.
 
-    ``direction`` only records whether the neighbor is n+1 (+1) or n-1 (-1);
-    the edge relation is symmetric in the pair, so the equation is the same.
+    The edge relation is symmetric in the pair, so the neighbor n+1 and the
+    neighbor n-1 solve the same equation.
     """
-    if direction not in (1, -1):
-        raise CurveError(f"direction must be +1 or -1, got {direction!r}")
     if not (math.isfinite(mu_edge) and mu_edge != 0.0):
         raise CurveError(f"edge parameter mu must be a nonzero finite real, got {mu_edge!r}")
-    if abs(initial_point - source.points[s0_index]) <= source.eps_reg:
-        raise CoincidentPointsError("edge seed coincides with the source row")
-    vals = riccati_solve(source, mu_edge, initial_point, s0_index)
-    d = vals - source.points
-    xhp = (mu_edge / source.m) * d * d / source.derivatives
-    return PolarizedCurve(source.grid, vals, source.m, m_fn=source.m_fn,
-                          eps_reg=source.eps_reg, xp_samples=xhp)
+    return _transform_row(source, mu_edge, initial_point)
 
 
 def infinitesimal_darboux(spec: FlowSpec) -> Sheet:
@@ -82,14 +72,12 @@ def infinitesimal_darboux(spec: FlowSpec) -> Sheet:
     rows[spec.n0] = spec.initial_curve
     for n in range(spec.n0, n_rows - 1):
         try:
-            rows[n + 1] = propagate_edge(rows[n], spec.base.mu[n],
-                                         spec.base.vertices[n + 1], 1, spec.s0_index)
+            rows[n + 1] = propagate_edge(rows[n], spec.base.mu[n], spec.base.vertices[n + 1])
         except Exception as exc:
             raise type(exc)(f"edge ({n}, {n + 1}): {exc}") from exc
     for n in range(spec.n0, 0, -1):
         try:
-            rows[n - 1] = propagate_edge(rows[n], spec.base.mu[n - 1],
-                                         spec.base.vertices[n - 1], -1, spec.s0_index)
+            rows[n - 1] = propagate_edge(rows[n], spec.base.mu[n - 1], spec.base.vertices[n - 1])
         except Exception as exc:
             raise type(exc)(f"edge ({n}, {n - 1}): {exc}") from exc
     return Sheet(grid, np.vstack([row.points for row in rows]),

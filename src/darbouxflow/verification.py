@@ -30,7 +30,7 @@ from .semidiscrete import FlowSpec, arclength_flow_check, infinitesimal_darboux,
     sheet_cross_ratio_defect
 
 __all__ = [
-    "CheckResult", "Artifacts", "run_suite", "CHECK_NAMES",
+    "CheckResult", "Artifacts", "run_suite",
     "figure_family", "FIGURE_MU", "FIGURE_POINT", "FIGURE_M2",
     "HEPTAGON_TURNS", "HEPTAGON_LENGTHS", "HEPTAGON_W0", "polyline_vertices",
 ]
@@ -341,7 +341,7 @@ def _check_iso_cross_ratio(art: Artifacts, tol: _Tol) -> CheckResult:
     im_tol = tol(f"{name}.imag", 1e-8)
     worst = im_worst = 0.0
     for _, res in art.motions():
-        defect, im = iso_darboux_check(res.sheet, res.theta)
+        defect, im = iso_darboux_check(res.sheet)
         worst = max(worst, defect)
         im_worst = max(im_worst, im)
     ok = worst < want and im_worst < im_tol
@@ -444,25 +444,11 @@ _CHECKS = [
     _check_discrete_arclength,
 ]
 
-CHECK_NAMES = [
-    "rotated-circle-darboux",
-    "cross-ratio-constancy",
-    "lambda-laws",
-    "lemma-identities",
-    "rotating-hexagon",
-    "mkdv-generic",
-    "iso-cross-ratio",
-    "pipelines-agree",
-    "frameless-identity",
-    "frame-compatibility",
-    "figure-distinct-polarizations",
-    "discrete-arclength",
-]
-
 
 def run_suite(h: float = 1e-3, tol_multiplier: float = 1.0, overrides=None,
               artifacts: Artifacts | None = None):
-    """Run every check; returns a list of CheckResult in CHECK_NAMES order."""
+    """Run every check; returns one CheckResult per check, in the order of
+    the numbered list in README.md."""
     art = artifacts if artifacts is not None else Artifacts(h)
     tol = _Tol(tol_multiplier, overrides)
     return [check(art, tol) for check in _CHECKS]

@@ -181,6 +181,17 @@ def test_transform_past_the_pole_is_a_numerical_failure(tmp_path, capsys):
     assert "blew up" in err
 
 
+def test_unevenly_spaced_samples_are_a_usage_error(tmp_path, capsys):
+    samples = tmp_path / "uneven.csv"
+    samples.write_text(
+        "n,s,x,y\n" + "".join(f"0,{s!r},{s!r},0\n" for s in (0.0, 0.1, 0.5, 0.6, 0.8)))
+    text = DARBOUX_INI.replace("kind = circle", f"kind = samples\ncsv = {samples}").replace(
+        "s1 = 1\nh = 1e-2", "s1 = 0.8\nh = 0.2")
+    cfg = _write(tmp_path, text)
+    assert main(["darboux", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "not evenly spaced" in capsys.readouterr().err
+
+
 def test_verify_reports_every_check_and_passes(tmp_path, capsys):
     cfg = _write(tmp_path, "[run]\ncommand = verify\n")
     assert main(["verify", "--config", cfg]) == 0

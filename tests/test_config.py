@@ -183,6 +183,18 @@ def test_samples_grid_must_match(tmp_path):
         load_scenario(_write(tmp_path, text))
 
 
+def test_samples_curve_must_be_evenly_spaced(tmp_path):
+    # s steps 0.1, 0.4, 0.1, 0.2 over a span that matches s0 = 0, s1 = 0.8, h = 0.2
+    (tmp_path / "c.csv").write_text(
+        "n,s,x,y\n" + "".join(f"0,{s!r},{s!r},0\n" for s in (0.0, 0.1, 0.5, 0.6, 0.8)))
+    text = DARBOUX_INI.replace(
+        "kind = circle\nradius = 1.0",
+        f"kind = samples\ncsv = {tmp_path / 'c.csv'}\nrow = 0").replace(
+        "s1 = 1\nh = 1e-2", "s1 = 0.8\nh = 0.2")
+    with pytest.raises(ConfigError, match="not evenly spaced"):
+        load_scenario(_write(tmp_path, text))
+
+
 def test_command_line_overrides_and_conflicts(tmp_path):
     p = _write(tmp_path, DARBOUX_INI)
     sc = load_scenario(p, command="darboux")

@@ -11,22 +11,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from darbouxflow import (
-    CoincidentPointsError,
-    CurveError,
+from darbouxflow.darboux import (
     DarbouxParams,
-    NotArclengthPolarizedError,
-    PolarizedCurve,
-    SGrid,
     arclength_darboux,
     cross_ratio_defect,
     darboux_transform,
     lambda_evolution_defects,
     lemma_defects,
-    pair_diagnostics,
     pair_table,
-    riccati_solve,
 )
+from darbouxflow.errors import CoincidentPointsError, CurveError, NotArclengthPolarizedError
+from darbouxflow.geometry import PolarizedCurve, SGrid
 
 
 def _line(grid, m=1.0):
@@ -57,16 +52,6 @@ def test_line_transform_fixed_point_is_parallel_line():
     t = darboux_transform(_line(g), DarbouxParams(0.25, -2.0 + 0j))  # u0 = 1/sqrt(mu)
     assert np.abs(t.points - (g.values() - 2.0)).max() < 1e-12
     assert np.abs(np.abs(t.derivatives) - 1.0).max() < 1e-12
-
-
-def test_riccati_solve_from_interior_seed():
-    g = SGrid.from_step(0.0, 2.0, 1e-3)
-    mid = g.count // 2
-    s = g.values()
-    want = _tanh_transform(s, 1.0)
-    vals = riccati_solve(_line(g), 0.25, complex(want[mid]), s0_index=mid)
-    # integrating both directions from the middle reproduces the closed form
-    assert np.abs(vals - want).max() < 1e-12
 
 
 def test_circle_diametral_seed_gives_antipodal_circle():
@@ -117,20 +102,37 @@ def test_pair_table_marks_degenerate_nodes():
     assert np.isnan(table.y[0])
 
 
-def test_pair_diagnostics_hand_values():
-    d = pair_diagnostics(0j, 1 + 0j, 1 + 1j, 1 + 0j, mu_over_m=1.0)
-    assert d.lam == pytest.approx(2.0)
-    assert d.r == pytest.approx(1.0)
-    assert d.rhat == pytest.approx(-1.0)
-    assert d.y == pytest.approx(1.0 + 0j)
-    assert d.cr == pytest.approx(-0.5j)
-    assert not d.degenerate
+def _one_node_pair(x, xp, xh, xhp):
+    """A pair on a one-node grid, with the tangents given as samples."""
+    g = SGrid.from_count(0.0, 1.0, 1)
+    return (PolarizedCurve(g, [x], 1.0, xp_samples=[xp]),
+            PolarizedCurve(g, [xh], 1.0, xp_samples=[xhp]))
+
+
+def test_pair_table_hand_values():
+    table = pair_table(*_one_node_pair(0j, 1 + 0j, 1 + 1j, 1 + 0j))
+    assert table.lam[0] == pytest.approx(2.0)
+    assert table.r[0] == pytest.approx(1.0)
+    assert table.rhat[0] == pytest.approx(-1.0)
+    assert table.y[0] == pytest.approx(1.0 + 0j)
+    assert table.cr[0] == pytest.approx(-0.5j)
+    assert not table.degenerate[0]
 
 
 def test_seed_collision_rejected():
     g = SGrid.from_step(0.0, 1.0, 1e-2)
     with pytest.raises(CoincidentPointsError):
         darboux_transform(_line(g), DarbouxParams(0.25, 0j))
+
+
+def test_polarization_vanishing_between_nodes_is_rejected(recwarn):
+    # m > 0 at every node of the h = 1e-3 grid, but m(0.0005) = 0 at the
+    # first RK4 midpoint
+    g = SGrid.from_step(0.0, 1.0, 1e-3)
+    base = _line(g, m=lambda s: (s - 0.0005) ** 2)
+    with pytest.raises(CurveError, match="polarization .* between grid nodes"):
+        darboux_transform(base, DarbouxParams(0.25, -1.0 + 0j))
+    assert len(recwarn) == 0
 
 
 def test_arclength_transform_input_guards():

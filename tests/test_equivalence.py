@@ -3,16 +3,13 @@ import math
 
 import numpy as np
 
-from darbouxflow import (
-    SGrid,
-    Sheet,
+from darbouxflow.equivalence import (
     frameless_identity_check,
-    integrate_motion,
     iso_darboux_check,
-    ngon_vertices,
     pipelines_agree,
-    tangential_angles,
 )
+from darbouxflow.geometry import SGrid, Sheet, ngon_vertices
+from darbouxflow.motion import integrate_motion, tangential_angles
 
 
 def test_hexagon_pipelines_agree():
@@ -37,7 +34,7 @@ def test_square_pipelines_pass_through_collinear_configuration():
 def test_iso_darboux_cross_ratios_real_and_matched():
     grid = SGrid.from_step(0.0, 1.0, 1e-3)
     res = integrate_motion(ngon_vertices(5), 0.25, 0, grid)
-    defect, im_part = iso_darboux_check(res.sheet, res.theta)
+    defect, im_part = iso_darboux_check(res.sheet)
     assert defect < 1e-9
     assert im_part < 1e-11
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from darbouxflow import Expression, ExpressionError, parse_expression
+from darbouxflow.expressions import Expression, ExpressionError, parse_expression
 
 
 @pytest.mark.parametrize("text,s,want", [

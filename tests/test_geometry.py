@@ -5,20 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from darbouxflow import (
-    CurveError,
+from darbouxflow.darboux import pair_table
+from darbouxflow.errors import CoincidentPointsError, CurveError, SingularTangentError
+from darbouxflow.geometry import (
     DiscretePolarizedCurve,
     PolarizedCurve,
     SGrid,
     Sheet,
-    SingularTangentError,
     cross,
     dot,
     fd_derivative,
     ngon_vertices,
     rotate,
-    tangential_cross_ratio,
-    CoincidentPointsError,
 )
 
 
@@ -263,13 +261,18 @@ def test_sheet_column():
 
 # ------------------------------------------------------------ cross ratio
 
+def _one_node(x, xp):
+    return PolarizedCurve(SGrid.from_count(0.0, 1.0, 1), [x], 1.0, xp_samples=[xp])
+
+
 def test_tangential_cross_ratio_hand_value():
     # x(s) = s, xh(s) = s + i: d = -i, d^2 = -1, both tangents 1 -> cr = -1
-    assert tangential_cross_ratio(0 + 0j, 1 + 0j, 1j, 1 + 0j) == pytest.approx(-1.0)
+    table = pair_table(_one_node(0j, 1 + 0j), _one_node(1j, 1 + 0j))
+    assert table.cr[0] == pytest.approx(-1.0)
 
 
 def test_tangential_cross_ratio_guards():
     with pytest.raises(CoincidentPointsError):
-        tangential_cross_ratio(1 + 1j, 1 + 0j, 1 + 1j, 1 + 0j)
+        pair_table(_one_node(1 + 1j, 1 + 0j), _one_node(1 + 1j, 1 + 0j))
     with pytest.raises(SingularTangentError):
-        tangential_cross_ratio(0j, 0j, 1j, 1 + 0j)
+        _one_node(0j, 0j)

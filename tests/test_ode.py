@@ -6,12 +6,14 @@ pole 1/(1 - s) for y' = y^2, and forward/backward runs for reversibility.
 import numpy as np
 import pytest
 
-from darbouxflow import BlowupError, OdeProblem, SGrid, integrate_rk4, rk4_path
+from darbouxflow.errors import BlowupError
+from darbouxflow.geometry import SGrid
+from darbouxflow.ode import rk4_path
 
 
 def test_exponential_oracle():
     g = SGrid.from_step(0.0, 1.0, 1e-3)
-    out = integrate_rk4(OdeProblem(g, lambda s, y: y, 1.0 + 0j))
+    out = rk4_path(g.values(), lambda s, y: y, 1.0 + 0j)
     assert abs(out[-1] - np.exp(1.0)) < 1e-13
 
 

@@ -6,16 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from darbouxflow import (
-    CurveError,
-    SGrid,
-    Sheet,
-    read_csv,
-    sheet_from_csv,
-    svg_text,
-    write_csv,
-    write_svg,
-)
+from darbouxflow.errors import CurveError
+from darbouxflow.geometry import SGrid, Sheet
+from darbouxflow.output import read_csv, sheet_from_csv, svg_text, write_csv, write_svg
 
 
 def _sample_sheet():
@@ -93,6 +86,34 @@ def test_read_csv_rejects_mismatched_grids(tmp_path):
     with pytest.raises(CurveError):
         read_csv(p)
 
+
+
+#: s steps 0.1, 0.4, 0.1, 0.2: the span still reads as an even h = 0.2.
+UNEVEN_CSV = "n,s,x,y\n" + "".join(f"0,{s!r},{s!r},0\n" for s in (0.0, 0.1, 0.5, 0.6, 0.8))
+
+
+def test_read_csv_rejects_uneven_spacing(tmp_path):
+    p = tmp_path / "uneven.csv"
+    p.write_text(UNEVEN_CSV)
+    with pytest.raises(CurveError, match=r"row n=0, s=0\.1 follows a step of 0\.1, expected 0\.2"):
+        read_csv(p)
+    with pytest.raises(CurveError, match="not evenly spaced"):
+        sheet_from_csv(p)
+
+
+def test_read_csv_spacing_tolerance(tmp_path):
+    # 1e-11 h of jitter is round-off and passes; 1e-8 h is a different grid
+    h = 0.25
+    for jitter, ok in ((1e-11, True), (1e-8, False)):
+        s = h * np.arange(5)
+        s[2] += jitter * h
+        p = tmp_path / f"jitter{ok}.csv"
+        p.write_text("n,s,x,y\n" + "".join(f"0,{float(v)!r},0,0\n" for v in s))
+        if ok:
+            assert np.array_equal(read_csv(p)[0], s)
+        else:
+            with pytest.raises(CurveError, match="not evenly spaced"):
+                read_csv(p)
 
 # ------------------------------------------------------------------ svg
 

@@ -4,17 +4,15 @@ The collinear base 0, 2, 4, 6 with mu = 1/4 (so 1/mu = edge^2) seeded with
 the unit-speed line x0(s) = s stays at every edge's Riccati fixed point:
 x_n(s) = s + 2n exactly, which pins both propagation directions.
 """
+import math
+
 import numpy as np
 import pytest
 
-from darbouxflow import (
-    BlowupError,
-    CoincidentPointsError,
-    CurveError,
-    DiscretePolarizedCurve,
+from darbouxflow.errors import BlowupError, CoincidentPointsError, CurveError
+from darbouxflow.geometry import DiscretePolarizedCurve, PolarizedCurve, SGrid
+from darbouxflow.semidiscrete import (
     FlowSpec,
-    PolarizedCurve,
-    SGrid,
     arclength_flow_check,
     infinitesimal_darboux,
     is_discrete_arclength,
@@ -90,6 +88,15 @@ def test_nonunit_seed_eventually_blows_up():
     assert "edge (1, 2)" in str(info.value)
 
 
+def test_mid_grid_collision_is_reported_as_such():
+    # For x = s the edge row solves u' = 1 - mu u^2 with u = x - xh; from
+    # u(0) = -1 at mu = 1/4 it crosses zero at s = ln 3, node 1000 of this grid.
+    grid = SGrid.from_count(0.0, math.log(3.0) / 1000, 1201)
+    base = DiscretePolarizedCurve(np.array([0, 1 + 0j]), 0.25)
+    with pytest.raises(CoincidentPointsError, match=r"edge \(0, 1\).*node 1000"):
+        infinitesimal_darboux(FlowSpec(base, 1.0, 0, _line(grid)))
+
+
 def test_is_discrete_arclength_oracle():
     assert is_discrete_arclength(_base()) == 0.0
     off = DiscretePolarizedCurve(np.arange(4) * 2.0 + 0j, 0.3)
@@ -99,8 +106,6 @@ def test_is_discrete_arclength_oracle():
 def test_propagate_edge_guards():
     grid = SGrid.from_step(0.0, 1.0, 1e-2)
     row = _line(grid)
-    with pytest.raises(CurveError):
-        propagate_edge(row, 0.25, 2.0 + 0j, direction=0)
     with pytest.raises(CurveError):
         propagate_edge(row, 0.0, 2.0 + 0j)
     with pytest.raises(CurveError):
