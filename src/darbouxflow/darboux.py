@@ -9,6 +9,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from math import floor
 
 import numpy as np
 
@@ -44,7 +45,8 @@ def riccati_solve(source: PolarizedCurve, mu: float, y0: complex) -> np.ndarray:
 
     The initial value y0 is imposed at the first grid node; integration runs
     forward with classic RK4, evaluating the source curve on the refined
-    (node + midpoint) grid.
+    (node + midpoint) grid.  The stage coefficients are Python lists for the
+    length of the solve, so each step runs in built-in complex arithmetic.
     """
     grid = source.grid
     if grid.count == 1:
@@ -55,13 +57,16 @@ def riccati_solve(source: PolarizedCurve, mu: float, y0: complex) -> np.ndarray:
         raise SingularTangentError(
             f"source tangent vanishes on the refined grid (|x'| = {speeds.min():.3e})"
         )
-    coef = mu / ms
-    s_start, h = grid.s0, grid.h
+    a = ((mu / ms) / xps).tolist()
+    x = xs.tolist()
+    s0, stages_per_s = grid.s0, 2.0 / grid.h
 
     def rhs(s, y):
-        k = int(round(2.0 * (s - s_start) / h))
-        d = xs[k] - y
-        return coef[k] * d * d / xps[k]
+        # floor(. + 0.5) rounds the nonnegative, near-integer stage index like
+        # round() does, at less cost per call.
+        k = floor((s - s0) * stages_per_s + 0.5)
+        d = x[k] - y
+        return a[k] * d * d
 
     return rk4_path(grid.values(), rhs, complex(y0))
 

@@ -199,6 +199,14 @@ def _validate_m(m: np.ndarray):
         raise CurveError("polarization must be nonvanishing and of constant sign")
 
 
+def _validate_m_between(m: np.ndarray):
+    """_validate_m for samples of m off the grid nodes."""
+    try:
+        _validate_m(m)
+    except CurveError as exc:
+        raise CurveError(f"{exc} between grid nodes") from None
+
+
 @dataclass(frozen=True, eq=False)
 class PolarizedCurve:
     """Smooth plane curve x(s) with polarization ds^2/m, sampled on a grid.
@@ -242,7 +250,9 @@ class PolarizedCurve:
             self.__dict__["derivatives"] = xp
             speeds = np.abs(xp)
         elif self.xp_fn is not None:
-            speeds = np.abs(np.asarray(self.xp_fn(self.grid.values()), dtype=complex))
+            xp = np.asarray(self.xp_fn(self.grid.values()), dtype=complex)
+            self.__dict__["derivatives"] = xp
+            speeds = np.abs(xp)
         elif self.grid.count >= 5:
             d = fd_derivative(pts, self.grid.h)
             self.__dict__["derivatives"] = d
@@ -252,6 +262,11 @@ class PolarizedCurve:
             raise SingularTangentError(
                 f"curve is not regular: |x'| = {speeds.min():.3e} at node {i}"
             )
+        if self.m_fn is not None and self.grid.count > 1:
+            # The RK4 midpoints must pass the node check too, or the Riccati
+            # coefficient mu/m is infinite or flips sign mid-step.
+            mids = self.grid.refined_values()[1::2]
+            _validate_m_between(np.asarray(self.m_fn(mids), dtype=float) + np.zeros(len(mids)))
 
     @classmethod
     def from_generator(cls, grid: SGrid, x, xp, m=1.0, eps_reg: float = EPS_REG):
@@ -267,9 +282,8 @@ class PolarizedCurve:
 
     @cached_property
     def derivatives(self) -> np.ndarray:
-        """x'(s_i) at every node: analytic when available, else finite differences."""
-        if self.xp_fn is not None:
-            return np.asarray(self.xp_fn(self.grid.values()), dtype=complex)
+        """x'(s_i) at every node: analytic or sampled when given (stored by the
+        constructor), else finite differences."""
         return fd_derivative(self.points, self.grid.h)
 
     @cached_property
@@ -299,12 +313,8 @@ class PolarizedCurve:
             ms = _interleave(self.m, _midpoint_interp(self.m))
         else:
             ms = _interleave(self.m, 0.5 * (self.m[:-1] + self.m[1:]))
-        # The node samples passed this check already; the midpoints must too,
-        # or the Riccati coefficient mu/m is infinite or flips sign mid-step.
-        try:
-            _validate_m(ms)
-        except CurveError as exc:
-            raise CurveError(f"{exc} between grid nodes") from None
+        # Interpolated midpoints can leave the sign of the node samples.
+        _validate_m_between(ms)
         return xs, xps, ms
 
     def arclength_deviation(self) -> float:

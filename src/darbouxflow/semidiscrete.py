@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .darboux import _transform_row
-from .errors import CurveError
+from .errors import BlowupError, CurveError
 from .geometry import DiscretePolarizedCurve, PolarizedCurve, Sheet, _as_m_array
 
 #: How closely the seeded curve must pass through its base vertex.
@@ -70,16 +70,16 @@ def infinitesimal_darboux(spec: FlowSpec) -> Sheet:
     grid = spec.initial_curve.grid
     rows: list = [None] * n_rows
     rows[spec.n0] = spec.initial_curve
-    for n in range(spec.n0, n_rows - 1):
+    edges = [(n, n + 1) for n in range(spec.n0, n_rows - 1)]
+    edges += [(n, n - 1) for n in range(spec.n0, 0, -1)]
+    for n, k in edges:
         try:
-            rows[n + 1] = propagate_edge(rows[n], spec.base.mu[n], spec.base.vertices[n + 1])
-        except Exception as exc:
-            raise type(exc)(f"edge ({n}, {n + 1}): {exc}") from exc
-    for n in range(spec.n0, 0, -1):
-        try:
-            rows[n - 1] = propagate_edge(rows[n], spec.base.mu[n - 1], spec.base.vertices[n - 1])
-        except Exception as exc:
-            raise type(exc)(f"edge ({n}, {n - 1}): {exc}") from exc
+            rows[k] = propagate_edge(rows[n], spec.base.mu[min(n, k)], spec.base.vertices[k])
+        except (CurveError, BlowupError) as exc:
+            # Keep the exception itself, so attributes such as
+            # BlowupError.index survive the added edge label.
+            exc.args = (f"edge ({n}, {k}): {exc}",) + exc.args[1:]
+            raise
     return Sheet(grid, np.vstack([row.points for row in rows]),
                  tangents=np.vstack([row.derivatives for row in rows]))
 

@@ -1,5 +1,8 @@
 """End-to-end command line runs, one per exit code."""
+import os
 import pathlib
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -181,6 +184,18 @@ def test_transform_past_the_pole_is_a_numerical_failure(tmp_path, capsys):
     assert "blew up" in err
 
 
+def test_polarization_vanishing_between_nodes_is_a_usage_error(tmp_path, capsys):
+    # m > 0 at every node, m = 0 at the first RK4 midpoint: bad input, found
+    # while the scenario loads (a blow-up past a pole still exits 2, above)
+    text = POLE_INI.replace("[polarization]\n",
+                            "[polarization]\nm = (s - 0.0005)*(s - 0.0005)\n")
+    cfg = _write(tmp_path, text)
+    assert main(["darboux", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "between grid nodes" in err
+
+
 def test_unevenly_spaced_samples_are_a_usage_error(tmp_path, capsys):
     samples = tmp_path / "uneven.csv"
     samples.write_text(
@@ -222,3 +237,15 @@ def test_tolerance_override_from_config_can_fail_one_check(tmp_path, capsys):
     assert main(["verify", "--config", cfg]) == 3
     out = capsys.readouterr().out
     assert "11/12 checks passed" in out
+
+
+def test_module_entry_point(tmp_path):
+    checkout = SCENARIO_DIR.parent
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "darbouxflow", "darboux",
+         "--config", str(SCENARIO_DIR / "darboux_circle.ini"), "--out", str(out)],
+        cwd=checkout, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [str(out / "pair.csv"), str(out / "pair.svg")]

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from darbouxflow.darboux import (
     DarbouxParams,
@@ -19,9 +19,17 @@ from darbouxflow.darboux import (
     lambda_evolution_defects,
     lemma_defects,
     pair_table,
+    riccati_solve,
 )
-from darbouxflow.errors import CoincidentPointsError, CurveError, NotArclengthPolarizedError
+from darbouxflow.errors import (
+    BlowupError,
+    CoincidentPointsError,
+    CurveError,
+    NotArclengthPolarizedError,
+)
 from darbouxflow.geometry import PolarizedCurve, SGrid
+from darbouxflow.ode import rk4_path
+from darbouxflow.semidiscrete import propagate_edge
 
 
 def _line(grid, m=1.0):
@@ -62,8 +70,13 @@ def test_circle_diametral_seed_gives_antipodal_circle():
 
 @settings(max_examples=20, deadline=None)
 @given(mu=st.floats(0.1, 4.0), angle=st.floats(0.0, 2 * math.pi))
+@example(mu=3.0, angle=1.875)
+@example(mu=4.0, angle=1.8326)
 def test_arclength_transform_keeps_separation(mu, angle):
-    g = SGrid.from_step(0.0, 1.0, 1e-2)
+    # At h = 1e-2 the RK4 truncation error alone reaches 2.6e-7 near
+    # (mu 4, angle 1.83); at h = 2e-3 the worst case over a (mu, angle) scan
+    # is 4.2e-10, far below the bound.
+    g = SGrid.from_step(0.0, 1.0, 2e-3)
     base = _circle(g)
     t = arclength_darboux(base, mu, angle)
     sep = np.abs(t.points - base.points)
@@ -127,11 +140,10 @@ def test_seed_collision_rejected():
 
 def test_polarization_vanishing_between_nodes_is_rejected(recwarn):
     # m > 0 at every node of the h = 1e-3 grid, but m(0.0005) = 0 at the
-    # first RK4 midpoint
+    # first RK4 midpoint; the curve is refused when it is built
     g = SGrid.from_step(0.0, 1.0, 1e-3)
-    base = _line(g, m=lambda s: (s - 0.0005) ** 2)
     with pytest.raises(CurveError, match="polarization .* between grid nodes"):
-        darboux_transform(base, DarbouxParams(0.25, -1.0 + 0j))
+        _line(g, m=lambda s: (s - 0.0005) ** 2)
     assert len(recwarn) == 0
 
 
@@ -150,3 +162,50 @@ def test_pair_table_requires_shared_grid():
         b.grid, lambda s: s + 1j, lambda s: np.ones_like(s, dtype=complex), 1.0)
     with pytest.raises(CurveError):
         pair_table(a, shifted)
+
+
+def _reference_riccati(source, mu, y0):
+    """riccati_solve as a numpy-scalar closure: the stage lookup and the
+    right-hand side coef[k] d^2 / x'[k] work on numpy scalars."""
+    xs, xps, ms = source._stage_data
+    coef = mu / ms
+    s_start, h = source.grid.s0, source.grid.h
+
+    def rhs(s, y):
+        k = int(round(2.0 * (s - s_start) / h))
+        d = xs[k] - y
+        return coef[k] * d * d / xps[k]
+
+    return rk4_path(source.grid.values(), rhs, complex(y0))
+
+
+@pytest.mark.parametrize("kind", ["analytic circle", "sampled circle", "m = 1 + 0.3 sin s"])
+def test_riccati_solve_matches_numpy_scalar_reference(kind):
+    g = SGrid.from_step(0.0, 2 * math.pi, 1e-3)
+    if kind == "analytic circle":
+        base = _circle(g)
+    elif kind == "sampled circle":
+        base = PolarizedCurve.from_samples(g, np.exp(1j * g.values()), 1.0)
+    else:
+        base = _circle(g, m=lambda s: 1.0 + 0.3 * np.sin(s))
+    y0 = -1.2 + 0.3j
+    fast = riccati_solve(base, 0.25, y0)
+    want = _reference_riccati(base, 0.25, y0)
+    assert np.abs(fast - want).max() < 1e-13
+
+
+def test_riccati_blowup_index_matches_reference(recwarn):
+    # Edge (1, 2) of the non-unit-speed flow over 0, 2, 4, 6 (mu = 1/4): its
+    # source row is the transform of x(s) = 2s, and the Riccati solution
+    # has a pole near s = 0.565.
+    g = SGrid.from_step(0.0, 1.0, 1e-3)
+    line = PolarizedCurve.from_generator(
+        g, lambda s: 2.0 * s + 0j, lambda s: 2.0 * np.ones_like(s, dtype=complex), 1.0)
+    row1 = propagate_edge(line, 0.25, 2.0 + 0j)
+    indices = []
+    for solve in (riccati_solve, _reference_riccati):
+        with pytest.raises(BlowupError) as info:
+            solve(row1, 0.25, 4.0 + 0j)
+        indices.append(info.value.index)
+    assert indices == [565, 565]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -117,6 +117,22 @@ def test_generator_curve_uses_analytic_derivatives():
     assert np.abs(c.derivatives - 1j * np.exp(1j * g.values())).max() == 0.0
 
 
+def test_analytic_tangent_is_evaluated_once_per_grid():
+    # once on the nodes (regularity check and derivatives), once on the
+    # refined grid (Riccati stages)
+    sizes = []
+
+    def xp(s):
+        sizes.append(np.size(s))
+        return 1j * np.exp(1j * s)
+
+    g = SGrid.from_step(0.0, 1.0, 1e-3)
+    c = PolarizedCurve.from_generator(g, lambda s: np.exp(1j * s), xp)
+    assert np.abs(c.derivatives - 1j * np.exp(1j * g.values())).max() == 0.0
+    c._stage_data
+    assert sizes == [1001, 2001]
+
+
 def test_sampled_curve_falls_back_to_fd():
     g = SGrid.from_count(0.0, 0.025, 41)
     s = g.values()

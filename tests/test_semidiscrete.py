@@ -85,7 +85,8 @@ def test_nonunit_seed_eventually_blows_up():
     grid = SGrid.from_step(0.0, 2.0, 1e-3)
     with pytest.raises(BlowupError) as info:
         infinitesimal_darboux(FlowSpec(_base(), 1.0, 0, _line(grid, speed=2.0)))
-    assert "edge (1, 2)" in str(info.value)
+    assert str(info.value) == "edge (1, 2): integration blew up at grid index 565"
+    assert info.value.index == 565
 
 
 def test_mid_grid_collision_is_reported_as_such():
