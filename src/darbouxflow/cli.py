@@ -168,7 +168,7 @@ def main(argv=None) -> int:
     except (BlowupError, CurveError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for path in files:

@@ -53,7 +53,7 @@ def riccati_solve(source: PolarizedCurve, mu: float, y0: complex) -> np.ndarray:
         return np.array([y0], dtype=complex)
     xs, xps, ms = source._stage_data
     speeds = np.abs(xps)
-    if speeds.min() <= source.eps_reg:
+    if speeds.min() <= EPS_REG:
         raise SingularTangentError(
             f"source tangent vanishes on the refined grid (|x'| = {speeds.min():.3e})"
         )
@@ -74,19 +74,20 @@ def riccati_solve(source: PolarizedCurve, mu: float, y0: complex) -> np.ndarray:
 def _transform_row(curve: PolarizedCurve, mu: float, initial_point: complex) -> PolarizedCurve:
     """The body of darboux_transform, shared with flow edges
     (semidiscrete.propagate_edge), which validate mu themselves."""
-    if abs(initial_point - curve.points[0]) <= curve.eps_reg:
+    if abs(initial_point - curve.points[0]) <= EPS_REG:
         raise CoincidentPointsError("initial point coincides with the curve start")
     vals = riccati_solve(curve, mu, initial_point)
     sep = np.abs(vals - curve.points)
-    if sep.min() <= curve.eps_reg:
+    if sep.min() <= EPS_REG:
         i = int(np.argmin(sep))
         raise CoincidentPointsError(f"transform collides with the curve at node {i}")
     # The pair equation gives the transform's tangent pointwise from the two
     # position rows, so store it instead of re-differencing the samples.
     d = vals - curve.points
     xhp = (mu / curve.m) * d * d / curve.derivatives
-    return PolarizedCurve(curve.grid, vals, curve.m, m_fn=curve.m_fn,
-                          eps_reg=curve.eps_reg, xp_samples=xhp)
+    # The row shares the source's refined m, so m is never interpolated or
+    # evaluated again down a flow.
+    return PolarizedCurve(curve.grid, vals, curve._stage_data[2], xhp)
 
 
 def darboux_transform(curve: PolarizedCurve, params: DarbouxParams) -> PolarizedCurve:
@@ -135,8 +136,7 @@ class PairTable:
     degenerate: np.ndarray
 
 
-def pair_table(base: PolarizedCurve, transform: PolarizedCurve,
-               eps_reg: float = EPS_REG) -> PairTable:
+def pair_table(base: PolarizedCurve, transform: PolarizedCurve) -> PairTable:
     """Pointwise pair diagnostics along two curves sharing a grid."""
     if transform.grid != base.grid:
         raise CurveError("pair curves must share one grid")
@@ -144,16 +144,16 @@ def pair_table(base: PolarizedCurve, transform: PolarizedCurve,
     xp, xhp = base.derivatives, transform.derivatives
     d = xh - x
     lam = np.abs(d) ** 2
-    if lam.min() <= eps_reg**2:
+    if lam.min() <= EPS_REG**2:
         raise CoincidentPointsError(
             f"pair collides at node {int(np.argmin(lam))}"
         )
     cr = xp * xhp / (d * d)
     r = 2.0 * dot(d, xp) / lam
     rhat = 2.0 * dot(-d, xhp) / lam
-    degenerate = (np.abs(r) <= eps_reg) | (np.abs(rhat) <= eps_reg)
+    degenerate = (np.abs(r) <= EPS_REG) | (np.abs(rhat) <= EPS_REG)
     with np.errstate(divide="ignore", invalid="ignore"):
-        y = np.where(np.abs(r) > eps_reg, x + xp / np.where(r == 0.0, np.nan, r), np.nan)
+        y = np.where(np.abs(r) > EPS_REG, x + xp / np.where(r == 0.0, np.nan, r), np.nan)
     return PairTable(s=base.grid.values(), cr=cr, r=r, rhat=rhat, y=y,
                      lam=lam, degenerate=degenerate)
 
@@ -175,7 +175,7 @@ def lemma_defects(base: PolarizedCurve, transform: PolarizedCurve, mu: float):
     keep = ~table.degenerate
     if not keep.any():
         return 0.0, 0.0
-    y1 = base.points[keep] + base.derivatives[keep] / table.r[keep]
+    y1 = table.y[keep]
     y2 = transform.points[keep] + transform.derivatives[keep] / table.rhat[keep]
     center = np.abs(y1 - y2) / (1.0 + np.abs(y1))
     ratio = table.rhat[keep] / table.r[keep]

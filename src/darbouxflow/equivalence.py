@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EPS_REG, DiscretePolarizedCurve, PolarizedCurve, SGrid, Sheet, fd_derivative
+from .geometry import DiscretePolarizedCurve, PolarizedCurve, SGrid, Sheet, fd_derivative
 from .motion import integrate_motion, mkdv_residual, tangential_angles
 from .semidiscrete import FlowSpec, arclength_flow_check, infinitesimal_darboux, sheet_cross_ratio_defect
 
@@ -85,8 +85,7 @@ def frameless_identity_check(sheet: Sheet, theta: np.ndarray, mu) -> float:
     return max(d_first, d_second, d_scalar)
 
 
-def pipelines_agree(curve0, w0, n0: int, grid: SGrid,
-                    eps_reg: float = EPS_REG) -> EquivalenceReport:
+def pipelines_agree(curve0, w0, n0: int, grid: SGrid) -> EquivalenceReport:
     """Run the motion and the equivalent Darboux flow, then compare the sheets.
 
     Pipeline A integrates the isoperimetric motion of ``curve0``. Pipeline B
@@ -99,11 +98,11 @@ def pipelines_agree(curve0, w0, n0: int, grid: SGrid,
     if isinstance(curve0, DiscretePolarizedCurve):
         curve0 = curve0.vertices
     vertices = np.asarray(curve0, dtype=complex)
-    motion = integrate_motion(vertices, w0, n0, grid, eps_reg)
+    motion = integrate_motion(vertices, w0, n0, grid)
     a0 = np.abs(np.diff(vertices))
     mu = 1.0 / a0**2
-    base = DiscretePolarizedCurve(vertices, mu, eps_reg)
-    initial = PolarizedCurve.from_samples(grid, motion.sheet.values[n0], 1.0, eps_reg)
+    base = DiscretePolarizedCurve(vertices, mu)
+    initial = PolarizedCurve.from_samples(grid, motion.sheet.values[n0], 1.0)
     flow_sheet = infinitesimal_darboux(FlowSpec(base, 1.0, n0, initial))
     sup = float(np.abs(motion.sheet.values - flow_sheet.values).max())
     if grid.count < 5:

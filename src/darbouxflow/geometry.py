@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -20,18 +19,11 @@ from .errors import (
     SingularTangentError,
 )
 
-#: Default regularity constant; every near-zero guard funnels through it.
+#: Regularity constant; every near-zero guard funnels through it.
 EPS_REG = 1e-9
 
 #: Relative slack allowed in the grid consistency identity s1 - s0 = (count-1) h.
 GRID_RTOL = 1e-12
-
-
-def rotate(p: complex, angle: float) -> complex:
-    """Rotate the plane point p counterclockwise by angle (radians)."""
-    if not math.isfinite(angle):
-        raise CurveError(f"rotation angle must be finite, got {angle!r}")
-    return p * complex(math.cos(angle), math.sin(angle))
 
 
 def dot(a, b):
@@ -88,10 +80,6 @@ class SGrid:
     def refined_values(self) -> np.ndarray:
         """Nodes plus midpoints: s0 + k*(h/2), k = 0..2*count-2."""
         return self.s0 + 0.5 * self.h * np.arange(2 * self.count - 1)
-
-    def halved(self) -> "SGrid":
-        """Same span, half the step (for convergence studies)."""
-        return SGrid(self.s0, self.s1, 0.5 * self.h, 2 * self.count - 1)
 
 
 # 4th-order one-sided stencil rows (units of 1/(12h)) for the first two and
@@ -211,35 +199,54 @@ def _validate_m_between(m: np.ndarray):
 class PolarizedCurve:
     """Smooth plane curve x(s) with polarization ds^2/m, sampled on a grid.
 
-    ``x_fn``/``xp_fn`` hold an analytic generator when one is known, and
-    ``xp_samples`` holds per-node tangents when a construction supplies them
-    (a transform's tangents follow pointwise from its pair equation);
+    ``m`` is a constant, samples at the grid nodes, samples on the refined
+    grid (``grid.refined_values()``: the nodes and the RK4 midpoints), or a
+    callable, which is evaluated once on the refined grid.  Every value given
+    must be finite, nonzero and of one sign; afterwards ``m`` holds the node
+    samples.  ``xp_samples`` holds per-node tangents when a construction
+    supplies them (an analytic generator, or a transform's pair equation);
     otherwise derivatives come from 4th-order finite differences of the
-    samples.
+    points.
+
+    The Riccati stages need x, x' and m on the refined grid.  Curves from
+    ``from_generator`` keep the exact x and x' there, and a refined m is
+    kept as given; whatever is missing is interpolated from the nodes with
+    local Lagrange windows.
     """
 
     grid: SGrid
     points: np.ndarray
-    m: np.ndarray
-    x_fn: Callable | None = None
-    xp_fn: Callable | None = None
-    m_fn: Callable | None = None
-    eps_reg: float = EPS_REG
+    m: object
     xp_samples: np.ndarray | None = None
 
+    # Exact refined-grid data, or None where _stage_data interpolates.
+    _refined_x = None
+    _refined_m = None
+
     def __post_init__(self):
+        grid = self.grid
         pts = np.asarray(self.points, dtype=complex)
         object.__setattr__(self, "points", pts)
-        if pts.shape != (self.grid.count,):
-            raise CurveError(f"points have shape {pts.shape}, expected ({self.grid.count},)")
+        if pts.shape != (grid.count,):
+            raise CurveError(f"points have shape {pts.shape}, expected ({grid.count},)")
         if not np.all(np.isfinite(pts)):
             raise CurveError("curve points must be finite")
-        object.__setattr__(self, "m", _as_m_array(self.m, self.grid))
+        m = self.m
+        if callable(m):
+            r = grid.refined_values()
+            m = np.asarray(m(r), dtype=float).reshape(-1) + np.zeros(len(r))
+        if grid.count > 1 and np.shape(m) == (2 * grid.count - 1,):
+            m = np.asarray(m, dtype=float)
+            object.__setattr__(self, "_refined_m", m)
+            m = m[::2]
+        object.__setattr__(self, "m", _as_m_array(m, grid))
         _validate_m(self.m)
-        speeds = None
+        if self._refined_m is not None:
+            # The RK4 midpoints must pass the node check too, or the Riccati
+            # coefficient mu/m is infinite or flips sign mid-step.
+            _validate_m_between(self._refined_m)
+        xp = None
         if self.xp_samples is not None:
-            if self.xp_fn is not None:
-                raise CurveError("give xp_fn or xp_samples, not both")
             xp = np.asarray(self.xp_samples, dtype=complex)
             object.__setattr__(self, "xp_samples", xp)
             if xp.shape != pts.shape:
@@ -247,74 +254,62 @@ class PolarizedCurve:
                     f"tangent samples have shape {xp.shape}, expected {pts.shape}")
             if not np.all(np.isfinite(xp)):
                 raise CurveError("curve tangents must be finite")
+        elif grid.count >= 5:
+            xp = fd_derivative(pts, grid.h)
+        if xp is not None:
             self.__dict__["derivatives"] = xp
             speeds = np.abs(xp)
-        elif self.xp_fn is not None:
-            xp = np.asarray(self.xp_fn(self.grid.values()), dtype=complex)
-            self.__dict__["derivatives"] = xp
-            speeds = np.abs(xp)
-        elif self.grid.count >= 5:
-            d = fd_derivative(pts, self.grid.h)
-            self.__dict__["derivatives"] = d
-            speeds = np.abs(d)
-        if speeds is not None and speeds.min() <= self.eps_reg:
-            i = int(np.argmin(speeds))
-            raise SingularTangentError(
-                f"curve is not regular: |x'| = {speeds.min():.3e} at node {i}"
-            )
-        if self.m_fn is not None and self.grid.count > 1:
-            # The RK4 midpoints must pass the node check too, or the Riccati
-            # coefficient mu/m is infinite or flips sign mid-step.
-            mids = self.grid.refined_values()[1::2]
-            _validate_m_between(np.asarray(self.m_fn(mids), dtype=float) + np.zeros(len(mids)))
+            if speeds.min() <= EPS_REG:
+                i = int(np.argmin(speeds))
+                raise SingularTangentError(
+                    f"curve is not regular: |x'| = {speeds.min():.3e} at node {i}"
+                )
 
     @classmethod
-    def from_generator(cls, grid: SGrid, x, xp, m=1.0, eps_reg: float = EPS_REG):
-        s = grid.values()
-        m_fn = m if callable(m) else None
-        return cls(grid, np.asarray(x(s), dtype=complex) + np.zeros(grid.count, dtype=complex),
-                   _as_m_array(m, grid), x_fn=x, xp_fn=xp, m_fn=m_fn, eps_reg=eps_reg)
+    def from_generator(cls, grid: SGrid, x, xp, m=1.0):
+        """Curve from x(s) and x'(s), each evaluated once on the refined grid."""
+        r = grid.refined_values()
+        xs = np.asarray(x(r), dtype=complex) + np.zeros(len(r), dtype=complex)
+        xps = np.asarray(xp(r), dtype=complex) + np.zeros(len(r), dtype=complex)
+        curve = cls(grid, xs[::2], m, xps[::2])
+        object.__setattr__(curve, "_refined_x", (xs, xps))
+        return curve
 
     @classmethod
-    def from_samples(cls, grid: SGrid, points, m=1.0, eps_reg: float = EPS_REG):
-        return cls(grid, np.asarray(points, dtype=complex), _as_m_array(m, grid),
-                   eps_reg=eps_reg)
+    def from_samples(cls, grid: SGrid, points, m=1.0):
+        """Curve from node samples; x and x' reach the midpoints by interpolation."""
+        return cls(grid, points, m)
 
     @cached_property
     def derivatives(self) -> np.ndarray:
-        """x'(s_i) at every node: analytic or sampled when given (stored by the
+        """x'(s_i) at every node: the given tangent samples (stored by the
         constructor), else finite differences."""
         return fd_derivative(self.points, self.grid.h)
 
     @cached_property
     def _stage_data(self):
-        """(x, x', mu/m-ready m) on the refined grid (nodes + midpoints), for
-        Riccati stepping; sampled curves are refined with local Lagrange windows."""
-        if self.x_fn is not None and self.xp_fn is not None:
-            r = self.grid.refined_values()
-            xs = np.asarray(self.x_fn(r), dtype=complex) + np.zeros(len(r), dtype=complex)
-            xps = np.asarray(self.xp_fn(r), dtype=complex) + np.zeros(len(r), dtype=complex)
+        """(x, x', m) on the refined grid (nodes + midpoints), for Riccati
+        stepping."""
+        count = self.grid.count
+        if self._refined_x is not None:
+            xs, xps = self._refined_x
+        elif count == 1:
+            xs = self.points.copy()
+            xps = np.full(1, np.nan, dtype=complex)
         else:
-            if self.grid.count == 1:
-                xs = self.points.copy()
-                xps = np.full(1, np.nan, dtype=complex)
-            else:
-                xs = _interleave(self.points, _midpoint_interp(self.points))
-                xps = _interleave(
-                    self.derivatives, _midpoint_interp(self.points, derivative=True) / self.grid.h
-                )
-        if self.m_fn is not None:
-            ms = np.asarray(self.m_fn(self.grid.refined_values()), dtype=float) + np.zeros(
-                2 * self.grid.count - 1
+            xs = _interleave(self.points, _midpoint_interp(self.points))
+            xps = _interleave(
+                self.derivatives, _midpoint_interp(self.points, derivative=True) / self.grid.h
             )
-        elif np.ptp(self.m) == 0.0:
-            ms = np.full(2 * self.grid.count - 1, self.m[0])
-        elif self.grid.count >= 5:
-            ms = _interleave(self.m, _midpoint_interp(self.m))
-        else:
-            ms = _interleave(self.m, 0.5 * (self.m[:-1] + self.m[1:]))
-        # Interpolated midpoints can leave the sign of the node samples.
-        _validate_m_between(ms)
+        ms = self._refined_m
+        if ms is None:
+            if np.ptp(self.m) == 0.0:
+                ms = np.full(2 * count - 1, self.m[0])
+            else:
+                m = self.m
+                ms = _interleave(m, _midpoint_interp(m) if count >= 5 else 0.5 * (m[:-1] + m[1:]))
+                # Interpolated midpoints can leave the sign of the node samples.
+                _validate_m_between(ms)
         return xs, xps, ms
 
     def arclength_deviation(self) -> float:
@@ -328,7 +323,6 @@ class DiscretePolarizedCurve:
 
     vertices: np.ndarray
     mu: np.ndarray
-    eps_reg: float = EPS_REG
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=complex)
@@ -338,7 +332,7 @@ class DiscretePolarizedCurve:
         if not np.all(np.isfinite(v)):
             raise CurveError("vertices must be finite")
         edges = np.diff(v)
-        if len(edges) and np.abs(edges).min() <= self.eps_reg:
+        if len(edges) and np.abs(edges).min() <= EPS_REG:
             n = int(np.argmin(np.abs(edges)))
             raise CoincidentPointsError(f"consecutive vertices {n} and {n + 1} coincide")
         mu = np.asarray(self.mu, dtype=float)
@@ -399,14 +393,6 @@ class Sheet:
     @property
     def rows(self) -> int:
         return self.values.shape[0]
-
-    def row_curve(self, n: int, m=1.0) -> PolarizedCurve:
-        xp = None if self.tangents is None else self.tangents[n]
-        return PolarizedCurve(self.grid, self.values[n], _as_m_array(m, self.grid),
-                              xp_samples=xp)
-
-    def column(self, i: int) -> np.ndarray:
-        return self.values[:, i]
 
     @cached_property
     def row_derivatives(self) -> np.ndarray:

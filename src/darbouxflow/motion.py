@@ -22,7 +22,7 @@ from .ode import rk4_path
 MAX_ANGLE_JUMP = 0.5 * math.pi
 
 
-def _angles(vertices: np.ndarray, w0, n0: int, eps_reg: float) -> np.ndarray:
+def _angles(vertices: np.ndarray, w0, n0: int) -> np.ndarray:
     """Velocity angles theta_n of a polygon (shape (V,)) or of a stack of them
     (shape (N, V), with ``w0`` a scalar or one value per polygon).
 
@@ -42,7 +42,7 @@ def _angles(vertices: np.ndarray, w0, n0: int, eps_reg: float) -> np.ndarray:
     """
     edges = np.diff(vertices, axis=-1)
     a = np.abs(edges)
-    short = a <= eps_reg
+    short = a <= EPS_REG
     if short.any():
         row = a[np.unravel_index(np.argmax(short), a.shape)[:-1]]
         n = int(np.argmin(row))
@@ -52,7 +52,7 @@ def _angles(vertices: np.ndarray, w0, n0: int, eps_reg: float) -> np.ndarray:
     del edges, a
     turn = np.angle(t[..., 1:] / t[..., :-1])
     # Turning bound |kappa| < pi: adjacent edges must not be anti-parallel.
-    bad = math.pi - np.abs(turn) <= eps_reg
+    bad = math.pi - np.abs(turn) <= EPS_REG
     if bad.any():
         n = int(np.unravel_index(np.argmax(bad), bad.shape)[-1]) + 1
         raise NonRegularError(
@@ -97,8 +97,7 @@ class MotionResult:
         return np.abs(np.diff(self.sheet.values, axis=0))
 
 
-def integrate_motion(curve0, w0, n0: int, grid: SGrid,
-                     eps_reg: float = EPS_REG) -> MotionResult:
+def integrate_motion(curve0, w0, n0: int, grid: SGrid) -> MotionResult:
     """RK4-step all vertices of ``curve0`` under the isoperimetric motion.
 
     ``w0`` may be a constant or a function of s; the w-recursion is re-run from
@@ -116,13 +115,13 @@ def integrate_motion(curve0, w0, n0: int, grid: SGrid,
     w_fn = w0 if callable(w0) else (lambda s: w0)
 
     def rhs(s, x):
-        return np.exp(1j * _angles(x, w_fn(s), n0, eps_reg))
+        return np.exp(1j * _angles(x, w_fn(s), n0))
 
     svals = grid.values()
     states = rk4_path(svals, rhs, v0)
     # w0 is evaluated node by node, as the stages see it: evaluating a callable
     # on the whole array at once can round differently.
-    theta = _angles(states, np.array([w_fn(s) for s in svals], dtype=float), n0, eps_reg)
+    theta = _angles(states, np.array([w_fn(s) for s in svals], dtype=float), n0)
     for i in range(1, grid.count):
         theta[i] += 2.0 * math.pi * np.round((theta[i - 1] - theta[i]) / (2.0 * math.pi))
         jump = np.abs(theta[i] - theta[i - 1]).max()

@@ -84,13 +84,6 @@ def infinitesimal_darboux(spec: FlowSpec) -> Sheet:
                  tangents=np.vstack([row.derivatives for row in rows]))
 
 
-def is_discrete_arclength(curve: DiscretePolarizedCurve) -> float:
-    """max_n |1/mu_n - |x_{n+1} - x_n|^2| — zero iff discretely arc-length polarized."""
-    if len(curve.vertices) < 2:
-        return 0.0
-    return float(np.abs(1.0 / curve.mu - curve.edge_lengths**2).max())
-
-
 @dataclass(frozen=True, eq=False)
 class ArclengthFlowReport:
     """Arc-length diagnostics of a sheet: per-column discrete deviations and

@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import ConfigError
 from .darboux import (DarbouxParams, arclength_darboux, cross_ratio_defect,
                       darboux_transform, lambda_evolution_defects,
                       lemma_defects, pair_table)
@@ -203,15 +204,18 @@ def figure_family(grid: SGrid, mu: float, initial_point: complex):
 
 class _Tol:
     """Named tolerances: defaults scaled by a global multiplier, with
-    per-name overrides (from the scenario's [verify] section)."""
+    per-name overrides (from the scenario's [verify] section).  Records the
+    names the checks ask for, so an override nobody reads can be refused."""
 
     def __init__(self, multiplier: float = 1.0, overrides=None):
         if multiplier <= 0:
             raise ValueError(f"tolerance multiplier must be positive, got {multiplier!r}")
         self.multiplier = multiplier
         self.overrides = dict(overrides or {})
+        self.used = set()
 
     def __call__(self, name: str, default: float) -> float:
+        self.used.add(name)
         return self.multiplier * self.overrides.get(name, default)
 
 
@@ -448,7 +452,12 @@ _CHECKS = [
 def run_suite(h: float = 1e-3, tol_multiplier: float = 1.0, overrides=None,
               artifacts: Artifacts | None = None):
     """Run every check; returns one CheckResult per check, in the order of
-    the numbered list in README.md."""
+    the numbered list in README.md.  Raises ConfigError, after the checks,
+    for an override name that no check reads."""
     art = artifacts if artifacts is not None else Artifacts(h)
     tol = _Tol(tol_multiplier, overrides)
-    return [check(art, tol) for check in _CHECKS]
+    results = [check(art, tol) for check in _CHECKS]
+    unused = sorted(set(tol.overrides) - tol.used)
+    if unused:
+        raise ConfigError(f"[verify] {', '.join(unused)}: no check has a tolerance of that name")
+    return results

@@ -186,14 +186,21 @@ def test_transform_past_the_pole_is_a_numerical_failure(tmp_path, capsys):
 
 def test_polarization_vanishing_between_nodes_is_a_usage_error(tmp_path, capsys):
     # m > 0 at every node, m = 0 at the first RK4 midpoint: bad input, found
-    # while the scenario loads (a blow-up past a pole still exits 2, above)
-    text = POLE_INI.replace("[polarization]\n",
+    # while the scenario loads (a blow-up past a pole still exits 2, above),
+    # for an analytic curve and for one read from samples alike
+    samples = tmp_path / "line.csv"
+    samples.write_text(
+        "n,s,x,y\n" + "".join(f"0,{i * 1e-3!r},{i * 1e-3!r},0\n" for i in range(1001)))
+    sampled = DARBOUX_INI.replace("kind = circle", f"kind = samples\ncsv = {samples}").replace(
+        "h = 1e-2", "h = 1e-3")
+    for text in (POLE_INI, sampled):
+        text = text.replace("[polarization]\n",
                             "[polarization]\nm = (s - 0.0005)*(s - 0.0005)\n")
-    cfg = _write(tmp_path, text)
-    assert main(["darboux", "--config", cfg, "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "between grid nodes" in err
+        cfg = _write(tmp_path, text)
+        assert main(["darboux", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "between grid nodes" in err
 
 
 def test_unevenly_spaced_samples_are_a_usage_error(tmp_path, capsys):
@@ -237,6 +244,16 @@ def test_tolerance_override_from_config_can_fail_one_check(tmp_path, capsys):
     assert main(["verify", "--config", cfg]) == 3
     out = capsys.readouterr().out
     assert "11/12 checks passed" in out
+
+
+def test_unknown_tolerance_name_is_a_usage_error(tmp_path, capsys):
+    text = "[run]\ncommand = verify\n\n[verify]\nlemma-identites = 1e-30\n"
+    cfg = _write(tmp_path, text)
+    assert main(["verify", "--config", cfg, "--h", "1e-2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "lemma-identites" in captured.err
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
 
 
 def test_module_entry_point(tmp_path):

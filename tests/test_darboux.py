@@ -147,6 +147,28 @@ def test_polarization_vanishing_between_nodes_is_rejected(recwarn):
     assert len(recwarn) == 0
 
 
+def test_generator_and_polarization_are_evaluated_once_per_transform():
+    # x, x' and m each run once, on the refined grid; the transform row
+    # takes its refined m from the source instead of calling m again
+    g = SGrid.from_step(0.0, 1.0, 1e-3)
+    sizes = {"x": [], "xp": [], "m": []}
+
+    def counted(name, fn):
+        def f(s):
+            sizes[name].append(np.size(s))
+            return fn(s)
+        return f
+
+    curve = PolarizedCurve.from_generator(
+        g, counted("x", lambda s: np.exp(1j * s)),
+        counted("xp", lambda s: 1j * np.exp(1j * s)),
+        counted("m", lambda s: 1.0 + 0.3 * np.sin(s)))
+    t = darboux_transform(curve, DarbouxParams(0.25, -1.0 + 0j))
+    assert sizes == {"x": [2001], "xp": [2001], "m": [2001]}
+    assert np.array_equal(t.m, curve.m)
+    assert np.array_equal(t._stage_data[2], curve._stage_data[2])
+
+
 def test_arclength_transform_input_guards():
     g = SGrid.from_step(0.0, 1.0, 1e-2)
     with pytest.raises(CurveError):

@@ -1,0 +1,28 @@
+"""The traced benchmark (perfbench/spans.py) binds package names by hand:
+building its tracer fails at once if one of them is renamed or deleted."""
+import pathlib
+
+import numpy as np
+
+from darbouxflow import darboux, geometry
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_tracer_binds_every_traced_name(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    tracer = spans.Tracer()
+    grid = geometry.SGrid.from_step(0.0, 1.0, 1e-2)
+
+    def job():
+        curve = geometry.PolarizedCurve.from_generator(
+            grid, lambda s: np.exp(1j * s), lambda s: 1j * np.exp(1j * s))
+        return darboux.darboux_transform(curve, darboux.DarbouxParams(0.25, -1.0 + 0j))
+
+    tracer.run_job(0, job)
+    names = {span[spans.NAME] for span in tracer.spans}
+    assert {"job", "geometry.PolarizedCurve", "geometry._stage_data",
+            "darboux.darboux_transform", "darboux.riccati_solve", "ode.rk4_path"} <= names
+    assert spans.layer_metrics(tracer.spans, 1)["darboux.steps"] == grid.count - 1

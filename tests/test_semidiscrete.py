@@ -15,7 +15,6 @@ from darbouxflow.semidiscrete import (
     FlowSpec,
     arclength_flow_check,
     infinitesimal_darboux,
-    is_discrete_arclength,
     propagate_edge,
     sheet_cross_ratio_defect,
 )
@@ -98,10 +97,22 @@ def test_mid_grid_collision_is_reported_as_such():
         infinitesimal_darboux(FlowSpec(base, 1.0, 0, _line(grid)))
 
 
-def test_is_discrete_arclength_oracle():
-    assert is_discrete_arclength(_base()) == 0.0
-    off = DiscretePolarizedCurve(np.arange(4) * 2.0 + 0j, 0.3)
-    assert is_discrete_arclength(off) == pytest.approx(abs(1 / 0.3 - 4.0))
+def test_flow_rows_do_not_evaluate_m_again():
+    # the seed row evaluates m once on the refined grid and FlowSpec once on
+    # the nodes; the four edge rows reuse the seed row's refined m
+    grid = SGrid.from_step(0.0, 1.0, 1e-3)
+    sizes = []
+
+    def m(s):
+        sizes.append(np.size(s))
+        return 1.0 + 0.1 * np.sin(s)
+
+    seed = PolarizedCurve.from_generator(
+        grid, lambda s: s + 0j, lambda s: np.ones_like(s, dtype=complex), m)
+    base = DiscretePolarizedCurve(np.arange(5) * 2.0 + 0j, 0.25)
+    sheet = infinitesimal_darboux(FlowSpec(base, m, 0, seed))
+    assert sizes == [2001, 1001]
+    assert sheet.rows == 5
 
 
 def test_propagate_edge_guards():
