@@ -119,7 +119,7 @@ def _run_figure(sc: Scenario, outdir, h: float | None) -> list[str]:
         grid = SGrid.from_step(0.0, 2.0 * math.pi, h if h else 1e-3)
     mu = sc.mu if sc.mu is not None else FIGURE_MU
     point = sc.initial_point if sc.initial_point is not None else FIGURE_POINT
-    base, t1, t2 = figure_family(grid, mu, point)
+    base, t1, t2, _ = figure_family(grid, mu, point)
     files = []
     svg_path = _resolve(sc.svg_path, "figure1.svg", outdir, True)
     write_svg(svg_path, [base.points, t1.points, t2.points],

@@ -344,10 +344,6 @@ class DiscretePolarizedCurve:
         if len(mu):
             _validate_m(mu)
 
-    @property
-    def edge_lengths(self) -> np.ndarray:
-        return np.abs(np.diff(self.vertices))
-
 
 def ngon_vertices(n: int, radius: float = 1.0) -> np.ndarray:
     """Closed regular n-gon on the circle of the given radius: n+1 vertices,

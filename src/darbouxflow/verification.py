@@ -192,14 +192,15 @@ class Artifacts:
 
 
 def figure_family(grid: SGrid, mu: float, initial_point: complex):
-    """The figure's three curves: base circle and two transforms that share
-    mu and the initial point but carry different polarizations."""
+    """The figure's curves ``(base1, t1, t2, base2)``: the unit-polarized
+    circle, its transform t1, the transform t2 of the same circle carrying the
+    polarization FIGURE_M2 (base2), with mu and the initial point shared."""
     base1 = _circle(grid, 1.0)
     m2 = parse_expression(FIGURE_M2)
     base2 = _circle(grid, m2)
     t1 = darboux_transform(base1, DarbouxParams(mu, initial_point))
     t2 = darboux_transform(base2, DarbouxParams(mu, initial_point))
-    return base1, t1, t2
+    return base1, t1, t2, base2
 
 
 class _Tol:
@@ -256,19 +257,14 @@ def _check_cross_ratio(art: Artifacts, tol: _Tol) -> CheckResult:
         (*art.mismatched_pair, 0.25),
     ]:
         worst = max(worst, cross_ratio_defect(base, transform, mu))
-    _, t1, t2 = art.figure
+    _, t1, t2, base2 = art.figure
     worst = max(worst, cross_ratio_defect(art.circle, t1, FIGURE_MU))
-    worst = max(worst, cross_ratio_defect(t2_base(art), t2, FIGURE_MU))
+    worst = max(worst, cross_ratio_defect(base2, t2, FIGURE_MU))
     for base, sheet in (art.line_flow, art.nonunit_flow):
         worst = max(worst, sheet_cross_ratio_defect(sheet, base.mu, 1.0)[0])
     return CheckResult(name, worst < want,
                        f"max |m cr - mu| {_fmt(worst)} < {_fmt(want)} over all "
                        f"transforms and flow sheets")
-
-
-def t2_base(art: Artifacts) -> PolarizedCurve:
-    """The circle carrying the figure's second (non-constant) polarization."""
-    return _circle(art.circle_grid, parse_expression(FIGURE_M2))
 
 
 def _check_lambda_laws(art: Artifacts, tol: _Tol) -> CheckResult:
@@ -400,9 +396,9 @@ def _check_figure(art: Artifacts, tol: _Tol) -> CheckResult:
     name = "figure-distinct-polarizations"
     cr_tol = tol(f"{name}.cross-ratio", 1e-6)
     dist_min = tol(f"{name}.distance-min", 0.01)
-    base1, t1, t2 = art.figure
+    base1, t1, t2, base2 = art.figure
     d1 = cross_ratio_defect(base1, t1, FIGURE_MU)
-    d2 = cross_ratio_defect(t2_base(art), t2, FIGURE_MU)
+    d2 = cross_ratio_defect(base2, t2, FIGURE_MU)
     dist = float(np.abs(t1.points - t2.points).max())
     text = svg_text([base1.points, t1.points, t2.points],
                     colors=["black", "red", "blue"], markers=[FIGURE_POINT])

@@ -5,16 +5,19 @@ import numpy as np
 import pytest
 
 from darbouxflow.errors import BlowupError, CoincidentPointsError, CurveError, NonRegularError
-from darbouxflow.geometry import EPS_REG, SGrid, Sheet, ngon_vertices
+from darbouxflow.geometry import EPS_REG, SGrid, Sheet, cross, fd_derivative, ngon_vertices
 from darbouxflow.motion import (
+    PLAIN_MAX_VERTICES,
     _angles,
+    _plain_velocities,
     frame_compatibility_check,
     integrate_motion,
     mkdv_residual,
-    smooth_curvature,
     tangential_angles,
 )
-from darbouxflow.verification import HEPTAGON_LENGTHS, HEPTAGON_TURNS, polyline_vertices
+from darbouxflow.ode import rk4_path
+from darbouxflow.verification import (HEPTAGON_LENGTHS, HEPTAGON_TURNS, HEPTAGON_W0,
+                                      polyline_vertices)
 
 SQUARE = np.array([0, 1, 1 + 1j, 1j, 0], dtype=complex)
 
@@ -92,6 +95,75 @@ def test_stacked_angles_report_the_first_bad_polygon():
         _angles(np.stack([good, pinched, good]), 0.0, 0)
 
 
+def _numpy_stage(v, w0, n0):
+    return np.exp(1j * _angles(v, w0, n0))
+
+
+def _stage_polygons():
+    """Open polylines and closed regular polygons of 2 to PLAIN_MAX_VERTICES
+    vertices, the sizes that step through ``_plain_velocities``."""
+    rng = np.random.default_rng(11)
+    sizes = sorted({2, 3, 4, 6, 7, 8, 16, 32, 48, PLAIN_MAX_VERTICES})
+    for nv in (n for n in sizes if n <= PLAIN_MAX_VERTICES):
+        yield polyline_vertices(rng.uniform(-0.6, 0.6, nv - 2), rng.uniform(0.5, 1.5, nv - 1))
+        if nv >= 4:
+            yield ngon_vertices(nv - 1)
+
+
+def test_plain_stage_matches_the_numpy_stage():
+    for v in _stage_polygons():
+        for n0 in sorted({0, (len(v) - 1) // 2, len(v) - 2}):
+            for w0 in (0.0, 0.3, -1.2):
+                got = _plain_velocities(v, w0, n0)
+                assert got.shape == v.shape
+                assert np.abs(got - _numpy_stage(v, w0, n0)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("vertices, error", [
+    ([0, 0], CoincidentPointsError),
+    ([0, 1, 1, 2, 3], CoincidentPointsError),               # edge (1, 2) vanishes
+    ([0, 1, 1 + 2e-12, 1 + 3e-12, 3], CoincidentPointsError),  # the shorter one is named
+    ([0, 1, 0], NonRegularError),
+    ([0, 1, 2, 1, 3], NonRegularError),                      # folds back at vertex 2
+    ([0, 1, 2, 1, 2, 3], NonRegularError),                   # two folds: the first is named
+])
+def test_plain_stage_raises_like_the_numpy_stage(vertices, error):
+    v = np.array(vertices, dtype=complex)
+    with pytest.raises(error) as numpy_info:
+        _numpy_stage(v, 0.2, 0)
+    with pytest.raises(error) as plain_info:
+        _plain_velocities(v, 0.2, 0)
+    assert str(plain_info.value) == str(numpy_info.value)
+    assert getattr(plain_info.value, "vertex", None) == getattr(numpy_info.value, "vertex", None)
+
+
+def _reference_motion(v0, w0, n0, grid):
+    """Vertex trajectories stepped with the numpy stage through ``rk4_path``."""
+    w_fn = w0 if callable(w0) else (lambda s: w0)
+    return rk4_path(grid.values(), lambda s, x: _numpy_stage(x, w_fn(s), n0), v0).T
+
+
+def test_motion_matches_the_numpy_stage_reference():
+    heptagon = polyline_vertices(HEPTAGON_TURNS, HEPTAGON_LENGTHS)
+    for v, w0, length in [(ngon_vertices(6), -math.pi / 6.0, 1.0),
+                          (ngon_vertices(4), 0.0, 0.5),
+                          (ngon_vertices(5), -math.pi / 5.0, 1.0),
+                          (heptagon, HEPTAGON_W0, 0.5),
+                          (ngon_vertices(5), lambda s: 0.2 * math.sin(s), 0.5)]:
+        grid = SGrid.from_step(0.0, length, 1e-3)
+        got = integrate_motion(v, w0, 0, grid).sheet.values
+        assert np.abs(got - _reference_motion(v, w0, 0, grid)).max() <= 1e-13
+
+
+def test_large_polygons_keep_the_numpy_stage():
+    rng = np.random.default_rng(13)
+    nv = PLAIN_MAX_VERTICES + 1
+    v = polyline_vertices(rng.uniform(-0.3, 0.3, nv - 2), rng.uniform(0.8, 1.2, nv - 1))
+    grid = SGrid.from_step(0.0, 0.1, 1e-3)
+    got = integrate_motion(v, 0.1, 3, grid).sheet.values
+    assert np.array_equal(got, _reference_motion(v, 0.1, 3, grid))
+
+
 def test_frame_of_unit_square():
     psi, w = _psi_w(_angles(SQUARE, 0.0, 0))
     assert psi == pytest.approx([0, math.pi / 2, math.pi, 3 * math.pi / 2])
@@ -167,7 +239,9 @@ def test_square_half_turn_rotates_rigidly():
 def test_rotating_square_curvature_matches_circumradius():
     grid = SGrid.from_step(0.0, 1.0, 1e-3)
     res = integrate_motion(ngon_vertices(4), -math.pi / 4, 0, grid)
-    k = smooth_curvature(res.sheet)[:, 4:-4]
+    xp = res.sheet.row_derivatives
+    xpp = fd_derivative(xp, grid.h, axis=1)
+    k = (cross(xp, xpp) / np.abs(xp) ** 3)[:, 4:-4]   # x'' = i k x'
     assert np.abs(np.abs(k) - 1.0).max() < 1e-8  # circumradius of ngon_vertices(4) is 1
 
 

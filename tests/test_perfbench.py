@@ -1,10 +1,13 @@
 """The traced benchmark (perfbench/spans.py) binds package names by hand:
-building its tracer fails at once if one of them is renamed or deleted."""
+building its tracer fails at once if one of them is renamed or deleted, and a
+motion that stops stepping through ``ode.rk4_path`` leaves its per-stage
+metric empty."""
+import math
 import pathlib
 
 import numpy as np
 
-from darbouxflow import darboux, geometry
+from darbouxflow import darboux, geometry, motion
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -19,10 +22,15 @@ def test_tracer_binds_every_traced_name(monkeypatch):
     def job():
         curve = geometry.PolarizedCurve.from_generator(
             grid, lambda s: np.exp(1j * s), lambda s: 1j * np.exp(1j * s))
-        return darboux.darboux_transform(curve, darboux.DarbouxParams(0.25, -1.0 + 0j))
+        return (darboux.darboux_transform(curve, darboux.DarbouxParams(0.25, -1.0 + 0j)),
+                motion.integrate_motion(geometry.ngon_vertices(6), -math.pi / 6.0, 0, grid))
 
     tracer.run_job(0, job)
     names = {span[spans.NAME] for span in tracer.spans}
     assert {"job", "geometry.PolarizedCurve", "geometry._stage_data",
-            "darboux.darboux_transform", "darboux.riccati_solve", "ode.rk4_path"} <= names
-    assert spans.layer_metrics(tracer.spans, 1)["darboux.steps"] == grid.count - 1
+            "darboux.darboux_transform", "darboux.riccati_solve", "ode.rk4_path",
+            "motion.integrate_motion"} <= names
+    metrics = spans.layer_metrics(tracer.spans, 1)
+    assert metrics["darboux.steps"] == grid.count - 1
+    assert metrics["motion.us_per_stage.small"] > 0
+    assert metrics["motion.stages"] == 4 * (grid.count - 1)
