@@ -147,8 +147,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         sc = load_scenario(args.config, args.command, args.h)
-        if args.tol is not None and args.tol <= 0:
-            raise ConfigError(f"--tol must be positive, got {args.tol!r}")
+        if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+            raise ConfigError(f"--tol must be a finite positive number, got {args.tol!r}")
         if args.out:
             os.makedirs(args.out, exist_ok=True)
     except (ConfigError, CurveError, OSError) as exc:

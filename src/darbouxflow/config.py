@@ -235,9 +235,11 @@ def _mu_edges(cp, vertices: np.ndarray, section="polarization"):
 
 
 def _scalar_mu(cp) -> float | None:
-    raw = _get(cp, "polarization", "mu")
+    section = "polarization"
+    raw = _get(cp, section, "mu")
     if raw is None:
-        raw = _get(cp, "parameters", "mu")
+        section = "parameters"
+        raw = _get(cp, section, "mu")
     elif _get(cp, "parameters", "mu") is not None:
         _fail("parameters", "mu", "mu given in both [polarization] and [parameters]")
     if raw is None:
@@ -245,7 +247,7 @@ def _scalar_mu(cp) -> float | None:
     try:
         return float(raw)
     except ValueError:
-        _fail("polarization", "mu", f"not a number: {raw!r}")
+        _fail(section, "mu", f"not a number: {raw!r}")
 
 
 def load_scenario(path, command: str | None = None,
@@ -277,8 +279,8 @@ def load_scenario(path, command: str | None = None,
 
     grid = _load_grid(cp)
     if h_override is not None:
-        if h_override <= 0:
-            raise ConfigError(f"--h must be positive, got {h_override!r}")
+        if not (math.isfinite(h_override) and h_override > 0):
+            raise ConfigError(f"--h must be a finite positive number, got {h_override!r}")
         if grid is not None:
             grid = SGrid.from_step(grid.s0, grid.s1, h_override)
         elif cmd not in ("figure1", "verify"):
@@ -292,10 +294,10 @@ def load_scenario(path, command: str | None = None,
         sc.svg_path = _get(cp, "output", "svg")
     if cp.has_section("verify"):
         for key, raw in cp.items("verify"):
-            try:
-                sc.tolerances[key] = float(raw)
-            except ValueError:
-                _fail("verify", key, f"not a number: {raw!r}")
+            value = _get_float(cp, "verify", key)
+            if not (math.isfinite(value) and value > 0):
+                _fail("verify", key, f"must be a finite positive number, got {raw!r}")
+            sc.tolerances[key] = value
 
     m = _m_value(cp)
     if cmd == "darboux":

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DiscretePolarizedCurve, PolarizedCurve, SGrid, Sheet, fd_derivative
-from .motion import integrate_motion, mkdv_residual, tangential_angles
+from .geometry import DiscretePolarizedCurve, PolarizedCurve, Sheet, fd_derivative
+from .motion import MotionResult, mkdv_residual, tangential_angles
 from .semidiscrete import FlowSpec, arclength_flow_check, infinitesimal_darboux, sheet_cross_ratio_defect
 
 
@@ -27,17 +27,14 @@ class EquivalenceReport:
     identity_defect: float
 
 
-def iso_darboux_check(sheet: Sheet, a=None):
+def iso_darboux_check(sheet: Sheet):
     """Edge cross ratios of a motion sheet against the arc-length parameters.
 
     Returns (max |cr - 1/a_n^2|, max |Im cr|) with cr evaluated from the
-    sheet's row derivatives; ``a`` defaults to the edge lengths of the first
-    column.
+    sheet's row derivatives and a_n the edge lengths of the first column.
     """
-    if a is None:
-        a = np.abs(np.diff(sheet.values[:, 0]))
-    mu = 1.0 / np.asarray(a, dtype=float) ** 2
-    return sheet_cross_ratio_defect(sheet, mu, 1.0)
+    a = np.abs(np.diff(sheet.values[:, 0]))
+    return sheet_cross_ratio_defect(sheet, 1.0 / a**2)
 
 
 def frameless_identity_check(sheet: Sheet, theta: np.ndarray, mu) -> float:
@@ -85,40 +82,36 @@ def frameless_identity_check(sheet: Sheet, theta: np.ndarray, mu) -> float:
     return max(d_first, d_second, d_scalar)
 
 
-def pipelines_agree(curve0, w0, n0: int, grid: SGrid) -> EquivalenceReport:
-    """Run the motion and the equivalent Darboux flow, then compare the sheets.
+def pipelines_agree(motion: MotionResult) -> EquivalenceReport:
+    """Compare an isoperimetric motion with the Darboux flow it is equivalent to.
 
-    Pipeline A integrates the isoperimetric motion of ``curve0``. Pipeline B
-    gives the same base curve its arc-length polarization mu_n = 1/a_n(0)^2
-    with m = 1, seeds row n0 with the motion's row n0, and propagates every
-    other row through the Riccati edge equation. The report holds the sheet
-    sup-distance plus the worst cross-ratio, arc-length, mKdV and frame-free
-    identity defects over both sheets.
+    The flow gives the motion's start polygon its arc-length polarization
+    mu_n = 1/a_n(0)^2 with m = 1, seeds row 0 with the motion's row 0, and
+    propagates every other row through the Riccati edge equation. The report
+    holds the sheet sup-distance plus the worst cross-ratio, arc-length, mKdV
+    and frame-free identity defects over both sheets.
     """
-    if isinstance(curve0, DiscretePolarizedCurve):
-        curve0 = curve0.vertices
-    vertices = np.asarray(curve0, dtype=complex)
-    motion = integrate_motion(vertices, w0, n0, grid)
+    grid = motion.sheet.grid
+    vertices = motion.sheet.values[:, 0]
     a0 = np.abs(np.diff(vertices))
     mu = 1.0 / a0**2
     base = DiscretePolarizedCurve(vertices, mu)
-    initial = PolarizedCurve.from_samples(grid, motion.sheet.values[n0], 1.0)
-    flow_sheet = infinitesimal_darboux(FlowSpec(base, 1.0, n0, initial))
+    initial = PolarizedCurve.from_samples(grid, motion.sheet.values[0], 1.0)
+    flow_sheet = infinitesimal_darboux(FlowSpec(base, 1.0, 0, initial))
     sup = float(np.abs(motion.sheet.values - flow_sheet.values).max())
     if grid.count < 5:
         # Too short for any stencil: only the direct comparison is measurable.
         return EquivalenceReport(sup, 0.0, 0.0, 0.0, 0.0)
     cr_defect = max(
-        sheet_cross_ratio_defect(motion.sheet, mu, 1.0)[0],
-        sheet_cross_ratio_defect(flow_sheet, mu, 1.0)[0],
+        sheet_cross_ratio_defect(motion.sheet, mu)[0],
+        sheet_cross_ratio_defect(flow_sheet, mu)[0],
     )
     arc = 0.0
     for sheet in (motion.sheet, flow_sheet):
-        report = arclength_flow_check(sheet, mu, 1.0)
+        report = arclength_flow_check(sheet, mu)
         arc = max(arc, report.discrete_deviation, report.smooth_deviation)
     # The two sheets approximate the same motion, so the flow sheet's per-row
-    # 2*pi branches are pinned to the recorded motion potential; the chained
-    # default is ambiguous when neighbouring velocities are anti-parallel.
+    # 2*pi branches are pinned to the recorded motion potential.
     theta_b = tangential_angles(flow_sheet, reference=motion.theta)
     mkdv = max(
         mkdv_residual(motion.theta, a0, grid),

@@ -63,8 +63,10 @@ class SGrid:
     def from_step(cls, s0: float, s1: float, h: float) -> "SGrid":
         """Grid from endpoints and step; the node count is rounded to fit and
         s1 is snapped to s0 + (count-1)*h so the step stays exact."""
-        if h <= 0:
-            raise CurveError(f"grid step must be positive, got {h!r}")
+        if not (math.isfinite(s0) and math.isfinite(s1)):
+            raise CurveError("grid endpoints must be finite")
+        if not (math.isfinite(h) and h > 0):
+            raise CurveError(f"grid step must be a finite positive real, got {h!r}")
         intervals = int(round((s1 - s0) / h))
         if intervals < 0:
             raise CurveError(f"grid endpoints reversed: {s0!r} > {s1!r}")

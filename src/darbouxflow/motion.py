@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BlowupError, CoincidentPointsError, CurveError, NonRegularError
-from .geometry import EPS_REG, DiscretePolarizedCurve, SGrid, Sheet, fd_derivative
+from .geometry import EPS_REG, SGrid, Sheet, fd_derivative
 from .ode import rk4_path
 
 #: Largest per-step angle change the recorder accepts before declaring the
@@ -144,17 +144,15 @@ class MotionResult:
         return np.abs(np.diff(self.sheet.values, axis=0))
 
 
-def integrate_motion(curve0, w0, n0: int, grid: SGrid) -> MotionResult:
-    """RK4-step all vertices of ``curve0`` under the isoperimetric motion.
+def integrate_motion(vertices, w0, n0: int, grid: SGrid) -> MotionResult:
+    """RK4-step all ``vertices`` of a polygon under the isoperimetric motion.
 
     ``w0`` may be a constant or a function of s; the w-recursion is re-run from
     (w0(s), n0) against the current turning angles at every RK4 stage, so the
     constraint holds exactly rather than drifting. Recorded theta rows are
     unwrapped along s by nearest-branch selection.
     """
-    if isinstance(curve0, DiscretePolarizedCurve):
-        curve0 = curve0.vertices
-    v0 = np.asarray(curve0, dtype=complex)
+    v0 = np.asarray(vertices, dtype=complex)
     if v0.ndim != 1 or len(v0) < 2:
         raise CurveError("a motion needs a 1-D sequence of at least two vertices")
     if not 0 <= n0 < len(v0) - 1:
@@ -173,41 +171,33 @@ def integrate_motion(curve0, w0, n0: int, grid: SGrid) -> MotionResult:
     # w0 is evaluated node by node, as the stages see it: evaluating a callable
     # on the whole array at once can round differently.
     theta = _angles(states, np.array([w_fn(s) for s in svals], dtype=float), n0)
-    for i in range(1, grid.count):
-        theta[i] += 2.0 * math.pi * np.round((theta[i - 1] - theta[i]) / (2.0 * math.pi))
-        jump = np.abs(theta[i] - theta[i - 1]).max()
-        if jump >= MAX_ANGLE_JUMP:
-            raise BlowupError(
-                f"angle jump {jump:.3f} at grid index {i}: step too coarse to "
-                f"track branches", index=i)
+    # Row i moves by the row i-1 shift plus its own nearest-branch step.
+    turns = np.round((theta[:-1] - theta[1:]) / (2.0 * math.pi))
+    theta[1:] += 2.0 * math.pi * np.cumsum(turns, axis=0)
+    jumps = np.abs(np.diff(theta, axis=0)).max(axis=1)
+    bad = np.flatnonzero(jumps >= MAX_ANGLE_JUMP)
+    if bad.size:
+        i = int(bad[0]) + 1
+        raise BlowupError(
+            f"angle jump {jumps[i - 1]:.3f} at grid index {i}: step too coarse to "
+            f"track branches", index=i)
     th = theta.T.copy()
     return MotionResult(sheet=Sheet(grid, states.T.copy(), tangents=np.exp(1j * th)),
                         theta=th)
 
 
-def tangential_angles(sheet: Sheet, reference: np.ndarray | None = None) -> np.ndarray:
+def tangential_angles(sheet: Sheet, reference: np.ndarray) -> np.ndarray:
     """theta_n(s_i) recovered from a sheet alone: the argument of each row's
     derivative, unwrapped along s.
 
-    Each row carries a free 2*pi offset.  Without ``reference`` the offsets are
-    chained so consecutive rows differ by less than pi at the first node, which
-    is ambiguous when the true jump is pi or larger (e.g. velocity reversals
-    between neighbouring vertices).  Passing a ``reference`` theta array (same
-    shape, or one value per row) pins each row's branch to the one nearest the
-    reference instead.
+    Each row carries a free 2*pi offset, which is pinned to the branch nearest
+    the ``reference`` theta array (of the sheet's shape) at the first node.
     """
     th = np.unwrap(np.angle(sheet.row_derivatives), axis=1)
-    if reference is not None:
-        ref = np.asarray(reference, dtype=float)
-        anchors = ref[:, 0] if ref.ndim == 2 else ref
-        if anchors.shape[0] != sheet.rows:
-            raise CurveError("reference must provide one angle per sheet row")
-        for n in range(sheet.rows):
-            th[n] += 2.0 * math.pi * round((anchors[n] - th[n, 0]) / (2.0 * math.pi))
-    else:
-        for n in range(1, sheet.rows):
-            th[n] += 2.0 * math.pi * round((th[n - 1, 0] - th[n, 0]) / (2.0 * math.pi))
-    return th
+    ref = np.asarray(reference, dtype=float)
+    if ref.shape != th.shape:
+        raise CurveError(f"reference must have the sheet's shape {th.shape}, got {ref.shape}")
+    return th + 2.0 * math.pi * np.round((ref[:, :1] - th[:, :1]) / (2.0 * math.pi))
 
 
 def mkdv_residual(theta: np.ndarray, a, grid: SGrid) -> float:

@@ -19,6 +19,9 @@ __all__ = ["write_csv", "read_csv", "sheet_from_csv", "svg_text", "write_svg"]
 
 _COLORS = ("red", "blue", "black")
 
+#: Width of an SVG picture in user units; the height keeps the aspect ratio.
+SVG_WIDTH = 480.0
+
 #: Relative slack on each s step of a CSV grid.  Values printed with 17
 #: significant digits come back within about 1e-13 h of an even grid.
 SPACING_RTOL = 1e-9
@@ -103,7 +106,7 @@ def _fmt_svg(value: float) -> str:
     return format(float(value), ".8g")
 
 
-def svg_text(curves, colors=None, markers=(), size: float = 480.0) -> str:
+def svg_text(curves, colors=None, markers=()) -> str:
     """Deterministic SVG document: one polyline per curve.
 
     ``curves`` is an iterable of 1-D complex arrays; ``colors`` optionally
@@ -137,7 +140,7 @@ def svg_text(curves, colors=None, markers=(), size: float = 480.0) -> str:
     # Flip y: a point x + iy is drawn at (x, ymin + ymax - y).
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt_svg(size)}" height="{_fmt_svg(size * height / width)}" '
+        f'width="{_fmt_svg(SVG_WIDTH)}" height="{_fmt_svg(SVG_WIDTH * height / width)}" '
         f'viewBox="{_fmt_svg(xmin)} {_fmt_svg(ymin)} '
         f'{_fmt_svg(width)} {_fmt_svg(height)}">'
     ]
@@ -158,10 +161,10 @@ def svg_text(curves, colors=None, markers=(), size: float = 480.0) -> str:
     return "\n".join(parts) + "\n"
 
 
-def write_svg(path, curves, colors=None, markers=(), size: float = 480.0) -> None:
+def write_svg(path, curves, colors=None, markers=()) -> None:
     """Write svg_text(...) to ``path``."""
     with open(path, "w", newline="") as fh:
-        fh.write(svg_text(curves, colors=colors, markers=markers, size=size))
+        fh.write(svg_text(curves, colors=colors, markers=markers))
 
 
 def ensure_dir(path) -> None:

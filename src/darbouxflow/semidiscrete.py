@@ -94,33 +94,32 @@ class ArclengthFlowReport:
     column_deviations: np.ndarray
 
 
-def arclength_flow_check(sheet: Sheet, mu, m) -> ArclengthFlowReport:
-    """Check both halves of the arc-length correspondence on a sheet.
+def arclength_flow_check(sheet: Sheet, mu) -> ArclengthFlowReport:
+    """Check both halves of the arc-length correspondence on a sheet with m = 1.
 
     (a) each column n -> |x_n(s_i) - x_{n+1}(s_i)|^2 should equal 1/mu_n;
-    (b) each row should have |x_n'(s_i)|^2 = 1/m(s_i). Columns stay discretely
+    (b) each row should have |x_n'(s_i)|^2 = 1. Columns stay discretely
     arc-length polarized exactly when the rows are smoothly arc-length
     polarized, so the two deviations are small (or large) together.
     """
     mu_arr = np.asarray(mu, dtype=float).reshape(-1, 1)
     gaps2 = np.abs(np.diff(sheet.values, axis=0)) ** 2
     col_dev = np.abs(1.0 / mu_arr - gaps2).max(axis=0) if len(mu_arr) else np.zeros(sheet.grid.count)
-    m_arr = _as_m_array(m, sheet.grid)
     speed2 = np.abs(sheet.row_derivatives) ** 2
-    smooth = float(np.abs(1.0 / m_arr - speed2).max())
+    smooth = float(np.abs(1.0 - speed2).max())
     return ArclengthFlowReport(float(col_dev.max()), smooth, col_dev)
 
 
-def sheet_cross_ratio_defect(sheet: Sheet, mu, m=1.0):
-    """Edge cross-ratio diagnostics of a sheet against per-edge parameters mu.
+def sheet_cross_ratio_defect(sheet: Sheet, mu):
+    """Edge cross-ratio diagnostics of a sheet with m = 1 against per-edge
+    parameters mu.
 
-    Returns (max_n,i |m cr - mu_n|, max_n,i |Im cr|).
+    Returns (max_n,i |cr - mu_n|, max_n,i |Im cr|).
     """
     mu_arr = np.asarray(mu, dtype=float).reshape(-1, 1)
-    m_arr = _as_m_array(m, sheet.grid)
     d = sheet.values[:-1] - sheet.values[1:]
     cr = sheet.row_derivatives[:-1] * sheet.row_derivatives[1:] / (d * d)
     return (
-        float(np.abs(m_arr * cr - mu_arr).max()),
+        float(np.abs(cr - mu_arr).max()),
         float(np.abs(cr.imag).max()),
     )

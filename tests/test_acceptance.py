@@ -4,6 +4,11 @@ Each test pulls its result from the session-scoped run (h = 1e-3, default
 tolerances), prints the PASS/FAIL line with the measured defect, and asserts.
 Run with ``pytest -s tests/test_acceptance.py`` to see the numbers.
 """
+from collections import Counter
+
+import numpy as np
+
+from darbouxflow import darboux, equivalence, run_suite, verification
 
 CHECK_NAMES = [
     "rotated-circle-darboux",
@@ -86,3 +91,30 @@ def test_two_polarizations_of_one_circle_give_distinct_transforms(
 def test_flow_preserves_discrete_arclength_exactly_when_seeded_that_way(
         acceptance_results):
     _check(acceptance_results, "discrete-arclength")
+
+
+def test_run_suite_builds_nothing_twice(monkeypatch):
+    """No two motions share (vertices, w0, grid) and no two Riccati solves
+    share (source points, source polarization, mu, seed): each artifact is
+    built once and shared by every check that reads it."""
+    motions, solves = Counter(), Counter()
+    integrate, solve = verification.integrate_motion, darboux.riccati_solve
+
+    def recorded_motion(vertices, w0, n0, grid):
+        motions[np.asarray(vertices, dtype=complex).tobytes(), w0, grid] += 1
+        return integrate(vertices, w0, n0, grid)
+
+    def recorded_solve(source, mu, y0):
+        m = np.asarray(source.m, dtype=float)
+        solves[source.points.tobytes(), m.tobytes(), mu, complex(y0)] += 1
+        return solve(source, mu, y0)
+
+    # equivalence is patched too, so a motion integrated there would count
+    for module in (verification, equivalence):
+        monkeypatch.setattr(module, "integrate_motion", recorded_motion, raising=False)
+    monkeypatch.setattr(darboux, "riccati_solve", recorded_solve)
+    run_suite(h=1e-2)
+    assert len(motions) >= 6 and len(solves) >= 6
+    twice = ([key[1:] for key, n in motions.items() if n > 1],
+             [key[2:] for key, n in solves.items() if n > 1])
+    assert twice == ([], [])

@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from darbouxflow import verification
 from darbouxflow.cli import main
 from darbouxflow.config import COMMANDS, load_scenario
 from darbouxflow.output import read_csv
@@ -104,6 +105,18 @@ def _write(tmp_path, text, name="scenario.ini"):
     return str(p)
 
 
+@pytest.fixture
+def session_artifacts(monkeypatch, artifacts):
+    """``verify`` at the default step reuses the session's artifacts instead
+    of building its own; other steps still build theirs."""
+    build = verification.Artifacts
+
+    def shared(h):
+        return artifacts if h == artifacts.h else build(h)
+
+    monkeypatch.setattr(verification, "Artifacts", shared)
+
+
 def test_darboux_writes_named_outputs(tmp_path, capsys):
     cfg = _write(tmp_path, DARBOUX_INI)
     out = tmp_path / "results"
@@ -176,6 +189,24 @@ def test_bad_step_and_bad_tolerance_are_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, text, args, key", [
+    ("darboux", DARBOUX_INI.replace("h = 1e-2", "h = nan"), [], "[grid]"),
+    ("darboux", DARBOUX_INI.replace("s0 = 0", "s0 = nan"), [], "[grid]"),
+    ("darboux", DARBOUX_INI, ["--h", "nan"], "--h"),
+    ("verify", "[run]\ncommand = verify\n", ["--h", "nan"], "--h"),
+    ("verify", "[run]\ncommand = verify\n", ["--tol", "nan"], "--tol"),
+    ("verify", "[run]\ncommand = verify\n\n[verify]\nlemma-identities = nan\n", [],
+     "[verify] lemma-identities"),
+], ids=["grid-h", "grid-s0", "darboux-h", "verify-h", "tol", "verify-key"])
+def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, command, text, args, key):
+    cfg = _write(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")] + args) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert key in captured.err
+    assert captured.out == ""
+
+
 def test_transform_past_the_pole_is_a_numerical_failure(tmp_path, capsys):
     cfg = _write(tmp_path, POLE_INI)
     assert main(["darboux", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -214,7 +245,7 @@ def test_unevenly_spaced_samples_are_a_usage_error(tmp_path, capsys):
     assert "not evenly spaced" in capsys.readouterr().err
 
 
-def test_verify_reports_every_check_and_passes(tmp_path, capsys):
+def test_verify_reports_every_check_and_passes(tmp_path, capsys, session_artifacts):
     cfg = _write(tmp_path, "[run]\ncommand = verify\n")
     assert main(["verify", "--config", cfg]) == 0
     out = capsys.readouterr().out
@@ -223,7 +254,7 @@ def test_verify_reports_every_check_and_passes(tmp_path, capsys):
     assert "FAIL" not in out
 
 
-def test_verify_with_impossible_tolerance_fails(tmp_path, capsys):
+def test_verify_with_impossible_tolerance_fails(tmp_path, capsys, session_artifacts):
     cfg = _write(tmp_path, "[run]\ncommand = verify\n")
     assert main(["verify", "--config", cfg, "--tol", "1e-12"]) == 3
     out = capsys.readouterr().out
@@ -238,7 +269,8 @@ def test_shipped_scenarios_parse(name):
     assert sc.command in COMMANDS
 
 
-def test_tolerance_override_from_config_can_fail_one_check(tmp_path, capsys):
+def test_tolerance_override_from_config_can_fail_one_check(tmp_path, capsys,
+                                                          session_artifacts):
     text = "[run]\ncommand = verify\n\n[verify]\ncross-ratio-constancy = 1e-30\n"
     cfg = _write(tmp_path, text)
     assert main(["verify", "--config", cfg]) == 3

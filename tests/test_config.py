@@ -73,6 +73,14 @@ def test_darboux_needs_mu(tmp_path):
         load_scenario(_write(tmp_path, text))
 
 
+@pytest.mark.parametrize("section", ["polarization", "parameters"])
+def test_bad_mu_names_its_own_section(tmp_path, section):
+    text = DARBOUX_INI.replace("mu = 0.25\n", "").replace(
+        f"[{section}]\n", f"[{section}]\nmu = abc\n")
+    with pytest.raises(ConfigError, match=rf"^\[{section}\] mu: not a number: 'abc'$"):
+        load_scenario(_write(tmp_path, text))
+
+
 def test_point_pair_syntax(tmp_path):
     text = DARBOUX_INI.replace("initial_point = -1+0j", "initial_point = (-1, 0.5)")
     sc = load_scenario(_write(tmp_path, text))

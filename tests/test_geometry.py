@@ -46,6 +46,11 @@ def test_grid_rejects_bad_step():
         SGrid.from_step(0.0, 1.0, -0.1)
     with pytest.raises(CurveError):
         SGrid.from_step(0.0, 1.0, 0.0)
+    # non-finite numbers are refused, not passed on to the node count
+    for s0, s1, h in ((0.0, 1.0, math.nan), (0.0, 1.0, math.inf),
+                      (math.nan, 1.0, 0.1), (0.0, math.inf, 0.1)):
+        with pytest.raises(CurveError):
+            SGrid.from_step(s0, s1, h)
 
 
 # ------------------------------------------------------- plane helpers

@@ -268,27 +268,47 @@ def test_frame_compatibility_on_pentagon():
 
 
 def test_coarse_grid_cannot_track_branches():
-    grid = SGrid.from_step(0.0, 8.0, 2.0)
-    with pytest.raises(BlowupError):
-        integrate_motion(ngon_vertices(4), -math.pi / 4, 0, grid)
+    # the first row whose jump reaches MAX_ANGLE_JUMP is the one reported
+    for n, w0, s1, h, index, jump in ((4, -math.pi / 4, 8.0, 2.0, 1, "1.936"),
+                                      (6, -math.pi / 6, 20.0, 1.0, 14, "2.117")):
+        grid = SGrid.from_step(0.0, s1, h)
+        with pytest.raises(BlowupError, match=f"angle jump {jump} at grid index {index}:") as info:
+            integrate_motion(ngon_vertices(n), w0, 0, grid)
+        assert info.value.index == index
+
+
+def test_motion_theta_unwraps_like_the_row_by_row_loop():
+    # the recorded theta against nearest-branch unwrapping one row at a time,
+    # on a hexagon that turns more than once
+    grid = SGrid.from_step(0.0, 8.0, 1e-2)
+    w0 = lambda s: -math.pi / 6 + 0.1 * math.sin(s)
+    res = integrate_motion(ngon_vertices(6), w0, 1, grid)
+    raw = _angles(res.sheet.values.T, np.array([w0(s) for s in grid.values()]), 1)
+    unwrapped = raw.copy()
+    for i in range(1, grid.count):
+        unwrapped[i] += 2.0 * math.pi * np.round(
+            (unwrapped[i - 1] - unwrapped[i]) / (2.0 * math.pi))
+    assert np.array_equal(res.theta, unwrapped.T)
+    assert not np.array_equal(unwrapped, raw)
 
 
 def test_tangential_angles_reference_pins_branch():
     grid = SGrid.from_step(0.0, 1.0, 0.1)
     s = grid.values()
     vals = np.vstack([np.exp(1j * s), np.exp(1j * s)])
-    tang = 1j * vals
-    sheet = Sheet(grid, vals, tangents=tang)
-    plain = tangential_angles(sheet)
-    assert np.abs(plain[1] - plain[0]).max() < 1e-12
-    lifted = tangential_angles(sheet, reference=np.array([plain[0, 0],
-                                                          plain[0, 0] + 2 * math.pi]))
-    assert np.abs(lifted[1] - plain[1] - 2 * math.pi).max() < 1e-12
+    sheet = Sheet(grid, vals, tangents=1j * vals)
+    theta = s + math.pi / 2
+    reference = np.vstack([theta, theta + 2 * math.pi])
+    assert np.abs(tangential_angles(sheet, reference) - reference).max() < 1e-12
+    # only the branch nearest the reference at the first node counts
+    shifted = reference + np.array([[3.0], [-3.0]])
+    assert np.abs(tangential_angles(sheet, shifted) - reference).max() < 1e-12
 
 
 def test_tangential_angles_reference_shape_guard():
     grid = SGrid.from_step(0.0, 1.0, 0.1)
     s = grid.values()
     sheet = Sheet(grid, np.vstack([np.exp(1j * s)]), tangents=np.vstack([1j * np.exp(1j * s)]))
-    with pytest.raises(CurveError):
-        tangential_angles(sheet, reference=np.zeros(3))
+    for reference in (np.zeros(3), np.zeros(1), np.zeros((1, 3))):
+        with pytest.raises(CurveError):
+            tangential_angles(sheet, reference=reference)

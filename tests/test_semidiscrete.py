@@ -52,14 +52,14 @@ def test_interior_seed_propagates_both_directions():
 def test_flow_cross_ratio_is_exact_by_construction():
     grid = SGrid.from_step(0.0, 1.0, 1e-2)
     sheet = infinitesimal_darboux(FlowSpec(_base(), 1.0, 0, _line(grid)))
-    defect, im_part = sheet_cross_ratio_defect(sheet, _base().mu, 1.0)[:2]
+    defect, im_part = sheet_cross_ratio_defect(sheet, _base().mu)
     assert defect < 1e-14
 
 
 def test_unit_speed_seed_preserves_arclength_polarization():
     grid = SGrid.from_step(0.0, 1.0, 1e-3)
     sheet = infinitesimal_darboux(FlowSpec(_base(), 1.0, 0, _line(grid)))
-    report = arclength_flow_check(sheet, _base().mu, 1.0)
+    report = arclength_flow_check(sheet, _base().mu)
     assert report.discrete_deviation < 1e-10
     assert report.smooth_deviation < 1e-10
     assert np.abs(report.column_deviations).max() < 1e-10
@@ -68,8 +68,8 @@ def test_unit_speed_seed_preserves_arclength_polarization():
 def test_nonunit_seed_breaks_arclength_and_grows():
     grid = SGrid.from_step(0.0, 0.4, 1e-3)
     sheet = infinitesimal_darboux(FlowSpec(_base(), 1.0, 0, _line(grid, speed=2.0)))
-    report = arclength_flow_check(sheet, _base().mu, 1.0)
-    # |1/m - |x0'|^2| = |1 - 4| on the seeded row, independent of s; the
+    report = arclength_flow_check(sheet, _base().mu)
+    # |1 - |x0'|^2| = |1 - 4| on the seeded row, independent of s; the
     # reported maximum covers all rows and only grows from there
     row0_dev = np.abs(1.0 - np.abs(sheet.row_derivatives[0]) ** 2)
     assert row0_dev.max() == pytest.approx(3.0)
