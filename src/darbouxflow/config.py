@@ -35,6 +35,7 @@ number, a comma-separated per-edge list, or ``arclength``.
 
 from __future__ import annotations
 
+import cmath
 import configparser
 import math
 import os
@@ -104,6 +105,13 @@ def _get_float(cp, section, key, default=None, required=False):
         _fail(section, key, f"not a number: {raw!r}")
 
 
+def _get_finite(cp, section, key) -> float | None:
+    value = _get_float(cp, section, key)
+    if value is not None and not math.isfinite(value):
+        _fail(section, key, f"must be a finite number, got {value!r}")
+    return value
+
+
 def _get_int(cp, section, key, default=None, required=False):
     raw = _get(cp, section, key, required=required)
     if raw is None:
@@ -115,20 +123,24 @@ def _get_int(cp, section, key, default=None, required=False):
 
 
 def _parse_point(raw: str, section: str, key: str) -> complex:
-    """A plane point: either a complex literal like -1+0.5j or a pair (x, y)."""
+    """A finite plane point: either a complex literal like -1+0.5j or a pair (x, y)."""
     text = raw.strip()
     if text.startswith("(") and text.endswith(")") and "," in text:
         parts = text[1:-1].split(",")
         if len(parts) != 2:
             _fail(section, key, f"expected (x, y), got {raw!r}")
         try:
-            return complex(float(parts[0]), float(parts[1]))
+            point = complex(float(parts[0]), float(parts[1]))
         except ValueError:
             _fail(section, key, f"expected (x, y) with numeric entries, got {raw!r}")
-    try:
-        return complex(text.replace(" ", ""))
-    except ValueError:
-        _fail(section, key, f"not a plane point: {raw!r}")
+    else:
+        try:
+            point = complex(text.replace(" ", ""))
+        except ValueError:
+            _fail(section, key, f"not a plane point: {raw!r}")
+    if not cmath.isfinite(point):
+        _fail(section, key, f"must be a finite plane point, got {raw!r}")
+    return point
 
 
 def _parse_points(raw: str, section: str, key: str) -> np.ndarray:
@@ -236,18 +248,11 @@ def _mu_edges(cp, vertices: np.ndarray, section="polarization"):
 
 def _scalar_mu(cp) -> float | None:
     section = "polarization"
-    raw = _get(cp, section, "mu")
-    if raw is None:
+    if _get(cp, section, "mu") is None:
         section = "parameters"
-        raw = _get(cp, section, "mu")
     elif _get(cp, "parameters", "mu") is not None:
         _fail("parameters", "mu", "mu given in both [polarization] and [parameters]")
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        _fail(section, "mu", f"not a number: {raw!r}")
+    return _get_finite(cp, section, "mu")
 
 
 def load_scenario(path, command: str | None = None,
@@ -313,7 +318,7 @@ def load_scenario(path, command: str | None = None,
         if raw_pt is not None:
             sc.initial_point = _parse_point(raw_pt, "parameters", "initial_point")
         elif raw_off is not None:
-            sc.offset_angle = float(raw_off)
+            sc.offset_angle = _get_finite(cp, "parameters", "offset_angle")
             sc.arclength = True
         else:
             _fail("parameters", "initial_point",

@@ -4,6 +4,15 @@ The deformation angles w obey w_{n+1} + kappa_{n+1} = -w_n, which makes every
 edge length a_n a conserved quantity; the recorded potential theta (the
 tangential angle of each vertex trajectory) then satisfies the semi-discrete
 potential mKdV equation (theta_{n+1}+theta_n)'/2 = (2/a_n) sin((theta_{n+1}-theta_n)/2).
+
+With t_n = e^{i psi_n} the unit tangent of edge n and psi_{n+1} = psi_n + kappa_{n+1}:
+
+    theta_n     = psi_n + w_n
+    theta_{n+1} = psi_{n+1} + w_{n+1} = psi_n - w_n
+    v_{n+1}     = e^{i theta_{n+1}} = t_n^2 conj(v_n)
+
+so the velocities at the two ends of an edge are mirror images across it, and
+Re(conj(t_n) (v_{n+1} - v_n)) = 0 keeps its length fixed.
 """
 from __future__ import annotations
 
@@ -77,21 +86,14 @@ def _angles(vertices: np.ndarray, w0, n0: int) -> np.ndarray:
     return theta
 
 
-#: Polygons with at most this many vertices take their RK4 stages through
-#: ``_plain_velocities``; larger ones through numpy.  Median cost of one
-#: stage inside ``rk4_path`` on a shared 2-CPU Xeon, plain vs numpy, over 21
-#: runs: 8 vertices 19 vs 43 us, 32: 44 vs 54, 44: 56 vs 59, 48: 60 vs 61
-#: (plain faster in 14 of 21 runs), 56: 68 vs 64, 64: 77 vs 69.  The
-#: crossover lies between 48 and 56 vertices.
-PLAIN_MAX_VERTICES = 48
+def _velocities(x: np.ndarray, w0: float, n0: int) -> np.ndarray:
+    """``np.exp(1j * _angles(x, w0, n0))`` for one polygon, by edge reflection
+    in Python ``complex`` arithmetic: one ``cmath.exp`` per call.
 
-
-def _plain_velocities(x: np.ndarray, w0: float, n0: int) -> np.ndarray:
-    """``np.exp(1j * _angles(x, w0, n0))`` for one polygon, in Python
-    ``complex`` arithmetic: on a few vertices numpy's per-call overhead costs
-    more than the work.  Same guards and messages; psi is psi_0 plus a running
-    sum of the turns, and the w-recursion runs in the same order, so the two
-    agree to round-off."""
+    v_{n0} = t_{n0} e^{i w0}, and v_{k+1} = t_k^2 conj(v_k) (or v_k = t_k^2
+    conj(v_{k+1})) walks outward from n0 in both directions.  Same guards and
+    messages as ``_angles``; the two agree to round-off.
+    """
     v = x.tolist()
     edges = [b - a for a, b in zip(v, v[1:])]
     a = [abs(e) for e in edges]
@@ -100,27 +102,20 @@ def _plain_velocities(x: np.ndarray, w0: float, n0: int) -> np.ndarray:
         n = a.index(shortest)
         raise CoincidentPointsError(f"edge ({n}, {n + 1}) has length {shortest:.3e}")
     t = [e / l for e, l in zip(edges, a)]
-    psi0 = cmath.phase(t[0])
-    psi = [psi0]
-    kappa = []
-    total = 0.0
     for n in range(1, len(t)):
-        turn = cmath.phase(t[n] / t[n - 1])
-        if math.pi - abs(turn) <= EPS_REG:
+        # |t_n + t_{n-1}| = 2 cos(kappa/2) <= pi - |kappa|, so only a vertex
+        # that passes this screen can fail the turning bound.
+        if abs(t[n] + t[n - 1]) <= 2.0 * EPS_REG and (
+                math.pi - abs(cmath.phase(t[n] / t[n - 1])) <= EPS_REG):
             raise NonRegularError(
                 f"vertex {n} is not regular (adjacent edges anti-parallel)", vertex=n)
-        kappa.append(turn)
-        total += turn
-        psi.append(psi0 + total)
-    w = [0.0] * len(psi)
-    w[n0] = w0
-    for k in range(n0, len(w) - 1):
-        w[k + 1] = -w[k] - kappa[k]
-    for k in range(n0, 0, -1):
-        w[k - 1] = -w[k] - kappa[k - 1]
-    theta = [p + q for p, q in zip(psi, w)]
-    theta.append(psi[-1] - w[-1])
-    return np.array([cmath.exp(1j * th) for th in theta])
+    vel = [0j] * len(v)
+    vel[n0] = t[n0] * cmath.exp(1j * w0)
+    for k in range(n0, len(t)):
+        vel[k + 1] = t[k] * t[k] * vel[k].conjugate()
+    for k in range(n0 - 1, -1, -1):
+        vel[k] = t[k] * t[k] * vel[k + 1].conjugate()
+    return np.array(vel)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,12 +154,8 @@ def integrate_motion(vertices, w0, n0: int, grid: SGrid) -> MotionResult:
         raise CurveError(f"seed edge {n0} outside 0..{len(v0) - 2}")
     w_fn = w0 if callable(w0) else (lambda s: w0)
 
-    if len(v0) <= PLAIN_MAX_VERTICES:
-        def rhs(s, x):
-            return _plain_velocities(x, w_fn(s), n0)
-    else:
-        def rhs(s, x):
-            return np.exp(1j * _angles(x, w_fn(s), n0))
+    def rhs(s, x):
+        return _velocities(x, w_fn(s), n0)
 
     svals = grid.values()
     states = rk4_path(svals, rhs, v0)

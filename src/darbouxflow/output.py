@@ -27,22 +27,15 @@ SVG_WIDTH = 480.0
 SPACING_RTOL = 1e-9
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def write_csv(path, sheet: Sheet) -> None:
-    """Write a sheet as n,s,x,y rows (LF line endings, 17 significant digits)."""
-    svals = sheet.grid.values()
-    lines = ["n,s,x,y"]
-    for n in range(sheet.rows):
-        row = sheet.values[n]
-        lines.extend(
-            f"{n},{_fmt(svals[i])},{_fmt(row[i].real)},{_fmt(row[i].imag)}"
-            for i in range(sheet.grid.count)
-        )
+    """Write a sheet as n,s,x,y rows (LF line endings, 17 significant digits),
+    one block of rows per curve; the s column is formatted once."""
+    s_text = [f"{s:.17g}" for s in sheet.grid.values().tolist()]
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("n,s,x,y\n")
+        for n, row in enumerate(sheet.values):
+            fh.write("".join([f"{n},{s},{x:.17g},{y:.17g}\n" for s, x, y in
+                              zip(s_text, row.real.tolist(), row.imag.tolist())]))
 
 
 def read_csv(path):
@@ -102,10 +95,6 @@ def sheet_from_csv(path) -> Sheet:
     return Sheet(grid, values)
 
 
-def _fmt_svg(value: float) -> str:
-    return format(float(value), ".8g")
-
-
 def svg_text(curves, colors=None, markers=()) -> str:
     """Deterministic SVG document: one polyline per curve.
 
@@ -138,24 +127,24 @@ def svg_text(curves, colors=None, markers=()) -> str:
     elif len(colors) < len(curves):
         raise CurveError("fewer colors than curves")
     # Flip y: a point x + iy is drawn at (x, ymin + ymax - y).
+    flip = ymin + ymax
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt_svg(SVG_WIDTH)}" height="{_fmt_svg(SVG_WIDTH * height / width)}" '
-        f'viewBox="{_fmt_svg(xmin)} {_fmt_svg(ymin)} '
-        f'{_fmt_svg(width)} {_fmt_svg(height)}">'
+        f'width="{SVG_WIDTH:.8g}" height="{SVG_WIDTH * height / width:.8g}" '
+        f'viewBox="{xmin:.8g} {ymin:.8g} '
+        f'{width:.8g} {height:.8g}">'
     ]
     for curve, color in zip(curves, colors):
-        pts = " ".join(
-            f"{_fmt_svg(z.real)},{_fmt_svg(ymin + ymax - z.imag)}" for z in curve
-        )
+        pts = " ".join([f"{x:.8g},{flip - y:.8g}"
+                        for x, y in zip(curve.real.tolist(), curve.imag.tolist())])
         parts.append(
             f'<polyline fill="none" stroke="{color}" '
-            f'stroke-width="{_fmt_svg(stroke)}" points="{pts}"/>'
+            f'stroke-width="{stroke:.8g}" points="{pts}"/>'
         )
     for m in markers:
         parts.append(
-            f'<circle cx="{_fmt_svg(m.real)}" cy="{_fmt_svg(ymin + ymax - m.imag)}" '
-            f'r="{_fmt_svg(2.5 * stroke)}" fill="black"/>'
+            f'<circle cx="{m.real:.8g}" cy="{flip - m.imag:.8g}" '
+            f'r="{2.5 * stroke:.8g}" fill="black"/>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

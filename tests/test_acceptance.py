@@ -4,11 +4,12 @@ Each test pulls its result from the session-scoped run (h = 1e-3, default
 tolerances), prints the PASS/FAIL line with the measured defect, and asserts.
 Run with ``pytest -s tests/test_acceptance.py`` to see the numbers.
 """
+import math
 from collections import Counter
 
 import numpy as np
 
-from darbouxflow import darboux, equivalence, run_suite, verification
+from darbouxflow import arclength_darboux, darboux, equivalence, run_suite, verification
 
 CHECK_NAMES = [
     "rotated-circle-darboux",
@@ -93,6 +94,14 @@ def test_flow_preserves_discrete_arclength_exactly_when_seeded_that_way(
     _check(acceptance_results, "discrete-arclength")
 
 
+def test_circle_arclength_pair_is_the_figure_transform(artifacts):
+    # the arc-length seed at angle pi lands on the figure's seed -1 to round-off
+    base, transform = artifacts.circle_arclength_pair
+    assert base is artifacts.circle and transform is artifacts.circle_transform
+    solved = arclength_darboux(artifacts.circle, 0.25, math.pi)
+    assert np.abs(solved.points - transform.points).max() <= 1e-15
+
+
 def test_run_suite_builds_nothing_twice(monkeypatch):
     """No two motions share (vertices, w0, grid) and no two Riccati solves
     share (source points, source polarization, mu, seed): each artifact is
@@ -105,8 +114,10 @@ def test_run_suite_builds_nothing_twice(monkeypatch):
         return integrate(vertices, w0, n0, grid)
 
     def recorded_solve(source, mu, y0):
+        # seeds equal to 1e-12 count as one: -1 + 2.4e-16j is the seed -1
         m = np.asarray(source.m, dtype=float)
-        solves[source.points.tobytes(), m.tobytes(), mu, complex(y0)] += 1
+        seed = complex(round(y0.real, 12), round(y0.imag, 12))
+        solves[source.points.tobytes(), m.tobytes(), mu, seed] += 1
         return solve(source, mu, y0)
 
     # equivalence is patched too, so a motion integrated there would count

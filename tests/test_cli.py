@@ -197,7 +197,16 @@ def test_bad_step_and_bad_tolerance_are_usage_errors(tmp_path, capsys):
     ("verify", "[run]\ncommand = verify\n", ["--tol", "nan"], "--tol"),
     ("verify", "[run]\ncommand = verify\n\n[verify]\nlemma-identities = nan\n", [],
      "[verify] lemma-identities"),
-], ids=["grid-h", "grid-s0", "darboux-h", "verify-h", "tol", "verify-key"])
+    ("darboux", DARBOUX_INI.replace("initial_point = -1+0j", "offset_angle = abc"), [],
+     "[parameters] offset_angle"),
+    ("darboux", DARBOUX_INI.replace("initial_point = -1+0j", "offset_angle = nan"), [],
+     "[parameters] offset_angle"),
+    ("darboux", DARBOUX_INI.replace("mu = 0.25", "mu = nan"), [], "[polarization] mu"),
+    ("darboux", DARBOUX_INI.replace("mu = 0.25", "mu = -inf"), [], "[polarization] mu"),
+    ("darboux", DARBOUX_INI.replace("-1+0j", "nan+0j"), [], "[parameters] initial_point"),
+    ("darboux", DARBOUX_INI.replace("-1+0j", "(-1, inf)"), [], "[parameters] initial_point"),
+], ids=["grid-h", "grid-s0", "darboux-h", "verify-h", "tol", "verify-key", "offset-text",
+        "offset-nan", "mu-nan", "mu-inf", "point-nan", "point-pair-inf"])
 def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, command, text, args, key):
     cfg = _write(tmp_path, text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")] + args) == 1

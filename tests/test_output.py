@@ -66,6 +66,68 @@ def test_csv_floats_survive_verbatim(tmp_path_factory, xs):
     assert np.array_equal(values, sheet.values)
 
 
+def _reference_csv_text(sheet):
+    """The CSV text formatted point by point from numpy scalars."""
+    svals = sheet.grid.values()
+    lines = ["n,s,x,y"]
+    for n in range(sheet.rows):
+        row = sheet.values[n]
+        lines.extend(f"{n},{format(float(svals[i]), '.17g')},"
+                     f"{format(float(row[i].real), '.17g')},"
+                     f"{format(float(row[i].imag), '.17g')}"
+                     for i in range(sheet.grid.count))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_svg_text(curves, colors=None, markers=()):
+    """svg_text with every point formatted one numpy scalar at a time."""
+    def fmt(value):
+        return format(float(value), ".8g")
+
+    curves = [np.asarray(c, dtype=complex).ravel() for c in curves]
+    markers = [complex(m) for m in markers]
+    allpts = np.concatenate(curves + ([np.asarray(markers)] if markers else []))
+    xmin, xmax = float(allpts.real.min()), float(allpts.real.max())
+    ymin, ymax = float(allpts.imag.min()), float(allpts.imag.max())
+    margin = 0.05 * max(xmax - xmin, ymax - ymin, 1e-30)
+    xmin, xmax, ymin, ymax = xmin - margin, xmax + margin, ymin - margin, ymax + margin
+    width, height = xmax - xmin, ymax - ymin
+    stroke = max(width, height) / 240.0
+    colors = colors or [("red", "blue", "black")[i % 3] for i in range(len(curves))]
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+             f'width="{fmt(480.0)}" height="{fmt(480.0 * height / width)}" '
+             f'viewBox="{fmt(xmin)} {fmt(ymin)} {fmt(width)} {fmt(height)}">']
+    for curve, color in zip(curves, colors):
+        pts = " ".join(f"{fmt(z.real)},{fmt(ymin + ymax - z.imag)}" for z in curve)
+        parts.append(f'<polyline fill="none" stroke="{color}" '
+                     f'stroke-width="{fmt(stroke)}" points="{pts}"/>')
+    for m in markers:
+        parts.append(f'<circle cx="{fmt(m.real)}" cy="{fmt(ymin + ymax - m.imag)}" '
+                     f'r="{fmt(2.5 * stroke)}" fill="black"/>')
+    return "\n".join(parts + ["</svg>"]) + "\n"
+
+
+def _edge_sheets():
+    rng = np.random.default_rng(17)
+    odd = np.array([complex(-0.0, 1e-300), complex(1e300, -0.0), 2 + 3j,
+                    complex(-1e-300, -0.0), 1 / 3 - 1e300j])
+    yield Sheet(SGrid.from_step(-2.0, 2.0, 1.0), np.vstack([odd, odd[::-1].conj()]))
+    yield Sheet(SGrid(-0.0, -0.0, 1.0, 1), np.array([[-0.0 - 0.0j]]))
+    yield Sheet(SGrid.from_step(0.0, 1.0, 1e-2),
+                rng.standard_normal((64, 101)) + 1j * rng.standard_normal((64, 101)))
+
+
+def test_writers_match_the_point_by_point_text(tmp_path):
+    path = tmp_path / "sheet.csv"
+    for sheet in _edge_sheets():
+        write_csv(path, sheet)
+        assert path.read_bytes() == _reference_csv_text(sheet).encode()
+        curves = list(sheet.values)
+        assert svg_text(curves) == _reference_svg_text(curves)
+        marked = dict(colors=["green"] * len(curves), markers=[curves[0][0], 1e300j])
+        assert svg_text(curves, **marked) == _reference_svg_text(curves, **marked)
+
+
 def test_read_csv_rejects_bad_header(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("a,b,c,d\n0,0,1,2\n")
