@@ -55,17 +55,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(path: str | None, default_name: str, outdir: str | None,
-             want_default: bool) -> str | None:
-    """An output path from the scenario, or a default name, under --out."""
-    if path is None:
-        if not want_default:
-            return None
-        path = default_name
-    if outdir and not os.path.isabs(path):
-        path = os.path.join(outdir, path)
-    ensure_dir(path)
-    return path
+def _write_outputs(sc: Scenario, outdir, stem: str, sheet: Sheet, svg_first=False,
+                   **style) -> list[str]:
+    """Write ``sheet`` as CSV and its rows as SVG polylines (``style`` goes to
+    write_svg), at the scenario's [output] paths or ``stem``.csv/.svg, under
+    --out.  The first file (the CSV, or the SVG with ``svg_first``) is always
+    written, the second only when the scenario names it.  Returns the paths
+    written, in that order."""
+    outputs = [(sc.csv_path, ".csv", lambda path: write_csv(path, sheet)),
+               (sc.svg_path, ".svg", lambda path: write_svg(path, list(sheet.values), **style))]
+    if svg_first:
+        outputs.reverse()
+    files = []
+    for k, (path, ext, write) in enumerate(outputs):
+        if path is None and k:
+            continue
+        path = os.path.join(outdir or "", stem + ext if path is None else path)
+        ensure_dir(path)
+        write(path)
+        files.append(path)
+    return files
 
 
 def _run_darboux(sc: Scenario, outdir) -> list[str]:
@@ -74,43 +83,18 @@ def _run_darboux(sc: Scenario, outdir) -> list[str]:
     else:
         transform = darboux_transform(sc.source, DarbouxParams(sc.mu, sc.initial_point))
     sheet = Sheet(sc.grid, np.stack([sc.source.points, transform.points]))
-    files = []
-    csv_path = _resolve(sc.csv_path, "darboux.csv", outdir, True)
-    write_csv(csv_path, sheet)
-    files.append(csv_path)
-    svg_path = _resolve(sc.svg_path, "darboux.svg", outdir, False)
-    if svg_path:
-        write_svg(svg_path, [sc.source.points, transform.points],
-                  colors=["black", "red"],
-                  markers=[transform.points[0]])
-        files.append(svg_path)
-    return files
+    return _write_outputs(sc, outdir, "darboux", sheet, colors=["black", "red"],
+                          markers=[transform.points[0]])
 
 
 def _run_flow(sc: Scenario, outdir) -> list[str]:
-    sheet = infinitesimal_darboux(FlowSpec(sc.base, sc.m, sc.n0, sc.initial))
-    files = []
-    csv_path = _resolve(sc.csv_path, "flow.csv", outdir, True)
-    write_csv(csv_path, sheet)
-    files.append(csv_path)
-    svg_path = _resolve(sc.svg_path, "flow.svg", outdir, False)
-    if svg_path:
-        write_svg(svg_path, list(sheet.values))
-        files.append(svg_path)
-    return files
+    sheet = infinitesimal_darboux(FlowSpec(sc.base, sc.initial.m, sc.n0, sc.initial))
+    return _write_outputs(sc, outdir, "flow", sheet)
 
 
 def _run_motion(sc: Scenario, outdir) -> list[str]:
     result = integrate_motion(sc.vertices, sc.w0, sc.n0, sc.grid)
-    files = []
-    csv_path = _resolve(sc.csv_path, "motion.csv", outdir, True)
-    write_csv(csv_path, result.sheet)
-    files.append(csv_path)
-    svg_path = _resolve(sc.svg_path, "motion.svg", outdir, False)
-    if svg_path:
-        write_svg(svg_path, list(result.sheet.values))
-        files.append(svg_path)
-    return files
+    return _write_outputs(sc, outdir, "motion", result.sheet)
 
 
 def _run_figure(sc: Scenario, outdir, h: float | None) -> list[str]:
@@ -120,16 +104,9 @@ def _run_figure(sc: Scenario, outdir, h: float | None) -> list[str]:
     mu = sc.mu if sc.mu is not None else FIGURE_MU
     point = sc.initial_point if sc.initial_point is not None else FIGURE_POINT
     base, t1, t2, _ = figure_family(grid, mu, point)
-    files = []
-    svg_path = _resolve(sc.svg_path, "figure1.svg", outdir, True)
-    write_svg(svg_path, [base.points, t1.points, t2.points],
-              colors=["black", "red", "blue"], markers=[point])
-    files.append(svg_path)
-    csv_path = _resolve(sc.csv_path, "figure1.csv", outdir, False)
-    if csv_path:
-        write_csv(csv_path, Sheet(grid, np.stack([base.points, t1.points, t2.points])))
-        files.append(csv_path)
-    return files
+    sheet = Sheet(grid, np.stack([base.points, t1.points, t2.points]))
+    return _write_outputs(sc, outdir, "figure1", sheet, svg_first=True,
+                          colors=["black", "red", "blue"], markers=[point])
 
 
 def _run_verify(sc: Scenario, h: float | None, tol: float | None) -> int:

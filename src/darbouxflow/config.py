@@ -70,11 +70,9 @@ class Scenario:
     mu: float | None = None
     initial_point: complex | None = None
     offset_angle: float | None = None
-    arclength: bool = False
     # flow
     base: DiscretePolarizedCurve | None = None
     initial: PolarizedCurve | None = None
-    m: object = None
     n0: int = 0
     # motion
     vertices: np.ndarray | None = None
@@ -95,21 +93,28 @@ def _get(cp, section, key, default=None, required=False):
     return default
 
 
-def _get_float(cp, section, key, default=None, required=False):
-    raw = _get(cp, section, key, required=required)
-    if raw is None:
-        return default
+def _finite(raw: str, section, key) -> float:
+    """``raw`` as a finite float, else a ConfigError naming the key."""
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         _fail(section, key, f"not a number: {raw!r}")
-
-
-def _get_finite(cp, section, key) -> float | None:
-    value = _get_float(cp, section, key)
-    if value is not None and not math.isfinite(value):
+    if not math.isfinite(value):
         _fail(section, key, f"must be a finite number, got {value!r}")
     return value
+
+
+def _get_float(cp, section, key, default=None, required=False):
+    raw = _get(cp, section, key, required=required)
+    return default if raw is None else _finite(raw, section, key)
+
+
+def _radius(cp, section) -> float:
+    """``[section] radius`` of a circle or an ngon: finite and positive."""
+    radius = _get_float(cp, section, "radius", default=1.0)
+    if radius <= 0:
+        _fail(section, "radius", f"must be positive, got {radius!r}")
+    return radius
 
 
 def _get_int(cp, section, key, default=None, required=False):
@@ -185,9 +190,7 @@ def _smooth_curve(cp, section: str, grid: SGrid, m) -> PolarizedCurve:
     kind = _get(cp, section, "kind", required=True).lower()
     try:
         if kind == "circle":
-            radius = _get_float(cp, section, "radius", default=1.0)
-            if radius <= 0:
-                _fail(section, "radius", "must be positive")
+            radius = _radius(cp, section)
             return PolarizedCurve.from_generator(
                 grid, lambda s: radius * np.exp(1j * s),
                 lambda s: 1j * radius * np.exp(1j * s), m)
@@ -198,7 +201,10 @@ def _smooth_curve(cp, section: str, grid: SGrid, m) -> PolarizedCurve:
             path = _get(cp, section, "csv", required=True)
             if not os.path.exists(path):
                 _fail(section, "csv", f"no such file: {path}")
-            svals, values = read_csv(path)
+            try:
+                svals, values = read_csv(path)
+            except CurveError as exc:
+                _fail(section, "csv", str(exc))
             row = _get_int(cp, section, "row", default=0)
             if not 0 <= row < len(values):
                 _fail(section, "row", f"file has rows 0..{len(values) - 1}")
@@ -216,7 +222,7 @@ def _discrete_vertices(cp, section: str) -> np.ndarray:
     kind = _get(cp, section, "kind", required=True).lower()
     if kind == "ngon":
         n = _get_int(cp, section, "n", required=True)
-        radius = _get_float(cp, section, "radius", default=1.0)
+        radius = _radius(cp, section)
         try:
             return ngon_vertices(n, radius)
         except CurveError as exc:
@@ -233,11 +239,7 @@ def _mu_edges(cp, vertices: np.ndarray, section="polarization"):
     raw = _get(cp, section, "mu", required=True)
     if raw.lower() == "arclength":
         return 1.0 / np.abs(np.diff(vertices)) ** 2
-    parts = [p for p in raw.split(",") if p.strip()]
-    try:
-        vals = np.array([float(p) for p in parts])
-    except ValueError:
-        _fail(section, "mu", f"not a number, list, or 'arclength': {raw!r}")
+    vals = np.array([_finite(p, section, "mu") for p in raw.split(",") if p.strip()])
     if len(vals) == 1:
         return float(vals[0])
     if len(vals) != len(vertices) - 1:
@@ -252,7 +254,7 @@ def _scalar_mu(cp) -> float | None:
         section = "parameters"
     elif _get(cp, "parameters", "mu") is not None:
         _fail("parameters", "mu", "mu given in both [polarization] and [parameters]")
-    return _get_finite(cp, section, "mu")
+    return _get_float(cp, section, "mu")
 
 
 def load_scenario(path, command: str | None = None,
@@ -300,7 +302,7 @@ def load_scenario(path, command: str | None = None,
     if cp.has_section("verify"):
         for key, raw in cp.items("verify"):
             value = _get_float(cp, "verify", key)
-            if not (math.isfinite(value) and value > 0):
+            if value <= 0:
                 _fail("verify", key, f"must be a finite positive number, got {raw!r}")
             sc.tolerances[key] = value
 
@@ -318,8 +320,7 @@ def load_scenario(path, command: str | None = None,
         if raw_pt is not None:
             sc.initial_point = _parse_point(raw_pt, "parameters", "initial_point")
         elif raw_off is not None:
-            sc.offset_angle = _get_finite(cp, "parameters", "offset_angle")
-            sc.arclength = True
+            sc.offset_angle = _get_float(cp, "parameters", "offset_angle")
         else:
             _fail("parameters", "initial_point",
                   "darboux needs initial_point or offset_angle")
@@ -334,7 +335,6 @@ def load_scenario(path, command: str | None = None,
         if not cp.has_section("initial"):
             raise ConfigError("flow needs an [initial] section for the seeded row")
         sc.initial = _smooth_curve(cp, "initial", grid, m)
-        sc.m = m
     elif cmd == "motion":
         sc.vertices = _discrete_vertices(cp, "curve")
         raw_w0 = _get(cp, "parameters", "w0", required=True)

@@ -85,8 +85,8 @@ def _transform_row(curve: PolarizedCurve, mu: float, initial_point: complex) -> 
     # position rows, so store it instead of re-differencing the samples.
     d = vals - curve.points
     xhp = (mu / curve.m) * d * d / curve.derivatives
-    # The row shares the source's refined m, so m is never interpolated or
-    # evaluated again down a flow.
+    # The row shares the source's refined m, so m is never evaluated again
+    # down a flow.
     return PolarizedCurve(curve.grid, vals, curve._stage_data[2], xhp)
 
 

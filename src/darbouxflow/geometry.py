@@ -170,18 +170,6 @@ def _interleave(nodes: np.ndarray, mids: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_m_array(m, grid: SGrid):
-    """Coerce a polarization given as scalar, callable or array to grid samples."""
-    if callable(m):
-        return np.asarray(m(grid.values()), dtype=float).reshape(-1) + np.zeros(grid.count)
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim == 0:
-        return np.full(grid.count, float(arr))
-    if arr.shape != (grid.count,):
-        raise CurveError(f"polarization samples have shape {arr.shape}, expected ({grid.count},)")
-    return arr
-
-
 def _validate_m(m: np.ndarray):
     if not np.all(np.isfinite(m)):
         raise CurveError("polarization must be finite")
@@ -189,31 +177,49 @@ def _validate_m(m: np.ndarray):
         raise CurveError("polarization must be nonvanishing and of constant sign")
 
 
-def _validate_m_between(m: np.ndarray):
-    """_validate_m for samples of m off the grid nodes."""
-    try:
-        _validate_m(m)
-    except CurveError as exc:
-        raise CurveError(f"{exc} between grid nodes") from None
+def _resolve_m(m, grid: SGrid) -> np.ndarray:
+    """The polarization on ``grid.refined_values()``, checked: a constant, a
+    callable (evaluated there once) or samples there.  An array is checked
+    in one pass; the node samples only word the error."""
+    count = 2 * grid.count - 1
+    if callable(m):
+        m = np.asarray(m(grid.refined_values()), dtype=float).reshape(-1) + np.zeros(count)
+    arr = np.asarray(m, dtype=float)
+    if arr.ndim == 0:
+        lo = hi = float(arr)
+        arr = np.full(count, lo)
+    elif arr.shape != (count,):
+        raise CurveError(f"polarization samples have shape {arr.shape}, expected "
+                         f"({count},) on the refined grid")
+    else:
+        lo, hi = arr.min(), arr.max()
+    if not (0.0 < lo and hi < math.inf or -math.inf < lo and hi < 0.0):
+        # The RK4 midpoints must pass the node check too, or the Riccati
+        # coefficient mu/m is infinite or flips sign mid-step.
+        _validate_m(arr[::2])
+        try:
+            _validate_m(arr)
+        except CurveError as exc:
+            raise CurveError(f"{exc} between grid nodes") from None
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
 class PolarizedCurve:
     """Smooth plane curve x(s) with polarization ds^2/m, sampled on a grid.
 
-    ``m`` is a constant, samples at the grid nodes, samples on the refined
-    grid (``grid.refined_values()``: the nodes and the RK4 midpoints), or a
-    callable, which is evaluated once on the refined grid.  Every value given
-    must be finite, nonzero and of one sign; afterwards ``m`` holds the node
-    samples.  ``xp_samples`` holds per-node tangents when a construction
-    supplies them (an analytic generator, or a transform's pair equation);
-    otherwise derivatives come from 4th-order finite differences of the
-    points.
+    ``m`` is a constant, a callable, which is evaluated once on the refined
+    grid (``grid.refined_values()``: the nodes and the RK4 midpoints), or
+    samples on that refined grid; node-length samples are refused.  Every
+    value must be finite, nonzero and of one sign, so m is checked between
+    the nodes too; afterwards ``m`` holds the node samples.  ``xp_samples``
+    holds per-node tangents when a construction supplies them (an analytic
+    generator, or a transform's pair equation); otherwise derivatives come
+    from 4th-order finite differences of the points.
 
     The Riccati stages need x, x' and m on the refined grid.  Curves from
-    ``from_generator`` keep the exact x and x' there, and a refined m is
-    kept as given; whatever is missing is interpolated from the nodes with
-    local Lagrange windows.
+    ``from_generator`` keep the exact x and x' there; for other curves they
+    are interpolated from the nodes with local Lagrange windows.
     """
 
     grid: SGrid
@@ -221,9 +227,8 @@ class PolarizedCurve:
     m: object
     xp_samples: np.ndarray | None = None
 
-    # Exact refined-grid data, or None where _stage_data interpolates.
+    # Exact refined-grid x and x', or None where _stage_data interpolates.
     _refined_x = None
-    _refined_m = None
 
     def __post_init__(self):
         grid = self.grid
@@ -233,20 +238,9 @@ class PolarizedCurve:
             raise CurveError(f"points have shape {pts.shape}, expected ({grid.count},)")
         if not np.all(np.isfinite(pts)):
             raise CurveError("curve points must be finite")
-        m = self.m
-        if callable(m):
-            r = grid.refined_values()
-            m = np.asarray(m(r), dtype=float).reshape(-1) + np.zeros(len(r))
-        if grid.count > 1 and np.shape(m) == (2 * grid.count - 1,):
-            m = np.asarray(m, dtype=float)
-            object.__setattr__(self, "_refined_m", m)
-            m = m[::2]
-        object.__setattr__(self, "m", _as_m_array(m, grid))
-        _validate_m(self.m)
-        if self._refined_m is not None:
-            # The RK4 midpoints must pass the node check too, or the Riccati
-            # coefficient mu/m is infinite or flips sign mid-step.
-            _validate_m_between(self._refined_m)
+        refined = _resolve_m(self.m, grid)
+        object.__setattr__(self, "_refined_m", refined)
+        object.__setattr__(self, "m", refined[::2])
         xp = None
         if self.xp_samples is not None:
             xp = np.asarray(self.xp_samples, dtype=complex)
@@ -303,16 +297,7 @@ class PolarizedCurve:
             xps = _interleave(
                 self.derivatives, _midpoint_interp(self.points, derivative=True) / self.grid.h
             )
-        ms = self._refined_m
-        if ms is None:
-            if np.ptp(self.m) == 0.0:
-                ms = np.full(2 * count - 1, self.m[0])
-            else:
-                m = self.m
-                ms = _interleave(m, _midpoint_interp(m) if count >= 5 else 0.5 * (m[:-1] + m[1:]))
-                # Interpolated midpoints can leave the sign of the node samples.
-                _validate_m_between(ms)
-        return xs, xps, ms
+        return xs, xps, self._refined_m
 
     def arclength_deviation(self) -> float:
         """max_i |1/m(s_i) - |x'(s_i)|^2| — zero iff arc-length polarized."""

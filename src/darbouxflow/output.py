@@ -8,6 +8,7 @@ collection of polylines (version 1.1) with an auto-computed viewBox.
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import numpy as np
@@ -41,30 +42,36 @@ def write_csv(path, sheet: Sheet) -> None:
 def read_csv(path):
     """Parse an n,s,x,y file back into (s values, complex value array by row).
 
-    Rows must form a complete rectangular sheet: every n present on the same
-    evenly spaced s grid, in file order.
+    n must be an integer.  Rows must form a complete rectangular sheet:
+    every n present on the same evenly spaced s grid, each in file order.
+    Any malformed row raises CurveError naming the file.
     """
     with open(path, newline="") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0].lower().replace(" ", "") != "n,s,x,y":
-        raise CurveError(f"{path}: expected an 'n,s,x,y' header")
-    ns, ss, zs = [], [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise CurveError(f"{path}: malformed row {ln!r}")
-        ns.append(int(parts[0]))
-        ss.append(float(parts[1]))
-        zs.append(complex(float(parts[2]), float(parts[3])))
-    ns = np.asarray(ns)
-    ss = np.asarray(ss)
-    zs = np.asarray(zs, dtype=complex)
-    labels = np.unique(ns)
-    counts = {int(n): int((ns == n).sum()) for n in labels}
-    count = counts[int(labels[0])]
-    if any(c != count for c in counts.values()):
+        lines = (ln for ln in fh if ln.strip())
+        if next(lines, "").strip().lower().replace(" ", "") != "n,s,x,y":
+            raise CurveError(f"{path}: expected an 'n,s,x,y' header")
+        first = next(lines, None)
+        if first is None:
+            raise CurveError(f"{path}: no data rows after the header")
+        try:
+            table = np.loadtxt(itertools.chain([first], fh), delimiter=",",
+                               comments=None, ndmin=2)
+        except ValueError as exc:
+            raise CurveError(f"{path}: malformed data: {exc}") from None
+    if table.shape[1] != 4:
+        raise CurveError(f"{path}: rows have {table.shape[1]} fields, expected n,s,x,y")
+    ns = table[:, 0]
+    bad = ~np.isfinite(ns) | (ns != np.round(ns))
+    if bad.any():
+        raise CurveError(f"{path}: n must be an integer, got {float(ns[np.argmax(bad)])!r}")
+    # A stable sort groups the rows by n and keeps each row in file order.
+    table = table[np.argsort(ns, kind="stable")]
+    labels, counts = np.unique(table[:, 0], return_counts=True)
+    count = int(counts[0])
+    if (counts != count).any():
         raise CurveError(f"{path}: rows have differing grid lengths")
-    svals = ss[ns == labels[0]]
+    ss = table[:, 1].reshape(len(labels), count)
+    svals = ss[0].copy()
     if len(svals) > 2:
         h = (svals[-1] - svals[0]) / (len(svals) - 1)
         steps = np.diff(svals)
@@ -75,13 +82,10 @@ def read_csv(path):
                 f"{path}: s values are not evenly spaced: row n={int(labels[0])}, "
                 f"s={float(svals[i + 1])!r} follows a step of {float(steps[i])!r}, "
                 f"expected {float(h)!r}")
-    values = np.empty((len(labels), count), dtype=complex)
-    for k, n in enumerate(labels):
-        mask = ns == n
-        if not np.array_equal(ss[mask], svals):
-            raise CurveError(f"{path}: row {int(n)} uses a different s grid")
-        values[k] = zs[mask]
-    return svals, values
+    moved = (ss != svals).any(axis=1)
+    if moved.any():
+        raise CurveError(f"{path}: row {int(labels[np.argmax(moved)])} uses a different s grid")
+    return svals, table[:, 2:].copy().view(complex).reshape(len(labels), count)
 
 
 def sheet_from_csv(path) -> Sheet:

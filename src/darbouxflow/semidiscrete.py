@@ -14,7 +14,7 @@ import numpy as np
 
 from .darboux import _transform_row
 from .errors import BlowupError, CurveError
-from .geometry import DiscretePolarizedCurve, PolarizedCurve, Sheet, _as_m_array
+from .geometry import DiscretePolarizedCurve, PolarizedCurve, Sheet
 
 #: How closely the seeded curve must pass through its base vertex.
 SEED_TOL = 1e-10
@@ -25,10 +25,14 @@ M_MATCH_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class FlowSpec:
-    """Data for one flow: discrete base curve, smooth polarization m(s), the
+    """Data for one flow: discrete base curve, the flow's polarization m, the
     seeded row index n0, and the smooth curve occupying that row.  The seed
     row passes through vertex n0 at the grid start s0, where every edge is
-    seeded."""
+    seeded.
+
+    ``m`` is a number or samples at the grid nodes.  It is compared with the
+    seed row's m, which every row of the flow shares, and nothing is
+    evaluated: a callable is refused."""
 
     base: DiscretePolarizedCurve
     m: object
@@ -39,9 +43,11 @@ class FlowSpec:
         n = len(self.base.vertices)
         if not 0 <= self.n0 < n:
             raise CurveError(f"seed row {self.n0} outside 0..{n - 1}")
-        object.__setattr__(self, "m", _as_m_array(self.m, self.initial_curve.grid))
-        gap = np.abs(self.initial_curve.m - self.m).max()
-        if gap > M_MATCH_TOL:
+        seed_m = self.initial_curve.m
+        if callable(self.m) or np.ndim(self.m) and np.shape(self.m) != seed_m.shape:
+            raise CurveError(f"the flow's m must be a number or {len(seed_m)} node samples")
+        gap = np.abs(seed_m - np.asarray(self.m, dtype=float)).max()
+        if not gap <= M_MATCH_TOL:
             raise CurveError(
                 f"initial curve polarization differs from the flow's m by {gap:.3e}"
             )

@@ -205,8 +205,16 @@ def test_bad_step_and_bad_tolerance_are_usage_errors(tmp_path, capsys):
     ("darboux", DARBOUX_INI.replace("mu = 0.25", "mu = -inf"), [], "[polarization] mu"),
     ("darboux", DARBOUX_INI.replace("-1+0j", "nan+0j"), [], "[parameters] initial_point"),
     ("darboux", DARBOUX_INI.replace("-1+0j", "(-1, inf)"), [], "[parameters] initial_point"),
+    ("motion", MOTION_INI.replace("n = 6", "n = 6\nradius = inf"), [], "[curve] radius"),
+    ("motion", MOTION_INI.replace("n = 6", "n = 6\nradius = nan"), [], "[curve] radius"),
+    ("darboux", DARBOUX_INI.replace("kind = circle", "kind = circle\nradius = nan"), [],
+     "[curve] radius"),
+    ("flow", FLOW_INI.replace("mu = arclength", "mu = nan"), [], "[polarization] mu"),
+    ("flow", FLOW_INI.replace("mu = arclength", "mu = 0.25, inf, 0.25"), [],
+     "[polarization] mu"),
 ], ids=["grid-h", "grid-s0", "darboux-h", "verify-h", "tol", "verify-key", "offset-text",
-        "offset-nan", "mu-nan", "mu-inf", "point-nan", "point-pair-inf"])
+        "offset-nan", "mu-nan", "mu-inf", "point-nan", "point-pair-inf", "ngon-radius-inf",
+        "ngon-radius-nan", "circle-radius-nan", "flow-mu-nan", "flow-mu-list-inf"])
 def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, command, text, args, key):
     cfg = _write(tmp_path, text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")] + args) == 1
@@ -252,6 +260,16 @@ def test_unevenly_spaced_samples_are_a_usage_error(tmp_path, capsys):
     cfg = _write(tmp_path, text)
     assert main(["darboux", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert "not evenly spaced" in capsys.readouterr().err
+
+
+def test_malformed_samples_csv_is_a_usage_error(tmp_path, capsys):
+    samples = tmp_path / "bad.csv"
+    samples.write_text("n,s,x,y\n0,0,0,0\n0,abc,1,0\n")
+    text = DARBOUX_INI.replace("kind = circle", f"kind = samples\ncsv = {samples}")
+    assert main(["darboux", "--config", _write(tmp_path, text)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: [curve] csv: {samples}: ")
+    assert captured.out == ""
 
 
 def test_verify_reports_every_check_and_passes(tmp_path, capsys, session_artifacts):

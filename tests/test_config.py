@@ -45,7 +45,7 @@ def test_darboux_scenario(tmp_path):
     assert sc.command == "darboux"
     assert sc.mu == 0.25
     assert sc.initial_point == -1 + 0j
-    assert not sc.arclength
+    assert sc.offset_angle is None
     assert sc.grid.count == 101
     assert sc.csv_path == "out.csv"
     assert sc.svg_path == "out.svg"
@@ -55,7 +55,6 @@ def test_darboux_scenario(tmp_path):
 def test_darboux_offset_angle_means_arclength(tmp_path):
     text = DARBOUX_INI.replace("initial_point = -1+0j", "offset_angle = 3.14159")
     sc = load_scenario(_write(tmp_path, text))
-    assert sc.arclength
     assert sc.offset_angle == pytest.approx(3.14159)
     assert sc.initial_point is None
 

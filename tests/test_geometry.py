@@ -148,12 +148,30 @@ def test_curve_rejects_nonfinite_points():
 
 
 def test_polarization_must_not_change_sign_or_vanish():
+    # m sampled on the refined grid: even entries at the nodes, odd ones at
+    # the RK4 midpoints.  A bad node gives the node message, a bad midpoint
+    # alone the "between grid nodes" one.
     g = SGrid.from_count(0.0, 0.25, 5)
     pts = g.values() + 0j
-    with pytest.raises(CurveError):
-        PolarizedCurve(g, pts, np.array([1.0, 1, 0, 1, 1]))
-    with pytest.raises(CurveError):
-        PolarizedCurve(g, pts, np.array([1.0, 1, -1, 1, 1]))
+    sign = "polarization must be nonvanishing and of constant sign"
+    for index, value, message in ((4, 0.0, sign), (4, -1.0, sign),
+                                  (0, np.nan, "polarization must be finite"),
+                                  (3, 0.0, sign + " between grid nodes"),
+                                  (7, -1.0, sign + " between grid nodes"),
+                                  (1, np.inf, "polarization must be finite between grid nodes")):
+        m = np.ones(9)
+        m[index] = value
+        with pytest.raises(CurveError, match=f"^{message}$"):
+            PolarizedCurve(g, pts, m)
+    for m, message in ((0.0, sign), (np.nan, "polarization must be finite")):
+        with pytest.raises(CurveError, match=f"^{message}$"):
+            PolarizedCurve(g, pts, m)
+
+
+def test_node_length_polarization_is_refused():
+    g = SGrid.from_count(0.0, 0.25, 5)
+    with pytest.raises(CurveError, match=r"polarization samples have shape \(5,\), expected \(9,\)"):
+        PolarizedCurve(g, g.values() + 0j, np.ones(5))
 
 
 def test_singular_tangent_is_rejected():
@@ -168,7 +186,7 @@ def test_tangent_samples_are_used_verbatim():
     g = SGrid.from_count(0.0, 0.1, 7)
     s = g.values()
     xp = np.full(7, 2.0 + 0j)
-    c = PolarizedCurve(g, 2 * s + 0j, np.ones(7), xp_samples=xp)
+    c = PolarizedCurve(g, 2 * s + 0j, 1.0, xp_samples=xp)
     assert c.derivatives is c.xp_samples
     assert np.all(c.derivatives == 2.0)
 
@@ -177,11 +195,11 @@ def test_tangent_samples_validation():
     g = SGrid.from_count(0.0, 0.1, 7)
     s = g.values()
     with pytest.raises(CurveError):
-        PolarizedCurve(g, s + 0j, np.ones(7), xp_samples=np.ones(6, dtype=complex))
+        PolarizedCurve(g, s + 0j, 1.0, xp_samples=np.ones(6, dtype=complex))
     bad = np.ones(7, dtype=complex)
     bad[0] = np.inf
     with pytest.raises(CurveError):
-        PolarizedCurve(g, s + 0j, np.ones(7), xp_samples=bad)
+        PolarizedCurve(g, s + 0j, 1.0, xp_samples=bad)
 
 
 def test_arclength_deviation():

@@ -1,5 +1,6 @@
 """CSV round-trips and SVG structure."""
 import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -148,6 +149,39 @@ def test_read_csv_rejects_mismatched_grids(tmp_path):
     with pytest.raises(CurveError):
         read_csv(p)
 
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "expected an 'n,s,x,y' header"),
+    ("n,s,x,y\n", "no data rows"),
+    ("n,s,x,y\n\n\n", "no data rows"),
+    ("n,s,x,y\n0,0,1,0\n0,abc,1,0\n", "could not convert string 'abc'"),
+    ("n,s,x,y\n#1,0,1,0\n", "could not convert string '#1'"),
+    ("n,s,x,y\n0,0,1,0\n0,1,1\n", "number of columns changed"),
+    ("n,s,x,y\n0,0,1\n0,1,1\n", "rows have 3 fields"),
+    ("n,s,x,y\n0.5,0,1,0\n", "n must be an integer, got 0.5"),
+    ("n,s,x,y\ninf,0,1,0\n", "n must be an integer, got inf"),
+], ids=["empty", "header-only", "blank-body", "text-field", "hash-row", "short-row",
+        "three-fields", "fractional-n", "infinite-n"])
+def test_read_csv_rejects_malformed_files(tmp_path, text, message):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CurveError, match=message) as info:
+            read_csv(p)
+    assert str(info.value).startswith(f"{p}: ")
+
+
+def test_read_csv_groups_interleaved_rows_by_n(tmp_path):
+    # rows of different n may interleave, in any order of n; each n keeps
+    # its rows in file order and the sheet's rows come out sorted by n
+    p = tmp_path / "mixed.csv"
+    p.write_text("n, s, x, y\n2,0,5,-0.0\n0,0,1,0\n2,0.5,6,1\n0,0.5,2,0\n")
+    svals, values = read_csv(p)
+    assert np.array_equal(svals, [0.0, 0.5])
+    assert np.array_equal(values, [[1, 2], [5, 6 + 1j]])
+    assert math.copysign(1.0, values[1, 0].imag) == -1.0
 
 
 #: s steps 0.1, 0.4, 0.1, 0.2: the span still reads as an even h = 0.2.

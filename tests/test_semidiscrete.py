@@ -98,8 +98,9 @@ def test_mid_grid_collision_is_reported_as_such():
 
 
 def test_flow_rows_do_not_evaluate_m_again():
-    # the seed row evaluates m once on the refined grid and FlowSpec once on
-    # the nodes; the four edge rows reuse the seed row's refined m
+    # the seed row evaluates m once on the refined grid, FlowSpec compares
+    # the seed row's own node samples, and the four edge rows reuse its
+    # refined m
     grid = SGrid.from_step(0.0, 1.0, 1e-3)
     sizes = []
 
@@ -110,8 +111,8 @@ def test_flow_rows_do_not_evaluate_m_again():
     seed = PolarizedCurve.from_generator(
         grid, lambda s: s + 0j, lambda s: np.ones_like(s, dtype=complex), m)
     base = DiscretePolarizedCurve(np.arange(5) * 2.0 + 0j, 0.25)
-    sheet = infinitesimal_darboux(FlowSpec(base, m, 0, seed))
-    assert sizes == [2001, 1001]
+    sheet = infinitesimal_darboux(FlowSpec(base, seed.m, 0, seed))
+    assert sizes == [2001]
     assert sheet.rows == 5
 
 
@@ -132,6 +133,24 @@ def test_flow_spec_seed_must_sit_on_base_vertex():
         # row 0 starts at 1.0 but the base vertex there is 0.0
         FlowSpec(_base(), 1.0, 0, PolarizedCurve.from_generator(
             grid, lambda s: s + 1.0 + 0j, lambda s: np.ones_like(s, dtype=complex), 1.0))
+
+
+def test_flow_spec_m_must_match_the_seed_row():
+    grid = SGrid.from_step(0.0, 1.0, 1e-2)
+    seed = PolarizedCurve.from_generator(
+        grid, lambda s: s + 0j, lambda s: np.ones_like(s, dtype=complex), 2.0)
+    for m in (1.0, np.ones(grid.count), float("nan")):
+        with pytest.raises(CurveError, match="differs from the flow's m"):
+            FlowSpec(_base(), m, 0, seed)
+    with pytest.raises(CurveError, match="number or 101 node samples"):
+        FlowSpec(_base(), np.full(grid.count + 1, 2.0), 0, seed)
+    assert FlowSpec(_base(), 2.0, 0, seed).m == 2.0
+
+
+def test_flow_spec_refuses_a_callable_m():
+    grid = SGrid.from_step(0.0, 1.0, 1e-2)
+    with pytest.raises(CurveError, match="number or 101 node samples"):
+        FlowSpec(_base(), lambda s: np.ones_like(s), 0, _line(grid))
 
 
 def test_flow_spec_rejects_bad_seed_row():
