@@ -45,7 +45,8 @@ import numpy as np
 
 from .errors import CurveError
 from .expressions import ExpressionError, parse_expression
-from .geometry import DiscretePolarizedCurve, PolarizedCurve, SGrid, ngon_vertices
+from .geometry import DiscretePolarizedCurve, PolarizedCurve, SGrid, _resolve_m, ngon_vertices
+from .ode import stage_abscissas
 from .output import read_csv
 
 __all__ = ["ConfigError", "Scenario", "load_scenario", "COMMANDS"]
@@ -174,19 +175,35 @@ def _load_grid(cp) -> SGrid | None:
         _fail("grid", "s0/s1/h", str(exc))
 
 
-def _m_value(cp):
-    """The polarization m: a float for constants, else an Expression."""
-    raw = _get(cp, "polarization", "m", default="1")
-    expr = _parse_expr(raw, "polarization", "m")
-    if expr.is_constant:
-        return expr(0.0)
-    return expr
+def _expression(cp, section: str, key: str, grid: SGrid | None = None, default=None):
+    """``[section] key``: a constant as its value, else an Expression of s,
+    refused under the key if a pole or overflow shows at ``grid``'s stages."""
+    raw = _get(cp, section, key, default=default, required=default is None)
+    expr = _parse_expr(raw, section, key)
+    if not expr.is_constant and grid is None:
+        return expr
+    # Where the motion calls w0: its midpoints can sit an ulp off refined_values().
+    s = 0.0 if expr.is_constant else stage_abscissas(grid.values())
+    try:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            values = expr(s)
+    except ZeroDivisionError:
+        values = np.full(np.shape(s), math.inf)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        where = f" at s = {float(s[np.argmax(bad)])!r}" if np.ndim(s) else ""
+        _fail(section, key, f"{raw!r} is not finite{where}")
+    return values if expr.is_constant else expr
 
 
 def _smooth_curve(cp, section: str, grid: SGrid, m) -> PolarizedCurve:
     """Build the smooth curve a section describes on ``grid`` with polarization m."""
     if grid is None:
         _fail("grid", "s0", "this command needs a [grid] section")
+    try:
+        m = _resolve_m(m, grid)
+    except (CurveError, ZeroDivisionError) as exc:
+        _fail("polarization", "m", str(exc))
     kind = _get(cp, section, "kind", required=True).lower()
     try:
         if kind == "circle":
@@ -306,7 +323,7 @@ def load_scenario(path, command: str | None = None,
                 _fail("verify", key, f"must be a finite positive number, got {raw!r}")
             sc.tolerances[key] = value
 
-    m = _m_value(cp)
+    m = _expression(cp, "polarization", "m", default="1")
     if cmd == "darboux":
         sc.source = _smooth_curve(cp, "curve", grid, m)
         sc.mu = _scalar_mu(cp)
@@ -337,12 +354,10 @@ def load_scenario(path, command: str | None = None,
         sc.initial = _smooth_curve(cp, "initial", grid, m)
     elif cmd == "motion":
         sc.vertices = _discrete_vertices(cp, "curve")
-        raw_w0 = _get(cp, "parameters", "w0", required=True)
-        expr = _parse_expr(raw_w0, "parameters", "w0")
-        sc.w0 = expr(0.0) if expr.is_constant else expr
         sc.n0 = _get_int(cp, "parameters", "n0", default=0)
         if grid is None:
             raise ConfigError("motion needs a [grid] section")
+        sc.w0 = _expression(cp, "parameters", "w0", grid)
     elif cmd == "figure1":
         # Optional overrides; defaults are supplied by the figure pipeline.
         sc.mu = _scalar_mu(cp)

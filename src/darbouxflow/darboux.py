@@ -9,7 +9,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from math import floor
 
 import numpy as np
 
@@ -45,8 +44,9 @@ def riccati_solve(source: PolarizedCurve, mu: float, y0: complex) -> np.ndarray:
 
     The initial value y0 is imposed at the first grid node; integration runs
     forward with classic RK4, evaluating the source curve on the refined
-    (node + midpoint) grid.  The stage coefficients are Python lists for the
-    length of the solve, so each step runs in built-in complex arithmetic.
+    (node + midpoint) grid.  The stage coefficients are Python lists indexed
+    by ``rk4_path``'s stage index, so each step runs in built-in complex
+    arithmetic.
     """
     grid = source.grid
     if grid.count == 1:
@@ -59,12 +59,8 @@ def riccati_solve(source: PolarizedCurve, mu: float, y0: complex) -> np.ndarray:
         )
     a = ((mu / ms) / xps).tolist()
     x = xs.tolist()
-    s0, stages_per_s = grid.s0, 2.0 / grid.h
 
-    def rhs(s, y):
-        # floor(. + 0.5) rounds the nonnegative, near-integer stage index like
-        # round() does, at less cost per call.
-        k = floor((s - s0) * stages_per_s + 0.5)
+    def rhs(k, y):
         d = x[k] - y
         return a[k] * d * d
 

@@ -110,34 +110,19 @@ def fd_derivative(values: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
 
 def _lagrange_weights(window: int, t: float) -> np.ndarray:
     """Interpolation weights at position t (node units) over nodes 0..window-1."""
-    w = np.empty(window)
-    for j in range(window):
-        p = 1.0
-        for k in range(window):
-            if k != j:
-                p *= (t - k) / (j - k)
-        w[j] = p
-    return w
+    return np.array([math.prod((t - k) / (j - k) for k in range(window) if k != j)
+                     for j in range(window)])
 
 
 def _lagrange_deriv_weights(window: int, t: float) -> np.ndarray:
     """Derivative weights (units of node spacing) at t over nodes 0..window-1."""
     w = np.empty(window)
     for j in range(window):
-        denom = 1.0
-        for k in range(window):
-            if k != j:
-                denom *= j - k
         total = 0.0
         for i in range(window):
-            if i == j:
-                continue
-            p = 1.0
-            for k in range(window):
-                if k != j and k != i:
-                    p *= t - k
-            total += p
-        w[j] = total / denom
+            if i != j:
+                total += math.prod(t - k for k in range(window) if k != j and k != i)
+        w[j] = total / math.prod(j - k for k in range(window) if k != j)
     return w
 
 
@@ -150,10 +135,6 @@ def _midpoint_interp(samples: np.ndarray, derivative: bool = False) -> np.ndarra
     window = min(6, n)
     weights = _lagrange_deriv_weights if derivative else _lagrange_weights
     mids = np.empty(n - 1, dtype=samples.dtype)
-    if n == window:
-        for i in range(n - 1):
-            mids[i] = weights(window, i + 0.5) @ samples
-        return mids
     inner = np.lib.stride_tricks.sliding_window_view(samples, window)
     mids[2 : n - 3] = inner @ weights(window, 2.5)
     for i in (0, 1):
@@ -183,7 +164,8 @@ def _resolve_m(m, grid: SGrid) -> np.ndarray:
     in one pass; the node samples only word the error."""
     count = 2 * grid.count - 1
     if callable(m):
-        m = np.asarray(m(grid.refined_values()), dtype=float).reshape(-1) + np.zeros(count)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            m = np.asarray(m(grid.refined_values()), dtype=float).reshape(-1) + np.zeros(count)
     arr = np.asarray(m, dtype=float)
     if arr.ndim == 0:
         lo = hi = float(arr)

@@ -20,12 +20,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, sub, truediv
 
 import numpy as np
 
 from .errors import BlowupError, CoincidentPointsError, CurveError, NonRegularError
 from .geometry import EPS_REG, SGrid, Sheet, fd_derivative
-from .ode import rk4_path
+from .ode import rk4_path, stage_abscissas
 
 #: Largest per-step angle change the recorder accepts before declaring the
 #: step size too coarse to track branches.
@@ -95,27 +96,29 @@ def _velocities(x: np.ndarray, w0: float, n0: int) -> np.ndarray:
     messages as ``_angles``; the two agree to round-off.
     """
     v = x.tolist()
-    edges = [b - a for a, b in zip(v, v[1:])]
-    a = [abs(e) for e in edges]
+    edges = list(map(sub, v[1:], v))
+    a = list(map(abs, edges))
     shortest = min(a)
     if shortest <= EPS_REG:
         n = a.index(shortest)
         raise CoincidentPointsError(f"edge ({n}, {n + 1}) has length {shortest:.3e}")
-    t = [e / l for e, l in zip(edges, a)]
-    for n in range(1, len(t)):
-        # |t_n + t_{n-1}| = 2 cos(kappa/2) <= pi - |kappa|, so only a vertex
-        # that passes this screen can fail the turning bound.
-        if abs(t[n] + t[n - 1]) <= 2.0 * EPS_REG and (
-                math.pi - abs(cmath.phase(t[n] / t[n - 1])) <= EPS_REG):
-            raise NonRegularError(
-                f"vertex {n} is not regular (adjacent edges anti-parallel)", vertex=n)
-    vel = [0j] * len(v)
-    vel[n0] = t[n0] * cmath.exp(1j * w0)
-    for k in range(n0, len(t)):
-        vel[k + 1] = t[k] * t[k] * vel[k].conjugate()
-    for k in range(n0 - 1, -1, -1):
-        vel[k] = t[k] * t[k] * vel[k + 1].conjugate()
-    return np.array(vel)
+    t = list(map(truediv, edges, a))
+    # |t_n + t_{n-1}| = 2 cos(kappa/2) <= pi - |kappa|, so only a polygon
+    # with a vertex under this screen can fail the turning bound.
+    if min(map(abs, map(add, t[1:], t)), default=math.inf) <= 2.0 * EPS_REG:
+        for n in range(1, len(t)):
+            if math.pi - abs(cmath.phase(t[n] / t[n - 1])) <= EPS_REG:
+                raise NonRegularError(
+                    f"vertex {n} is not regular (adjacent edges anti-parallel)", vertex=n)
+    ahead = behind = t[n0] * cmath.exp(1j * w0)
+    vel = [ahead]
+    for tk in t[n0:]:
+        ahead = tk * tk * ahead.conjugate()
+        vel.append(ahead)
+    for tk in t[n0 - 1::-1] if n0 else ():
+        behind = tk * tk * behind.conjugate()
+        vel.insert(0, behind)
+    return np.array(vel, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,26 +145,27 @@ class MotionResult:
 def integrate_motion(vertices, w0, n0: int, grid: SGrid) -> MotionResult:
     """RK4-step all ``vertices`` of a polygon under the isoperimetric motion.
 
-    ``w0`` may be a constant or a function of s; the w-recursion is re-run from
-    (w0(s), n0) against the current turning angles at every RK4 stage, so the
-    constraint holds exactly rather than drifting. Recorded theta rows are
-    unwrapped along s by nearest-branch selection.
+    ``w0`` may be a constant or a function of s, called once per stage
+    abscissa (``stage_abscissas``); the w-recursion is re-run from (w0, n0)
+    against the current turning angles at every RK4 stage, so the constraint
+    holds exactly rather than drifting. Recorded theta rows are unwrapped
+    along s by nearest-branch selection.
     """
     v0 = np.asarray(vertices, dtype=complex)
     if v0.ndim != 1 or len(v0) < 2:
         raise CurveError("a motion needs a 1-D sequence of at least two vertices")
     if not 0 <= n0 < len(v0) - 1:
         raise CurveError(f"seed edge {n0} outside 0..{len(v0) - 2}")
-    w_fn = w0 if callable(w0) else (lambda s: w0)
-
-    def rhs(s, x):
-        return _velocities(x, w_fn(s), n0)
-
     svals = grid.values()
+    # Scalar calls, as a callable applied to a whole array can round differently.
+    w = (list(map(w0, stage_abscissas(svals).tolist())) if callable(w0)
+         else [w0] * (2 * len(svals) - 1))
+
+    def rhs(k, x):
+        return _velocities(x, w[k], n0)
+
     states = rk4_path(svals, rhs, v0)
-    # w0 is evaluated node by node, as the stages see it: evaluating a callable
-    # on the whole array at once can round differently.
-    theta = _angles(states, np.array([w_fn(s) for s in svals], dtype=float), n0)
+    theta = _angles(states, np.array(w[::2], dtype=float), n0)
     # Row i moves by the row i-1 shift plus its own nearest-branch step.
     turns = np.round((theta[:-1] - theta[1:]) / (2.0 * math.pi))
     theta[1:] += 2.0 * math.pi * np.cumsum(turns, axis=0)

@@ -1,8 +1,8 @@
 """Fixed-step classic Runge-Kutta integration on shared parameter grids.
 
 The state may be a complex scalar or any numpy array (curves move a whole
-vertex vector at once); the right-hand side is evaluated at the grid nodes and
-midpoints only, so deterministic refined-grid lookups stay exact.
+vertex vector at once).  Right-hand sides are addressed by stage index on the
+refined grid (nodes and midpoints), so tabulated coefficients need no s arithmetic.
 """
 from __future__ import annotations
 
@@ -11,24 +11,27 @@ import cmath
 import numpy as np
 
 from .errors import BlowupError
+from .geometry import _interleave
 
 
-def _all_finite(y) -> bool:
-    return np.isfinite(y).all()
+def stage_abscissas(s_values) -> np.ndarray:
+    """The s of each ``rk4_path`` stage index: node i at 2i, the step midpoint at 2i+1."""
+    s = np.asarray(s_values, dtype=float)
+    return _interleave(s, s[:-1] + 0.5 * np.diff(s))
 
 
 def rk4_path(s_values, rhs, y0):
     """Classic RK4 along an ordered sequence of s values (either direction).
 
-    ``rhs(s, y)`` receives s as a Python float, at the nodes and midpoints of
-    ``s_values``.  The state update uses compensated (Kahan) summation so that
-    round-off from thousands of tiny increments does not swamp the O(h^4)
-    truncation error.  Returns the states at every entry of ``s_values``;
-    raises BlowupError (carrying the index reached) as soon as a state goes
-    non-finite.
+    ``rhs(k, y)`` gets the stage index k along ``s_values`` as given: step i
+    calls it at k = 2i, 2i+1, 2i+1, 2i+2 (see ``stage_abscissas``), and s
+    only sets the step h.  Compensated (Kahan) summation of the updates keeps
+    round-off from swamping the O(h^4) truncation error.  Returns the states
+    at every entry of ``s_values``; raises BlowupError (carrying the index
+    reached) as soon as a state goes non-finite.
     """
     s_list = np.asarray(s_values, dtype=float).tolist()
-    finite = cmath.isfinite if np.ndim(y0) == 0 else _all_finite
+    finite = cmath.isfinite if np.ndim(y0) == 0 else (lambda y: np.isfinite(y).all())
     y = y0
     comp = 0.0 * y0
     out = [y0]
@@ -36,15 +39,15 @@ def rk4_path(s_values, rhs, y0):
     # means the solution left the grid's window, which the finite check below
     # turns into a BlowupError.  Silence the intermediate warnings.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s = s_list[0]
+        s, j = s_list[0], 0
         for i, s_next in enumerate(s_list[1:], 1):
             h = s_next - s
             half = 0.5 * h
-            s_mid = s + half
-            k1 = rhs(s, y)
-            k2 = rhs(s_mid, y + half * k1)
-            k3 = rhs(s_mid, y + half * k2)
-            k4 = rhs(s + h, y + h * k3)
+            k1 = rhs(j, y)
+            k2 = rhs(j + 1, y + half * k1)
+            k3 = rhs(j + 1, y + half * k2)
+            j += 2
+            k4 = rhs(j, y + h * k3)
             d = (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4) - comp
             t = y + d
             comp = (t - y) - d

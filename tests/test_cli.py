@@ -325,3 +325,49 @@ def test_module_entry_point(tmp_path):
         cwd=checkout, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [str(out / "pair.csv"), str(out / "pair.svg")]
+
+
+def test_polarization_errors_are_reported_under_their_key(tmp_path, capsys):
+    # a bad m is a [polarization] m error for every curve kind; the curve's
+    # own errors keep their keys
+    for command, text in (("darboux", DARBOUX_INI), ("flow", FLOW_INI)):
+        text = text.replace("[polarization]\n", "[polarization]\nm = 0\n")
+        assert main([command, "--config", _write(tmp_path, text),
+                     "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: [polarization] m: polarization must be "
+                                "nonvanishing and of constant sign\n")
+        assert captured.out == ""
+    text = DARBOUX_INI.replace("kind = circle", "kind = spiral")
+    assert main(["darboux", "--config", _write(tmp_path, text)]) == 1
+    assert capsys.readouterr().err.startswith("error: [curve] kind: unknown smooth curve")
+
+
+def test_polarization_pole_prints_only_the_error(tmp_path):
+    # numpy's divide-by-zero warning at s = 0.5 must not reach stderr
+    text = DARBOUX_INI.replace("[polarization]\n", "[polarization]\nm = 1/(s-0.5)\n")
+    checkout = SCENARIO_DIR.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "darbouxflow", "darboux", "--config", _write(tmp_path, text),
+         "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(checkout / "src")),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: [polarization] m: polarization must be finite\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("w0, where", [
+    ("1/(s-0.25)", " at s = 0.25"),
+    # the stage midpoint 0.0095 + ulp, one ulp off grid.refined_values()
+    ("1/(s-0.009500000000000001)", " at s = 0.009500000000000001"),
+    ("1/0", ""), ("exp(1000)", ""), ("1/0 + s", " at s = 0.0")])
+def test_non_finite_w0_is_a_usage_error(tmp_path, capsys, recwarn, w0, where):
+    text = (SCENARIO_DIR / "motion_hexagon.ini").read_text().replace(
+        "w0 = -pi/6 ", f"w0 = {w0} ")
+    assert main(["motion", "--config", _write(tmp_path, text),
+                 "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [parameters] w0: {w0!r} is not finite{where}\n"
+    assert captured.out == ""
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

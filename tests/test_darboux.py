@@ -187,14 +187,12 @@ def test_pair_table_requires_shared_grid():
 
 
 def _reference_riccati(source, mu, y0):
-    """riccati_solve as a numpy-scalar closure: the stage lookup and the
-    right-hand side coef[k] d^2 / x'[k] work on numpy scalars."""
+    """riccati_solve as a numpy-scalar closure: the right-hand side
+    coef[k] d^2 / x'[k] works on numpy scalars at the stage index k."""
     xs, xps, ms = source._stage_data
     coef = mu / ms
-    s_start, h = source.grid.s0, source.grid.h
 
-    def rhs(s, y):
-        k = int(round(2.0 * (s - s_start) / h))
+    def rhs(k, y):
         d = xs[k] - y
         return coef[k] * d * d / xps[k]
 

@@ -15,7 +15,7 @@ from darbouxflow.motion import (
     mkdv_residual,
     tangential_angles,
 )
-from darbouxflow.ode import rk4_path
+from darbouxflow.ode import rk4_path, stage_abscissas
 from darbouxflow.verification import (HEPTAGON_LENGTHS, HEPTAGON_TURNS, HEPTAGON_W0,
                                       polyline_vertices)
 
@@ -171,8 +171,9 @@ def test_stage_fold_screen_keeps_the_turning_bound(gap):
 
 def _reference_motion(v0, w0, n0, grid):
     """Vertex trajectories stepped with the numpy stage through ``rk4_path``."""
-    w_fn = w0 if callable(w0) else (lambda s: w0)
-    return rk4_path(grid.values(), lambda s, x: _numpy_stage(x, w_fn(s), n0), v0).T
+    s = stage_abscissas(grid.values()).tolist()
+    w = [w0(sk) for sk in s] if callable(w0) else [w0] * len(s)
+    return rk4_path(grid.values(), lambda k, x: _numpy_stage(x, w[k], n0), v0).T
 
 
 def test_motion_matches_the_numpy_stage_reference():
@@ -276,6 +277,23 @@ def test_motion_accepts_callable_w0():
     res = integrate_motion(ngon_vertices(5), lambda s: 0.2 * math.sin(s), 0, grid)
     spread = res.a.max(axis=1) - res.a.min(axis=1)
     assert spread.max() < 1e-10
+
+
+def test_callable_w0_is_called_once_per_stage_abscissa():
+    # 2N - 1 calls on an N-node grid: the nodes and the step midpoints, with
+    # the node values reused for the recorded theta
+    grid = SGrid.from_step(-0.37, 0.13, 1e-2)
+    calls = []
+
+    def w0(s):
+        calls.append(s)
+        return 0.2 * math.sin(s)
+
+    res = integrate_motion(ngon_vertices(5), w0, 0, grid)
+    assert len(calls) == 2 * grid.count - 1
+    assert calls == stage_abscissas(grid.values()).tolist()
+    # the seed edge's recorded w is w0 at the nodes
+    assert np.abs(res.w[0] - 0.2 * np.sin(grid.values())).max() < 1e-12
 
 
 def test_mkdv_residual_on_pentagon():
