@@ -31,11 +31,6 @@ def dot(a, b):
     return (np.conj(a) * b).real
 
 
-def cross(a, b):
-    """Scalar cross product det(a, b) of plane points written as complex numbers."""
-    return (np.conj(a) * b).imag
-
-
 @dataclass(frozen=True)
 class SGrid:
     """Uniform parameter grid s_i = s0 + i*h, i = 0..count-1."""
@@ -71,10 +66,6 @@ class SGrid:
         if intervals < 0:
             raise CurveError(f"grid endpoints reversed: {s0!r} > {s1!r}")
         return cls(s0, s0 + intervals * h, h, intervals + 1)
-
-    @classmethod
-    def from_count(cls, s0: float, h: float, count: int) -> "SGrid":
-        return cls(s0, s0 + (count - 1) * h, h, count)
 
     def values(self) -> np.ndarray:
         return self.s0 + self.h * np.arange(self.count)

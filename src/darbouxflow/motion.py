@@ -149,7 +149,8 @@ def integrate_motion(vertices, w0, n0: int, grid: SGrid) -> MotionResult:
     abscissa (``stage_abscissas``); the w-recursion is re-run from (w0, n0)
     against the current turning angles at every RK4 stage, so the constraint
     holds exactly rather than drifting. Recorded theta rows are unwrapped
-    along s by nearest-branch selection.
+    along s by nearest-branch selection.  A w0 that is not finite, or whose
+    call divides by zero or overflows, raises CurveError at the first such s.
     """
     v0 = np.asarray(vertices, dtype=complex)
     if v0.ndim != 1 or len(v0) < 2:
@@ -157,9 +158,22 @@ def integrate_motion(vertices, w0, n0: int, grid: SGrid) -> MotionResult:
     if not 0 <= n0 < len(v0) - 1:
         raise CurveError(f"seed edge {n0} outside 0..{len(v0) - 2}")
     svals = grid.values()
-    # Scalar calls, as a callable applied to a whole array can round differently.
-    w = (list(map(w0, stage_abscissas(svals).tolist())) if callable(w0)
-         else [w0] * (2 * len(svals) - 1))
+    stages = stage_abscissas(svals).tolist()
+    if callable(w0):
+        # Scalar calls, as a callable applied to a whole array can round differently.
+        w = []
+        try:
+            for s in stages:
+                w.append(w0(s))
+        except (ZeroDivisionError, OverflowError):
+            w.append(math.nan)
+    else:
+        w = [w0]
+    bad = np.flatnonzero(~np.isfinite(np.array(w, dtype=float)))
+    if bad.size:
+        raise CurveError(f"w0 is not finite at s = {stages[bad[0]]!r}")
+    if not callable(w0):
+        w *= len(stages)
 
     def rhs(k, x):
         return _velocities(x, w[k], n0)
@@ -215,26 +229,22 @@ def mkdv_residual(theta: np.ndarray, a, grid: SGrid) -> float:
     return float(inner.max()) if inner.size else 0.0
 
 
-def frame_compatibility_check(result: MotionResult):
-    """Residuals of the frame compatibility law L_n' = L_n M_{n+1} - M_n L_n.
+def frame_compatibility_check(result: MotionResult) -> float:
+    """Max residual of the frame compatibility law L_n' = L_n M_{n+1} - M_n L_n.
 
     L_n = R(kappa_{n+1}) and M_n = (2 sin w_n / a_n) [[0, 1], [-1, 0]] are built
-    at every node from the recorded angles; L is finite-differenced in s.
-    Returns (matrix_defect, scalar_defect) where the scalar part checks
-    psi_n' + (2/a_n) sin w_n = 0; the matrix part is vacuously 0 without an
-    interior vertex.
+    at every node from the recorded angles; L is finite-differenced in s.  The
+    defect is vacuously 0 without an interior vertex.  The scalar law
+    psi_n' + (2/a_n) sin w_n = 0 is ``mkdv_residual``.
     """
     psi, w, a = result.psi, result.w, result.a
+    if len(psi) < 2:
+        return 0.0
     h = result.sheet.grid.h
     alpha = 2.0 * np.sin(w) / a
-    scalar = float(np.abs(fd_derivative(psi, h, axis=1) + alpha).max())
-    if len(psi) < 2:
-        return 0.0, scalar
     kappa = psi[1:] - psi[:-1]
     c, s = np.cos(kappa), np.sin(kappa)
     diff = alpha[1:] - alpha[:-1]
     e1 = fd_derivative(c, h, axis=1) - diff * s
     e2 = fd_derivative(s, h, axis=1) + diff * c
-    matrix = float(max(np.abs(e1).max(), np.abs(e2).max()))
-    return matrix, scalar
-
+    return float(max(np.abs(e1).max(), np.abs(e2).max()))

@@ -316,8 +316,8 @@ def _check_hexagon(art: Artifacts, tol: _Tol) -> CheckResult:
     n = np.arange(res.sheet.rows)[:, None]
     oracle = np.exp(1j * (math.pi * n / 3.0 + s[None, :]))
     shape = float(np.abs(res.sheet.values - oracle).max())
-    a0 = np.abs(np.diff(res.sheet.values[:, 0]))
-    edges = float(np.abs(np.abs(np.diff(res.sheet.values, axis=0)) - a0[:, None]).max())
+    a0 = res.a[:, 0]
+    edges = float(np.abs(res.a - a0[:, None]).max())
     mk = mkdv_residual(res.theta, a0, grid)
     ok = shape < shape_tol and edges < edge_tol and mk < mkdv_tol
     return CheckResult(name, ok,
@@ -331,10 +331,9 @@ def _check_mkdv_generic(art: Artifacts, tol: _Tol) -> CheckResult:
     want = tol(name, 1e-6)
     details = []
     ok = True
-    for label, res in (("pentagon", art.pentagon_motion),
-                       ("heptagon", art.heptagon_motion)):
-        a0 = np.abs(np.diff(res.sheet.values[:, 0]))
-        mk = mkdv_residual(res.theta, a0, res.sheet.grid)
+    # motions() lists the hexagon first; rotating-hexagon holds it to 1e-10.
+    for label, res in art.motions()[1:]:
+        mk = mkdv_residual(res.theta, res.a[:, 0], res.sheet.grid)
         ok = ok and mk < want
         details.append(f"{label} {_fmt(mk)}")
     return CheckResult(name, ok, f"residuals {', '.join(details)} < {_fmt(want)}")
@@ -364,9 +363,9 @@ def _check_pipelines(art: Artifacts, tol: _Tol) -> CheckResult:
     ok = True
     for label, (full, half) in (("hexagon", art.hexagon_pipelines),
                                 ("square", art.square_pipelines)):
-        ratio = full.sup_distance / half.sup_distance if half.sup_distance else math.inf
-        ok = ok and full.sup_distance < want and lo <= ratio <= hi
-        details.append(f"{label} sup {_fmt(full.sup_distance)} (ratio {ratio:.1f})")
+        ratio = full / half if half else math.inf
+        ok = ok and full < want and lo <= ratio <= hi
+        details.append(f"{label} sup {_fmt(full)} (ratio {ratio:.1f})")
     return CheckResult(name, ok,
                        f"{'; '.join(details)}; sup < {_fmt(want)}, "
                        f"ratio in [{_fmt(lo)}, {_fmt(hi)}]")
@@ -375,10 +374,8 @@ def _check_pipelines(art: Artifacts, tol: _Tol) -> CheckResult:
 def _check_frameless(art: Artifacts, tol: _Tol) -> CheckResult:
     name = "frameless-identity"
     want = tol(name, 1e-5)
-    worst = 0.0
-    for _, res in art.motions():
-        a0 = np.abs(np.diff(res.sheet.values[:, 0]))
-        worst = max(worst, frameless_identity_check(res.sheet, res.theta, 1.0 / a0**2))
+    worst = max(frameless_identity_check(res.sheet, res.theta, 1.0 / res.a[:, 0]**2)
+                for _, res in art.motions())
     return CheckResult(name, worst < want,
                        f"defect {_fmt(worst)} < {_fmt(want)} on all motion sheets")
 
@@ -386,15 +383,8 @@ def _check_frameless(art: Artifacts, tol: _Tol) -> CheckResult:
 def _check_compatibility(art: Artifacts, tol: _Tol) -> CheckResult:
     name = "frame-compatibility"
     want = tol(name, 1e-5)
-    worst_m = worst_s = 0.0
-    for _, res in art.motions():
-        m_def, s_def = frame_compatibility_check(res)
-        worst_m = max(worst_m, m_def)
-        worst_s = max(worst_s, s_def)
-    ok = worst_m < want and worst_s < want
-    return CheckResult(name, ok,
-                       f"matrix {_fmt(worst_m)}, scalar psi' + (2/a) sin w "
-                       f"{_fmt(worst_s)} < {_fmt(want)}")
+    worst = max(frame_compatibility_check(res) for _, res in art.motions())
+    return CheckResult(name, worst < want, f"matrix {_fmt(worst)} < {_fmt(want)}")
 
 
 def _check_figure(art: Artifacts, tol: _Tol) -> CheckResult:

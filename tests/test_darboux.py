@@ -117,7 +117,7 @@ def test_pair_table_marks_degenerate_nodes():
 
 def _one_node_pair(x, xp, xh, xhp):
     """A pair on a one-node grid, with the tangents given as samples."""
-    g = SGrid.from_count(0.0, 1.0, 1)
+    g = SGrid(0.0, 0.0, 1.0, 1)
     return (PolarizedCurve(g, [x], 1.0, xp_samples=[xp]),
             PolarizedCurve(g, [xh], 1.0, xp_samples=[xhp]))
 

@@ -11,11 +11,14 @@ from darbouxflow.geometry import (
     PolarizedCurve,
     SGrid,
     Sheet,
-    cross,
     dot,
     fd_derivative,
     ngon_vertices,
 )
+
+
+def _grid(s0, h, count):
+    return SGrid(s0, s0 + (count - 1) * h, h, count)
 
 
 # ---------------------------------------------------------------- grids
@@ -29,14 +32,8 @@ def test_grid_from_step_snaps_count():
     assert np.allclose(np.diff(s), g.h)
 
 
-def test_grid_from_count():
-    g = SGrid.from_count(0.0, 0.5, 5)
-    assert g.h == pytest.approx(0.5)
-    assert list(g.values()) == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0])
-
-
 def test_refined_values_interleave_midpoints():
-    g = SGrid.from_count(0.0, 0.5, 3)
+    g = _grid(0.0, 0.5, 3)
     r = g.refined_values()
     assert list(r) == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
 
@@ -55,22 +52,19 @@ def test_grid_rejects_bad_step():
 
 # ------------------------------------------------------- plane helpers
 
-def test_dot_cross_rotate_hand_values():
+def test_dot_rotate_hand_values():
     assert dot(1 + 0j, 1j) == pytest.approx(0.0)
     assert dot(2 + 1j, 2 + 1j) == pytest.approx(5.0)
-    assert cross(1 + 0j, 1j) == pytest.approx(1.0)
-    assert cross(1j, 1 + 0j) == pytest.approx(-1.0)
-    # a rotation is a unit-modulus multiplication, which leaves both unchanged
+    # a rotation is a unit-modulus multiplication, which leaves it unchanged
     u = complex(math.cos(0.7), math.sin(0.7))
     assert dot((2 + 1j) * u, (1 - 3j) * u) == pytest.approx(dot(2 + 1j, 1 - 3j))
-    assert cross((2 + 1j) * u, (1 - 3j) * u) == pytest.approx(cross(2 + 1j, 1 - 3j))
 
 
 # -------------------------------------------------- finite differences
 
 def test_fd_derivative_exact_on_quartics():
     # the five-point stencils (central and one-sided) are exact through s^4
-    g = SGrid.from_count(0.0, 0.1, 21)
+    g = _grid(0.0, 0.1, 21)
     s = g.values()
     vals = s**4 - 3 * s**2 + 2 * s + 1.0
     want = 4 * s**3 - 6 * s + 2
@@ -88,7 +82,7 @@ def test_fd_derivative_fourth_order_on_exponential():
 
 
 def test_fd_derivative_axis_argument():
-    g = SGrid.from_count(0.0, 0.1, 11)
+    g = _grid(0.0, 0.1, 11)
     s = g.values()
     stacked = np.vstack([s**2, 3 * s])
     d = fd_derivative(stacked, g.h, axis=1)
@@ -105,7 +99,7 @@ def _circle(grid, radius=1.0, m=1.0):
 
 
 def test_generator_curve_uses_analytic_derivatives():
-    g = SGrid.from_count(0.0, math.pi / 16, 33)
+    g = _grid(0.0, math.pi / 16, 33)
     c = _circle(g)
     assert np.abs(c.derivatives - 1j * np.exp(1j * g.values())).max() == 0.0
 
@@ -127,20 +121,20 @@ def test_analytic_tangent_is_evaluated_once_per_grid():
 
 
 def test_sampled_curve_falls_back_to_fd():
-    g = SGrid.from_count(0.0, 0.025, 41)
+    g = _grid(0.0, 0.025, 41)
     s = g.values()
     c = PolarizedCurve.from_samples(g, s + 1j * s**2)
     assert np.abs(c.derivatives - (1 + 2j * s)).max() < 1e-9
 
 
 def test_curve_point_shape_mismatch():
-    g = SGrid.from_count(0.0, 0.25, 5)
+    g = _grid(0.0, 0.25, 5)
     with pytest.raises(CurveError):
         PolarizedCurve.from_samples(g, np.zeros(4, dtype=complex))
 
 
 def test_curve_rejects_nonfinite_points():
-    g = SGrid.from_count(0.0, 0.25, 5)
+    g = _grid(0.0, 0.25, 5)
     pts = np.ones(5, dtype=complex)
     pts[2] = np.nan
     with pytest.raises(CurveError):
@@ -151,7 +145,7 @@ def test_polarization_must_not_change_sign_or_vanish():
     # m sampled on the refined grid: even entries at the nodes, odd ones at
     # the RK4 midpoints.  A bad node gives the node message, a bad midpoint
     # alone the "between grid nodes" one.
-    g = SGrid.from_count(0.0, 0.25, 5)
+    g = _grid(0.0, 0.25, 5)
     pts = g.values() + 0j
     sign = "polarization must be nonvanishing and of constant sign"
     for index, value, message in ((4, 0.0, sign), (4, -1.0, sign),
@@ -169,13 +163,13 @@ def test_polarization_must_not_change_sign_or_vanish():
 
 
 def test_node_length_polarization_is_refused():
-    g = SGrid.from_count(0.0, 0.25, 5)
+    g = _grid(0.0, 0.25, 5)
     with pytest.raises(CurveError, match=r"polarization samples have shape \(5,\), expected \(9,\)"):
         PolarizedCurve(g, g.values() + 0j, np.ones(5))
 
 
 def test_singular_tangent_is_rejected():
-    g = SGrid.from_count(-1.0, 0.1, 21)
+    g = _grid(-1.0, 0.1, 21)
     s = g.values()
     with pytest.raises(SingularTangentError):
         # x(s) = s^2 has x'(0) = 0
@@ -183,7 +177,7 @@ def test_singular_tangent_is_rejected():
 
 
 def test_tangent_samples_are_used_verbatim():
-    g = SGrid.from_count(0.0, 0.1, 7)
+    g = _grid(0.0, 0.1, 7)
     s = g.values()
     xp = np.full(7, 2.0 + 0j)
     c = PolarizedCurve(g, 2 * s + 0j, 1.0, xp_samples=xp)
@@ -192,7 +186,7 @@ def test_tangent_samples_are_used_verbatim():
 
 
 def test_tangent_samples_validation():
-    g = SGrid.from_count(0.0, 0.1, 7)
+    g = _grid(0.0, 0.1, 7)
     s = g.values()
     with pytest.raises(CurveError):
         PolarizedCurve(g, s + 0j, 1.0, xp_samples=np.ones(6, dtype=complex))
@@ -244,7 +238,7 @@ def test_ngon_rejects_degenerate_input():
 # ----------------------------------------------------------------- sheets
 
 def test_sheet_shape_checks():
-    g = SGrid.from_count(0.0, 0.25, 5)
+    g = _grid(0.0, 0.25, 5)
     with pytest.raises(CurveError):
         Sheet(g, np.zeros((2, 4), dtype=complex))
     with pytest.raises(CurveError):
@@ -252,7 +246,7 @@ def test_sheet_shape_checks():
 
 
 def test_sheet_tangents_shape_and_use():
-    g = SGrid.from_count(0.0, 0.25, 5)
+    g = _grid(0.0, 0.25, 5)
     vals = np.vstack([g.values() + 0j, g.values() + 1j])
     tang = np.ones_like(vals)
     sh = Sheet(g, vals, tangents=tang)
@@ -262,7 +256,7 @@ def test_sheet_tangents_shape_and_use():
 
 
 def test_sheet_fd_rows_when_no_tangents():
-    g = SGrid.from_count(0.0, 0.1, 11)
+    g = _grid(0.0, 0.1, 11)
     s = g.values()
     sh = Sheet(g, np.vstack([s**2 + 0j]))
     assert np.abs(sh.row_derivatives[0] - 2 * s).max() < 1e-11
@@ -271,7 +265,7 @@ def test_sheet_fd_rows_when_no_tangents():
 # ------------------------------------------------------------ cross ratio
 
 def _one_node(x, xp):
-    return PolarizedCurve(SGrid.from_count(0.0, 1.0, 1), [x], 1.0, xp_samples=[xp])
+    return PolarizedCurve(_grid(0.0, 1.0, 1), [x], 1.0, xp_samples=[xp])
 
 
 def test_tangential_cross_ratio_hand_value():

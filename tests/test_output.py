@@ -59,7 +59,7 @@ def test_sheet_from_csv_restores_grid(tmp_path):
                 min_size=2, max_size=8))
 def test_csv_floats_survive_verbatim(tmp_path_factory, xs):
     tmp = tmp_path_factory.mktemp("csv")
-    grid = SGrid.from_count(0.0, 1.0, len(xs))
+    grid = SGrid(0.0, len(xs) - 1.0, 1.0, len(xs))
     sheet = Sheet(grid, np.asarray(xs, dtype=complex)[None, :])
     path = tmp / "row.csv"
     write_csv(path, sheet)
