@@ -27,10 +27,10 @@ paths.  Example::
     csv = darboux.csv
 
 Curve kinds: ``circle`` (radius), ``line`` (x(s) = s), ``ngon`` (n, radius —
-closed, so n+1 vertices), ``vertices`` (comma-separated complex values),
-``samples`` (csv = a previously emitted n,s,x,y file, row = which n to use
-for a smooth curve).  m and w0 accept closed-form expressions in s; mu is a
-number, a comma-separated per-edge list, or ``arclength``.
+closed, so n+1 vertices), ``vertices`` (comma-separated complex values or
+(x, y) pairs), ``samples`` (csv = a previously emitted n,s,x,y file, row =
+which n to use for a smooth curve).  m and w0 accept closed-form expressions
+in s; mu is a number, a comma-separated per-edge list, or ``arclength``.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import cmath
 import configparser
 import math
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,7 +151,8 @@ def _parse_point(raw: str, section: str, key: str) -> complex:
 
 
 def _parse_points(raw: str, section: str, key: str) -> np.ndarray:
-    vals = [v for v in raw.split(",") if v.strip()]
+    """Comma-separated plane points; a comma inside (x, y) does not separate."""
+    vals = [v for v in re.split(r",(?![^()]*\))", raw) if v.strip()]
     if len(vals) < 2:
         _fail(section, key, "need at least two comma-separated vertices")
     return np.array([_parse_point(v, section, key) for v in vals], dtype=complex)
@@ -255,7 +257,9 @@ def _mu_edges(cp, vertices: np.ndarray, section="polarization"):
     """Per-edge mu for a discrete base: scalar, list, or 'arclength'."""
     raw = _get(cp, section, "mu", required=True)
     if raw.lower() == "arclength":
-        return 1.0 / np.abs(np.diff(vertices)) ** 2
+        # A zero edge gives inf; DiscretePolarizedCurve then names its vertices.
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.abs(np.diff(vertices)) ** 2
     vals = np.array([_finite(p, section, "mu") for p in raw.split(",") if p.strip()])
     if len(vals) == 1:
         return float(vals[0])

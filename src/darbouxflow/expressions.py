@@ -1,37 +1,39 @@
-"""Tiny closed-form expression language for polarizations and seed angles.
+"""Closed-form expressions in s for polarizations and seed angles.
 
-Grammar (recursive descent, no eval):
-
-    expr   :=  term  (("+" | "-") term)*
-    term   :=  unary (("*" | "/") unary)*
-    unary  :=  ("+" | "-") unary | atom
-    atom   :=  NUMBER | "pi" | "e" | "s" | NAME "(" expr ")" | "(" expr ")"
-
-with NAME one of sin, cos, exp.  Compiled expressions are callables that
-accept a scalar or a numpy array for s and evaluate vectorized.
+A subset of Python's grammar: decimal numbers such as 2, .5 or 2e-3 (not 01),
+s, pi, e, + - * / with the usual precedence, unary + and -, parentheses, and
+sin, cos and exp of one argument.  ``ast`` parses the text and a whitelist
+compiles the tree into one closure per node; nothing runs as Python code.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
+import warnings
 
 import numpy as np
 
 __all__ = ["ExpressionError", "Expression", "parse_expression"]
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/(),]))"
-)
-
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# The grammar's alphabet; the tree would not show a comment or a call's trailing comma.
+_FOREIGN = r"[^0-9A-Za-z_ .+\-*/()]"
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+_OPERATORS = {
+    ast.Add: lambda a, b: lambda s: a(s) + b(s),
+    ast.Sub: lambda a, b: lambda s: a(s) - b(s),
+    ast.Mult: lambda a, b: lambda s: a(s) * b(s),
+    ast.Div: lambda a, b: lambda s: a(s) / b(s),
+    ast.UAdd: lambda a: a,
+    ast.USub: lambda a: lambda s: -a(s),
+}
 
 
 class ExpressionError(ValueError):
-    """Raised for syntax errors, with the offending position in the text."""
+    """Raised for syntax errors, with the offending column in the text."""
 
 
 class Expression:
@@ -48,115 +50,41 @@ class Expression:
             return float(out)
         return np.broadcast_to(np.asarray(out, dtype=float), np.shape(s)).copy()
 
-    def __repr__(self):  # pragma: no cover - debugging nicety
-        return f"Expression({self.text!r})"
 
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ExpressionError(
-                f"unexpected character {stripped[0]!r} at position {pos}")
-        if m.lastgroup == "num":
-            tokens.append(("num", float(m.group("num")), m.start("num")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ExpressionError(f"expected {op!r} at position {pos} in {self.text!r}")
-
-    # Each parse method returns (callable, is_constant).
-    def expr(self):
-        fn, const = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.next()[1]
-            rfn, rconst = self.term()
-            if op == "+":
-                fn = (lambda a, b: lambda s: a(s) + b(s))(fn, rfn)
-            else:
-                fn = (lambda a, b: lambda s: a(s) - b(s))(fn, rfn)
-            const = const and rconst
-        return fn, const
-
-    def term(self):
-        fn, const = self.unary()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.next()[1]
-            rfn, rconst = self.unary()
-            if op == "*":
-                fn = (lambda a, b: lambda s: a(s) * b(s))(fn, rfn)
-            else:
-                fn = (lambda a, b: lambda s: a(s) / b(s))(fn, rfn)
-            const = const and rconst
-        return fn, const
-
-    def unary(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            fn, const = self.unary()
-            if val == "-":
-                return (lambda a: lambda s: -a(s))(fn), const
-            return fn, const
-        return self.atom()
-
-    def atom(self):
-        kind, val, pos = self.next()
-        if kind == "num":
-            return (lambda v: lambda s: v)(val), True
-        if kind == "name":
-            if val in _CONSTANTS:
-                return (lambda v: lambda s: v)(_CONSTANTS[val]), True
-            if val == "s":
-                return (lambda s: s), False
-            if val in _FUNCTIONS:
-                self.expect_op("(")
-                inner, const = self.expr()
-                self.expect_op(")")
-                return (lambda f, a: lambda s: f(a(s)))(_FUNCTIONS[val], inner), const
-            raise ExpressionError(f"unknown name {val!r} at position {pos}")
-        if kind == "op" and val == "(":
-            fn, const = self.expr()
-            self.expect_op(")")
-            return fn, const
-        raise ExpressionError(f"unexpected token at position {pos} in {self.text!r}")
+def _compile(node, source: str):
+    """One closure of s per node of the whitelisted grammar."""
+    match node:
+        case ast.BinOp(op=op) if type(op) in _OPERATORS:
+            return _OPERATORS[type(op)](_compile(node.left, source), _compile(node.right, source))
+        case ast.UnaryOp(op=op) if type(op) in _OPERATORS:
+            return _OPERATORS[type(op)](_compile(node.operand, source))
+        case ast.Name(id="s"):
+            return lambda s: s
+        case ast.Name(id=name) if name in _CONSTANTS:
+            return (lambda v: lambda s: v)(_CONSTANTS[name])
+        case ast.Call(func=ast.Name(id=name), args=[arg], keywords=[]) if name in _FUNCTIONS:
+            f, fn = _FUNCTIONS[name], _compile(arg, source)
+            return lambda s: f(fn(s))
+        case ast.Constant() if re.fullmatch(_NUMBER, text := ast.get_source_segment(source, node)):
+            return (lambda v: lambda s: v)(float(text))
+    raise ExpressionError(f"unsupported {ast.get_source_segment(source, node)!r} "
+                          f"at column {node.col_offset + 1} of {source!r}")
 
 
 def parse_expression(text: str) -> Expression:
     """Compile ``text`` into an Expression of the variable s."""
-    if not text or not text.strip():
+    source = re.sub(r"\s", " ", text).strip()  # a newline would end a Python expression
+    if not source:
         raise ExpressionError("empty expression")
-    parser = _Parser(text)
-    fn, const = parser.expr()
-    kind, _, pos = parser.peek()
-    if kind != "end":
-        raise ExpressionError(f"trailing input at position {pos} in {text!r}")
-    return Expression(text.strip(), fn, const)
+    if foreign := re.search(_FOREIGN, source):
+        raise ExpressionError(f"unexpected character {foreign.group()!r} "
+                              f"at column {foreign.start() + 1} of {source!r}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "1if" warns "invalid decimal literal"
+            tree = ast.parse(source, mode="eval")
+    except SyntaxError as exc:
+        message = exc.msg.split(";")[0]  # without Python's octal hint for 01
+        raise ExpressionError(f"{message} at column {exc.offset} of {source!r}") from None
+    constant = not any(isinstance(n, ast.Name) and n.id == "s" for n in ast.walk(tree))
+    return Expression(text.strip(), _compile(tree.body, source), constant)

@@ -44,7 +44,7 @@ def read_csv(path):
 
     n must be an integer.  Rows must form a complete rectangular sheet:
     every n present on the same evenly spaced s grid, each in file order.
-    Any malformed row raises CurveError naming the file.
+    Any malformed or non-finite row raises CurveError naming the file.
     """
     with open(path, newline="") as fh:
         lines = (ln for ln in fh if ln.strip())
@@ -64,6 +64,9 @@ def read_csv(path):
     bad = ~np.isfinite(ns) | (ns != np.round(ns))
     if bad.any():
         raise CurveError(f"{path}: n must be an integer, got {float(ns[np.argmax(bad)])!r}")
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():
+        raise CurveError(f"{path}: data row {int(np.argmax(bad)) + 1} has a non-finite field")
     # A stable sort groups the rows by n and keeps each row in file order.
     table = table[np.argsort(ns, kind="stable")]
     labels, counts = np.unique(table[:, 0], return_counts=True)

@@ -272,6 +272,40 @@ def test_malformed_samples_csv_is_a_usage_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_non_finite_samples_field_is_a_usage_error(tmp_path, capsys):
+    samples = tmp_path / "nan.csv"
+    samples.write_text("n,s,x,y\n0,0,0,0\n0,0.5,nan,0\n0,1,1,0\n")
+    text = DARBOUX_INI.replace("kind = circle", f"kind = samples\ncsv = {samples}").replace(
+        "h = 1e-2", "h = 0.5")
+    assert main(["darboux", "--config", _write(tmp_path, text)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [curve] csv: {samples}: data row 2 has a non-finite field\n"
+    assert captured.out == ""
+
+
+def test_arclength_mu_on_coincident_vertices_prints_only_the_error(tmp_path):
+    # numpy's divide-by-zero warning on the zero edge must not reach stderr
+    text = FLOW_INI.replace("0+0j, 2+0j, 4+0j, 6+0j", "0+0j, 2+0j, 2+0j, 6+0j")
+    proc = subprocess.run(
+        [sys.executable, "-m", "darbouxflow", "flow", "--config", _write(tmp_path, text),
+         "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(SCENARIO_DIR.parent / "src")),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: [curve] values: consecutive vertices 1 and 2 coincide\n"
+    assert proc.stdout == ""
+
+
+def test_leading_zero_integer_is_a_usage_error(tmp_path, capsys):
+    text = (SCENARIO_DIR / "motion_hexagon.ini").read_text().replace(
+        "w0 = -pi/6 ", "w0 = -pi/06 ")
+    assert main(["motion", "--config", _write(tmp_path, text),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: [parameters] w0: leading zeros in decimal integer literals are not "
+        "permitted at column 5 of '-pi/06'\n")
+
+
 def test_verify_reports_every_check_and_passes(tmp_path, capsys, session_artifacts):
     cfg = _write(tmp_path, "[run]\ncommand = verify\n")
     assert main(["verify", "--config", cfg]) == 0

@@ -116,6 +116,15 @@ def test_flow_scenario_with_arclength_mu(tmp_path):
     assert sc.initial.points[0] == 0
 
 
+def test_vertex_list_takes_both_point_forms(tmp_path):
+    text = FLOW_INI.replace("0+0j, 2+0j, 4+0j, 6+0j", "(0, 0), 2+0j, (4, 0.5),6+1j")
+    sc = load_scenario(_write(tmp_path, text))
+    assert list(sc.base.vertices) == [0, 2, 4 + 0.5j, 6 + 1j]
+    text = FLOW_INI.replace("0+0j, 2+0j, 4+0j, 6+0j", "(0, 0), (2, 0")
+    with pytest.raises(ConfigError, match=r"^\[curve\] values: not a plane point: ' \(2'$"):
+        load_scenario(_write(tmp_path, text))
+
+
 def test_flow_mu_per_edge_list(tmp_path):
     text = FLOW_INI.replace("mu = arclength", "mu = 0.25, 0.5, 0.25")
     sc = load_scenario(_write(tmp_path, text))

@@ -1,5 +1,6 @@
 """CSV round-trips and SVG structure."""
 import math
+import re
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -161,8 +162,11 @@ def test_read_csv_rejects_mismatched_grids(tmp_path):
     ("n,s,x,y\n0,0,1\n0,1,1\n", "rows have 3 fields"),
     ("n,s,x,y\n0.5,0,1,0\n", "n must be an integer, got 0.5"),
     ("n,s,x,y\ninf,0,1,0\n", "n must be an integer, got inf"),
+    ("n,s,x,y\n0,0,1,0\n0,1,nan,0\n", "data row 2 has a non-finite field"),
+    ("n,s,x,y\n0,0,1,0\n0,inf,1,0\n", "data row 2 has a non-finite field"),
+    ("n,s,x,y\n0,0,1,-inf\n", "data row 1 has a non-finite field"),
 ], ids=["empty", "header-only", "blank-body", "text-field", "hash-row", "short-row",
-        "three-fields", "fractional-n", "infinite-n"])
+        "three-fields", "fractional-n", "infinite-n", "nan-x", "infinite-s", "infinite-y"])
 def test_read_csv_rejects_malformed_files(tmp_path, text, message):
     p = tmp_path / "bad.csv"
     p.write_text(text)
@@ -171,6 +175,13 @@ def test_read_csv_rejects_malformed_files(tmp_path, text, message):
         with pytest.raises(CurveError, match=message) as info:
             read_csv(p)
     assert str(info.value).startswith(f"{p}: ")
+
+
+def test_sheet_from_csv_refuses_non_finite_fields(tmp_path):
+    p = tmp_path / "nan.csv"
+    p.write_text("n,s,x,y\n0,0,0,0\n0,0.5,1,0\n1,0,nan,0\n1,0.5,1,1\n")
+    with pytest.raises(CurveError, match=f"^{re.escape(str(p))}: data row 3 has a non-finite field$"):
+        sheet_from_csv(p)
 
 
 def test_read_csv_groups_interleaved_rows_by_n(tmp_path):
