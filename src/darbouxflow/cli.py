@@ -51,7 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--h", type=float, default=None,
                        help="override the grid step from the scenario")
         p.add_argument("--tol", type=float, default=None,
-                       help="multiplier applied to every verification tolerance")
+                       help="loosen every named verification bound by this factor "
+                            "(upper bounds multiplied, lower bounds divided); "
+                            "fixed bounds do not move")
     return parser
 
 

@@ -83,8 +83,11 @@ def parse_expression(text: str) -> Expression:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # "1if" warns "invalid decimal literal"
             tree = ast.parse(source, mode="eval")
+        fn = _compile(tree.body, source)
     except SyntaxError as exc:
         message = exc.msg.split(";")[0]  # without Python's octal hint for 01
         raise ExpressionError(f"{message} at column {exc.offset} of {source!r}") from None
+    except RecursionError:
+        raise ExpressionError("expression is nested too deeply") from None
     constant = not any(isinstance(n, ast.Name) and n.id == "s" for n in ast.walk(tree))
-    return Expression(text.strip(), _compile(tree.body, source), constant)
+    return Expression(text.strip(), fn, constant)

@@ -10,6 +10,7 @@ exits nonzero if any fail.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,14 +58,25 @@ def polyline_vertices(turns, lengths) -> np.ndarray:
     return np.asarray(pts, dtype=complex)
 
 
+_RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+              ">=": operator.ge, "==": operator.eq}
+
+
 @dataclass
 class CheckResult:
+    """One check's resolved ``(label, measured, relation, bound)`` tuples."""
     name: str
-    passed: bool
-    detail: str
+    bounds: list
+
+    @property
+    def passed(self) -> bool:
+        """Every relation holds; a NaN measured value fails."""
+        return all(_RELATIONS[rel](measured, bound) for _, measured, rel, bound in self.bounds)
 
     def line(self) -> str:
-        return f"{'PASS' if self.passed else 'FAIL'}  {self.name}: {self.detail}"
+        return (f"{'PASS' if self.passed else 'FAIL'}  {self.name}: "
+                + "; ".join(f"{label} {measured:.3g} {rel} {bound:.3g}"
+                            for label, measured, rel, bound in self.bounds))
 
 
 def _circle(grid: SGrid, m=1.0) -> PolarizedCurve:
@@ -210,245 +222,161 @@ def figure_family(grid: SGrid, mu: float, initial_point: complex):
     return base1, t1, t2, base2
 
 
-class _Tol:
-    """Named tolerances: defaults scaled by a global multiplier, with
-    per-name overrides (from the scenario's [verify] section).  Records the
-    names the checks ask for, so an override nobody reads can be refused."""
-
-    def __init__(self, multiplier: float = 1.0, overrides=None):
-        if not (math.isfinite(multiplier) and multiplier > 0):
-            raise ValueError(f"tolerance multiplier must be a finite positive number, "
-                             f"got {multiplier!r}")
-        self.multiplier = multiplier
-        self.overrides = dict(overrides or {})
-        self.used = set()
-
-    def __call__(self, name: str, default: float) -> float:
-        self.used.add(name)
-        return self.multiplier * self.overrides.get(name, default)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.3g}"
-
-
 # ---------------------------------------------------------------------------
-# the checks
+# the checks: each returns (label, measured, relation, key, default) entries.
+# The check's name plus ``key`` ("" for the bare name) is the [verify]
+# override name; a key of None is a fixed bound that nothing moves.
 
 
-def _check_rotated_circle(art: Artifacts, tol: _Tol) -> CheckResult:
-    name = "rotated-circle-darboux"
-    want = tol(f"{name}.error", 1e-6)
-    ratio_min = tol(f"{name}.ratio-min", 10.0)
-
+def _check_rotated_circle(art: Artifacts):
     def err(t: PolarizedCurve) -> float:
         s = t.grid.values()
         return float(np.abs(t.points - (-np.exp(1j * s))).max())
 
     e1 = err(art.circle_transform)
     e2 = err(art.circle_transform_half)
-    ratio = e1 / e2 if e2 > 0 else math.inf
-    ok = e1 < want and ratio >= ratio_min
-    return CheckResult(name, ok,
-                       f"max error {_fmt(e1)} < {_fmt(want)}; "
-                       f"halving ratio {ratio:.1f} >= {_fmt(ratio_min)}")
+    return [("max error", e1, "<", ".error", 1e-6),
+            ("halving ratio", e1 / e2 if e2 > 0 else math.inf, ">=", ".ratio-min", 10.0)]
 
 
-def _check_cross_ratio(art: Artifacts, tol: _Tol) -> CheckResult:
-    name = "cross-ratio-constancy"
-    want = tol(name, 1e-6)
-    worst = 0.0
-    for base, transform, mu in [
-        (*art.circle_arclength_pair, 0.25),
-        (*art.line_pair, 0.25),
-        (*art.mismatched_pair, 0.25),
-    ]:
-        worst = max(worst, cross_ratio_defect(base, transform, mu))
+def _check_cross_ratio(art: Artifacts):
     _, _, t2, base2 = art.figure
-    worst = max(worst, cross_ratio_defect(base2, t2, FIGURE_MU))
-    for base, sheet in (art.line_flow, art.nonunit_flow):
-        worst = max(worst, sheet_cross_ratio_defect(sheet, base.mu)[0])
-    return CheckResult(name, worst < want,
-                       f"max |m cr - mu| {_fmt(worst)} < {_fmt(want)} over all "
-                       f"transforms and flow sheets")
+    defects = [cross_ratio_defect(base, transform, 0.25) for base, transform in (
+        art.circle_arclength_pair, art.line_pair, art.mismatched_pair)]
+    defects.append(cross_ratio_defect(base2, t2, FIGURE_MU))
+    defects += [sheet_cross_ratio_defect(sheet, base.mu)[0]
+                for base, sheet in (art.line_flow, art.nonunit_flow)]
+    return [("max |m cr - mu| over all transforms and flow sheets", max(defects), "<", "", 1e-6)]
 
 
-def _check_lambda_laws(art: Artifacts, tol: _Tol) -> CheckResult:
-    name = "lambda-laws"
-    const_tol = tol(f"{name}.constant", 1e-8)
-    evol_tol = tol(f"{name}.evolution", 1e-5)
-    worst_const = 0.0
-    for base, transform in (art.circle_arclength_pair, art.line_pair):
-        lam = pair_table(base, transform).lam
-        worst_const = max(worst_const, float(np.abs(lam - 4.0).max()))
+def _check_lambda_laws(art: Artifacts):
+    worst_const = max(float(np.abs(pair_table(*pair).lam - 4.0).max())
+                      for pair in (art.circle_arclength_pair, art.line_pair))
     base, transform = art.mismatched_pair
-    d_pair, d_rate = lambda_evolution_defects(base, transform, 0.25)
     lam = pair_table(base, transform).lam
-    spread = float(lam.max() - lam.min())
-    ok = worst_const < const_tol and max(d_pair, d_rate) < evol_tol and spread > 1e-4
-    return CheckResult(name, ok,
-                       f"|lam - 1/mu| {_fmt(worst_const)} < {_fmt(const_tol)}; "
-                       f"mismatched lam' laws {_fmt(max(d_pair, d_rate))} < "
-                       f"{_fmt(evol_tol)} (lam spread {_fmt(spread)})")
+    return [("|lam - 1/mu|", worst_const, "<", ".constant", 1e-8),
+            ("mismatched lam' laws", max(lambda_evolution_defects(base, transform, 0.25)),
+             "<", ".evolution", 1e-5),
+            ("mismatched lam spread", float(lam.max() - lam.min()), ">", None, 1e-4)]
 
 
-def _check_lemmas(art: Artifacts, tol: _Tol) -> CheckResult:
-    name = "lemma-identities"
-    want = tol(name, 1e-8)
-    worst = 0.0
-    for base, transform in (art.circle_arclength_pair, art.line_pair,
-                            art.mismatched_pair):
-        center, ratio = lemma_defects(base, transform, 0.25)
-        worst = max(worst, center, ratio)
-    return CheckResult(name, worst < want,
-                       f"center + ratio identities {_fmt(worst)} < {_fmt(want)} "
-                       f"relative, on all pairs")
+def _check_lemmas(art: Artifacts):
+    worst = max(max(lemma_defects(base, transform, 0.25)) for base, transform in (
+        art.circle_arclength_pair, art.line_pair, art.mismatched_pair))
+    return [("relative center + ratio identities on all pairs", worst, "<", "", 1e-8)]
 
 
-def _check_hexagon(art: Artifacts, tol: _Tol) -> CheckResult:
-    name = "rotating-hexagon"
-    shape_tol = tol(f"{name}.shape", 1e-8)
-    edge_tol = tol(f"{name}.edges", 1e-8)
-    mkdv_tol = tol(f"{name}.mkdv", 1e-10)
+def _check_hexagon(art: Artifacts):
     res = art.hexagon_motion
     grid = res.sheet.grid
     s = grid.values()
     n = np.arange(res.sheet.rows)[:, None]
     oracle = np.exp(1j * (math.pi * n / 3.0 + s[None, :]))
-    shape = float(np.abs(res.sheet.values - oracle).max())
     a0 = res.a[:, 0]
-    edges = float(np.abs(res.a - a0[:, None]).max())
-    mk = mkdv_residual(res.theta, a0, grid)
-    ok = shape < shape_tol and edges < edge_tol and mk < mkdv_tol
-    return CheckResult(name, ok,
-                       f"vs rigid rotation {_fmt(shape)} < {_fmt(shape_tol)}; "
-                       f"edge drift {_fmt(edges)} < {_fmt(edge_tol)}; "
-                       f"mkdv {_fmt(mk)} < {_fmt(mkdv_tol)}")
+    return [("vs rigid rotation", float(np.abs(res.sheet.values - oracle).max()),
+             "<", ".shape", 1e-8),
+            ("edge drift", float(np.abs(res.a - a0[:, None]).max()), "<", ".edges", 1e-8),
+            ("mkdv", mkdv_residual(res.theta, a0, grid), "<", ".mkdv", 1e-10)]
 
 
-def _check_mkdv_generic(art: Artifacts, tol: _Tol) -> CheckResult:
-    name = "mkdv-generic"
-    want = tol(name, 1e-6)
-    details = []
-    ok = True
+def _check_mkdv_generic(art: Artifacts):
     # motions() lists the hexagon first; rotating-hexagon holds it to 1e-10.
-    for label, res in art.motions()[1:]:
-        mk = mkdv_residual(res.theta, res.a[:, 0], res.sheet.grid)
-        ok = ok and mk < want
-        details.append(f"{label} {_fmt(mk)}")
-    return CheckResult(name, ok, f"residuals {', '.join(details)} < {_fmt(want)}")
+    return [(f"{label} residual", mkdv_residual(res.theta, res.a[:, 0], res.sheet.grid),
+             "<", "", 1e-6) for label, res in art.motions()[1:]]
 
 
-def _check_iso_cross_ratio(art: Artifacts, tol: _Tol) -> CheckResult:
-    name = "iso-cross-ratio"
-    want = tol(name, 1e-6)
-    im_tol = tol(f"{name}.imag", 1e-8)
-    worst = im_worst = 0.0
-    for _, res in art.motions():
-        defect, im = iso_darboux_check(res.sheet)
-        worst = max(worst, defect)
-        im_worst = max(im_worst, im)
-    ok = worst < want and im_worst < im_tol
-    return CheckResult(name, ok,
-                       f"max |cr - 1/a^2| {_fmt(worst)} < {_fmt(want)}; "
-                       f"max |Im cr| {_fmt(im_worst)} < {_fmt(im_tol)}")
+def _check_iso_cross_ratio(art: Artifacts):
+    defects, imags = zip(*(iso_darboux_check(res.sheet) for _, res in art.motions()))
+    return [("max |cr - 1/a^2|", max(defects), "<", "", 1e-6),
+            ("max |Im cr|", max(imags), "<", ".imag", 1e-8)]
 
 
-def _check_pipelines(art: Artifacts, tol: _Tol) -> CheckResult:
-    name = "pipelines-agree"
-    want = tol(name, 1e-5)
-    lo = tol(f"{name}.ratio-min", 10.0)
-    hi = tol(f"{name}.ratio-max", 20.0)
-    details = []
-    ok = True
+def _check_pipelines(art: Artifacts):
+    entries = []
     for label, (full, half) in (("hexagon", art.hexagon_pipelines),
                                 ("square", art.square_pipelines)):
         ratio = full / half if half else math.inf
-        ok = ok and full < want and lo <= ratio <= hi
-        details.append(f"{label} sup {_fmt(full)} (ratio {ratio:.1f})")
-    return CheckResult(name, ok,
-                       f"{'; '.join(details)}; sup < {_fmt(want)}, "
-                       f"ratio in [{_fmt(lo)}, {_fmt(hi)}]")
+        entries += [(f"{label} sup", full, "<", "", 1e-5),
+                    (f"{label} halving ratio", ratio, ">=", ".ratio-min", 10.0),
+                    (f"{label} halving ratio", ratio, "<=", ".ratio-max", 20.0)]
+    return entries
 
 
-def _check_frameless(art: Artifacts, tol: _Tol) -> CheckResult:
-    name = "frameless-identity"
-    want = tol(name, 1e-5)
+def _check_frameless(art: Artifacts):
     worst = max(frameless_identity_check(res.sheet, res.theta, 1.0 / res.a[:, 0]**2)
                 for _, res in art.motions())
-    return CheckResult(name, worst < want,
-                       f"defect {_fmt(worst)} < {_fmt(want)} on all motion sheets")
+    return [("defect on all motion sheets", worst, "<", "", 1e-5)]
 
 
-def _check_compatibility(art: Artifacts, tol: _Tol) -> CheckResult:
-    name = "frame-compatibility"
-    want = tol(name, 1e-5)
+def _check_compatibility(art: Artifacts):
     worst = max(frame_compatibility_check(res) for _, res in art.motions())
-    return CheckResult(name, worst < want, f"matrix {_fmt(worst)} < {_fmt(want)}")
+    return [("matrix", worst, "<", "", 1e-5)]
 
 
-def _check_figure(art: Artifacts, tol: _Tol) -> CheckResult:
-    name = "figure-distinct-polarizations"
-    cr_tol = tol(f"{name}.cross-ratio", 1e-6)
-    dist_min = tol(f"{name}.distance-min", 0.01)
+def _check_figure(art: Artifacts):
     base1, t1, t2, base2 = art.figure
     d1 = cross_ratio_defect(base1, t1, FIGURE_MU)
     d2 = cross_ratio_defect(base2, t2, FIGURE_MU)
-    dist = float(np.abs(t1.points - t2.points).max())
     text = svg_text([base1.points, t1.points, t2.points],
                     colors=["black", "red", "blue"], markers=[FIGURE_POINT])
-    polylines = text.count("<polyline")
-    markers = text.count("<circle")
-    ok = (max(d1, d2) < cr_tol and dist > dist_min
-          and polylines == 3 and markers == 1)
-    return CheckResult(name, ok,
-                       f"transform cross ratios {_fmt(max(d1, d2))} < {_fmt(cr_tol)}; "
-                       f"mutual distance {_fmt(dist)} > {_fmt(dist_min)}; "
-                       f"svg has {polylines} polylines + marker")
+    return [("transform cross ratios", max(d1, d2), "<", ".cross-ratio", 1e-6),
+            ("mutual distance", float(np.abs(t1.points - t2.points).max()),
+             ">", ".distance-min", 0.01),
+            ("svg polylines", text.count("<polyline"), "==", None, 3),
+            ("svg markers", text.count("<circle"), "==", None, 1)]
 
 
-def _check_discrete_arclength(art: Artifacts, tol: _Tol) -> CheckResult:
-    name = "discrete-arclength"
-    want = tol(name, 1e-8)
-    grow_min = tol(f"{name}.growth-min", 1e-3)
+def _check_discrete_arclength(art: Artifacts):
     base, sheet = art.line_flow
     good = arclength_flow_check(sheet, base.mu)
     base2, sheet2 = art.nonunit_flow
     bad = arclength_flow_check(sheet2, base2.mu)
-    far = float(np.abs(bad.column_deviations[-1]))
-    ok = (max(good.discrete_deviation, good.smooth_deviation) < want
-          and bad.smooth_deviation > 1.0 and far > grow_min)
-    return CheckResult(name, ok,
-                       f"unit-speed flow deviations {_fmt(max(good.discrete_deviation, good.smooth_deviation))} "
-                       f"< {_fmt(want)}; non-unit-speed column deviation "
-                       f"{_fmt(far)} > {_fmt(grow_min)} away from s0")
+    return [("unit-speed flow deviations", max(good.discrete_deviation, good.smooth_deviation),
+             "<", "", 1e-8),
+            ("non-unit-speed smooth deviation", bad.smooth_deviation, ">", None, 1.0),
+            ("non-unit-speed column deviation away from s0",
+             float(np.abs(bad.column_deviations[-1])), ">", ".growth-min", 1e-3)]
 
 
-_CHECKS = [
-    _check_rotated_circle,
-    _check_cross_ratio,
-    _check_lambda_laws,
-    _check_lemmas,
-    _check_hexagon,
-    _check_mkdv_generic,
-    _check_iso_cross_ratio,
-    _check_pipelines,
-    _check_frameless,
-    _check_compatibility,
-    _check_figure,
-    _check_discrete_arclength,
-]
+_CHECKS = {
+    "rotated-circle-darboux": _check_rotated_circle,
+    "cross-ratio-constancy": _check_cross_ratio,
+    "lambda-laws": _check_lambda_laws,
+    "lemma-identities": _check_lemmas,
+    "rotating-hexagon": _check_hexagon,
+    "mkdv-generic": _check_mkdv_generic,
+    "iso-cross-ratio": _check_iso_cross_ratio,
+    "pipelines-agree": _check_pipelines,
+    "frameless-identity": _check_frameless,
+    "frame-compatibility": _check_compatibility,
+    "figure-distinct-polarizations": _check_figure,
+    "discrete-arclength": _check_discrete_arclength,
+}
 
 
 def run_suite(h: float = 1e-3, tol_multiplier: float = 1.0, overrides=None,
               artifacts: Artifacts | None = None):
     """Run every check; returns one CheckResult per check, in the order of
-    the numbered list in README.md.  Raises ConfigError, after the checks,
+    the numbered list in README.md.  A named bound takes its [verify]
+    override, and ``tol_multiplier`` then loosens it: upper bounds are
+    multiplied, lower bounds divided.  Raises ConfigError, after the checks,
     for an override name that no check reads."""
+    if not (math.isfinite(tol_multiplier) and tol_multiplier > 0):
+        raise ValueError(f"tolerance multiplier must be a finite positive number, "
+                         f"got {tol_multiplier!r}")
     art = artifacts if artifacts is not None else Artifacts(h)
-    tol = _Tol(tol_multiplier, overrides)
-    results = [check(art, tol) for check in _CHECKS]
-    unused = sorted(set(tol.overrides) - tol.used)
+    overrides = overrides or {}
+    used, results = set(), []
+    for name, check in _CHECKS.items():
+        bounds = []
+        for label, measured, relation, key, bound in check(art):
+            if key is not None:
+                used.add(name + key)
+                bound = overrides.get(name + key, bound)
+                bound = bound * tol_multiplier if relation[0] == "<" else bound / tol_multiplier
+            bounds.append((label, measured, relation, bound))
+        results.append(CheckResult(name, bounds))
+    unused = sorted(set(overrides) - used)
     if unused:
         raise ConfigError(f"[verify] {', '.join(unused)}: no check has a tolerance of that name")
     return results

@@ -8,6 +8,7 @@ import math
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from darbouxflow import arclength_darboux, darboux, equivalence, run_suite, verification
 
@@ -24,6 +25,23 @@ CHECK_NAMES = [
     "frame-compatibility",
     "figure-distinct-polarizations",
     "discrete-arclength",
+]
+
+# The [verify] names: a check name, or a check name plus a suffix.
+TOLERANCE_NAMES = [
+    "rotated-circle-darboux.error", "rotated-circle-darboux.ratio-min",
+    "cross-ratio-constancy",
+    "lambda-laws.constant", "lambda-laws.evolution",
+    "lemma-identities",
+    "rotating-hexagon.shape", "rotating-hexagon.edges", "rotating-hexagon.mkdv",
+    "mkdv-generic",
+    "iso-cross-ratio", "iso-cross-ratio.imag",
+    "pipelines-agree", "pipelines-agree.ratio-min", "pipelines-agree.ratio-max",
+    "frameless-identity",
+    "frame-compatibility",
+    "figure-distinct-polarizations.cross-ratio",
+    "figure-distinct-polarizations.distance-min",
+    "discrete-arclength", "discrete-arclength.growth-min",
 ]
 
 
@@ -71,11 +89,15 @@ def test_mkdv_generic_fails_on_a_perturbed_square():
     # raised to 1e-4 to leave the square's potential as the only thing
     # that can fail.
     art = verification.Artifacts(1e-2)
-    tol = verification._Tol(overrides={"mkdv-generic": 1e-4})
-    assert verification._check_mkdv_generic(art, tol).passed
+
+    def mkdv_generic():
+        results = run_suite(overrides={"mkdv-generic": 1e-4}, artifacts=art)
+        return {r.name: r for r in results}["mkdv-generic"]
+
+    assert mkdv_generic().passed
     square = art.square_motion
     square.theta[2] += 1e-3 * square.sheet.grid.values()
-    result = verification._check_mkdv_generic(art, tol)
+    result = mkdv_generic()
     assert not result.passed, result.line()
 
 
@@ -142,3 +164,35 @@ def test_run_suite_builds_nothing_twice(monkeypatch):
     twice = ([key[1:] for key, n in motions.items() if n > 1],
              [key[2:] for key, n in solves.items() if n > 1])
     assert twice == ([], [])
+
+
+@pytest.fixture(scope="module")
+def check_entries(artifacts):
+    """Every check's (label, measured, relation, key, default) entries on the
+    session artifacts, computed once."""
+    return {name: check(artifacts) for name, check in verification._CHECKS.items()}
+
+
+def test_checks_read_exactly_the_documented_tolerance_names(check_entries):
+    names = {name + key for name, entries in check_entries.items()
+             for *_, key, _ in entries if key is not None}
+    assert sorted(names) == sorted(TOLERANCE_NAMES)
+
+
+@pytest.mark.parametrize("tol_name", TOLERANCE_NAMES)
+def test_every_named_bound_can_fail(monkeypatch, artifacts, check_entries, tol_name):
+    """Overriding one name to the far side of the values it bounds fails its
+    own check and no other.  run_suite resolves the override against the
+    entries computed once, so no check runs 21 times."""
+    check = tol_name.split(".")[0]
+    bounded = [(measured, relation) for _, measured, relation, key, _ in check_entries[check]
+               if key is not None and check + key == tol_name]
+    assert bounded
+    measured = [m for m, _ in bounded]
+    upper = {relation[0] for _, relation in bounded} == {"<"}
+    value = min(measured) / 10.0 if upper else max(measured) * 10.0
+    assert 0.0 < value < math.inf
+    monkeypatch.setattr(verification, "_CHECKS",
+                        {name: lambda art, e=entries: e for name, entries in check_entries.items()})
+    results = run_suite(overrides={tol_name: value}, artifacts=artifacts)
+    assert [r.name for r in results if not r.passed] == [check]

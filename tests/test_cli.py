@@ -405,3 +405,36 @@ def test_non_finite_w0_is_a_usage_error(tmp_path, capsys, recwarn, w0, where):
     assert captured.err == f"error: [parameters] w0: {w0!r} is not finite{where}\n"
     assert captured.out == ""
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("w0", ["-" * 5000 + "1", "1+" * 3000 + "1"],
+                         ids=["unary-minus", "sum"])
+def test_deeply_nested_w0_is_a_usage_error(tmp_path, capsys, w0):
+    text = (SCENARIO_DIR / "motion_hexagon.ini").read_text().replace(
+        "w0 = -pi/6 ", f"w0 = {w0} ")
+    assert main(["motion", "--config", _write(tmp_path, text),
+                 "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: [parameters] w0: expression is nested too deeply\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("args", [["--tol", "10"], ["--h", "1e-2", "--tol", "100"]],
+                         ids=["tol-10", "coarse-h-tol-100"])
+def test_tol_loosens_lower_and_upper_bounds(tmp_path, capsys, session_artifacts, args):
+    cfg = _write(tmp_path, "[run]\ncommand = verify\n")
+    assert main(["verify", "--config", cfg, *args]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("12/12 checks passed\n")
+    assert "FAIL" not in out
+
+
+def test_tol_does_not_move_fixed_bounds(tmp_path, capsys, session_artifacts):
+    cfg = _write(tmp_path, "[run]\ncommand = verify\n")
+    assert main(["verify", "--config", cfg, "--tol", "1e6"]) == 0
+    out = capsys.readouterr().out
+    assert "; svg polylines 3 == 3; svg markers 1 == 1\n" in out
+    assert "; mismatched lam spread 0.0755 > 0.0001\n" in out
+    assert " > 1; non-unit-speed column deviation " in out
+    # the named bounds did move: an upper bound times 1e6, a lower one over it
+    assert "max error 3.59e-14 < 1; halving ratio 15.6 >= 1e-05\n" in out
