@@ -88,6 +88,7 @@ def _fail(section: str, key: str, message: str):
 
 
 def _get(cp, section, key, default=None, required=False):
+    cp.read_keys.add((section, key))
     if cp.has_option(section, key):
         return cp.get(section, key).strip()
     if required:
@@ -283,7 +284,9 @@ def load_scenario(path, command: str | None = None,
     """Read and validate a scenario file.
 
     ``command`` (from the command line) wins over the file's [run] command;
-    ``h_override`` rebuilds the grid with a different step.
+    ``h_override`` rebuilds the grid with a different step.  A key the
+    command does not read is refused, so a misplaced or misspelt setting
+    cannot be dropped silently.
     """
     cp = configparser.ConfigParser(interpolation=None,
                                    inline_comment_prefixes=(";",))
@@ -295,6 +298,7 @@ def load_scenario(path, command: str | None = None,
     except configparser.Error as exc:
         # configparser errors carry the line number in their message.
         raise ConfigError(f"{path}: {exc}") from exc
+    cp.read_keys = set()
 
     file_cmd = _get(cp, "run", "command") if cp.has_section("run") else None
     cmd = (command or file_cmd or "").lower()
@@ -305,7 +309,7 @@ def load_scenario(path, command: str | None = None,
         raise ConfigError(f"config requests {file_cmd!r} but the command "
                           f"line says {command!r}")
 
-    grid = _load_grid(cp)
+    grid = _load_grid(cp) if cmd != "verify" else None
     if h_override is not None:
         if not (math.isfinite(h_override) and h_override > 0):
             raise ConfigError(f"--h must be a finite positive number, got {h_override!r}")
@@ -317,17 +321,18 @@ def load_scenario(path, command: str | None = None,
             raise ConfigError("--h given but the scenario has no [grid] section")
 
     sc = Scenario(command=cmd, grid=grid)
-    if cp.has_section("output"):
+    if cmd != "verify":
         sc.csv_path = _get(cp, "output", "csv")
         sc.svg_path = _get(cp, "output", "svg")
-    if cp.has_section("verify"):
+    elif cp.has_section("verify"):
         for key, raw in cp.items("verify"):
             value = _get_float(cp, "verify", key)
             if value <= 0:
                 _fail("verify", key, f"must be a finite positive number, got {raw!r}")
             sc.tolerances[key] = value
 
-    m = _expression(cp, "polarization", "m", default="1")
+    if cmd in ("darboux", "flow"):
+        m = _expression(cp, "polarization", "m", default="1")
     if cmd == "darboux":
         sc.source = _smooth_curve(cp, "curve", grid, m)
         sc.mu = _scalar_mu(cp)
@@ -368,4 +373,13 @@ def load_scenario(path, command: str | None = None,
         raw_pt = _get(cp, "parameters", "initial_point")
         if raw_pt is not None:
             sc.initial_point = _parse_point(raw_pt, "parameters", "initial_point")
+    # A [DEFAULT] key shows up in every section; it counts as read if any
+    # section reads it.
+    defaults = cp.defaults()
+    asked = {key for _, key in cp.read_keys}
+    unread = [f"[{cp.default_section}] {key}" for key in defaults if key not in asked]
+    unread += [f"[{section}] {key}" for section in cp.sections() for key in cp.options(section)
+               if key not in defaults and (section, key) not in cp.read_keys]
+    if unread:
+        raise ConfigError(f"{', '.join(unread)}: not read by the {cmd} command")
     return sc

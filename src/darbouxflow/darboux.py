@@ -13,13 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BlowupError,
     CoincidentPointsError,
     CurveError,
     NotArclengthPolarizedError,
     SingularTangentError,
 )
 from .geometry import EPS_REG, PolarizedCurve, dot, fd_derivative
-from .ode import rk4_path
 
 #: Tolerance on |1/m - |x'|^2| below which a curve counts as arc-length polarized.
 ARC_TOL = 1e-8
@@ -44,9 +44,12 @@ def riccati_solve(source: PolarizedCurve, mu: float, y0: complex) -> np.ndarray:
 
     The initial value y0 is imposed at the first grid node; integration runs
     forward with classic RK4, evaluating the source curve on the refined
-    (node + midpoint) grid.  The stage coefficients are Python lists indexed
-    by ``rk4_path``'s stage index, so each step runs in built-in complex
-    arithmetic.
+    (node + midpoint) grid.  The step is written out over Python lists of
+    the stage coefficients, so it runs in built-in complex arithmetic with
+    no call per stage; the operations and their order are those of
+    ``ode.rk4_path`` with the right-hand side a d^2, d = x - y, including
+    the Kahan-compensated update.  Raises BlowupError at the first
+    non-finite node.
     """
     grid = source.grid
     if grid.count == 1:
@@ -59,12 +62,35 @@ def riccati_solve(source: PolarizedCurve, mu: float, y0: complex) -> np.ndarray:
         )
     a = ((mu / ms) / xps).tolist()
     x = xs.tolist()
-
-    def rhs(k, y):
-        d = x[k] - y
-        return a[k] * d * d
-
-    return rk4_path(grid.values(), rhs, complex(y0))
+    h = np.diff(grid.values())
+    y = complex(y0)
+    comp = 0.0 * y
+    out = [y]
+    # Built-in complex arithmetic yields inf/nan at a pole without raising,
+    # and a non-finite state stays non-finite, so one check on the finished
+    # row finds the node where the solution left the grid's window.
+    for x0, a0, x1, a1, x2, a2, step, half, sixth in zip(
+            x[0::2], a[0::2], x[1::2], a[1::2], x[2::2], a[2::2],
+            h.tolist(), (0.5 * h).tolist(), (h / 6.0).tolist()):
+        d = x0 - y
+        k1 = a0 * d * d
+        d = x1 - (y + half * k1)
+        k2 = a1 * d * d
+        d = x1 - (y + half * k2)
+        k3 = a1 * d * d
+        d = x2 - (y + step * k3)
+        k4 = a2 * d * d
+        d = sixth * (k1 + 2.0 * (k2 + k3) + k4) - comp
+        t = y + d
+        comp = (t - y) - d
+        y = t
+        out.append(y)
+    vals = np.asarray(out)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise BlowupError(f"integration blew up at grid index {i}", index=i)
+    return vals
 
 
 def _transform_row(curve: PolarizedCurve, mu: float, initial_point: complex) -> PolarizedCurve:

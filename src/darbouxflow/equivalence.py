@@ -56,12 +56,11 @@ def frameless_identity_check(sheet: Sheet, theta: np.ndarray, mu) -> float:
         inner = slice(2, -2)
     else:
         inner = slice(None)
-    d_first = min(
-        float(np.abs(first - direct)[:, inner].max()),
-        float(np.abs(-first - direct)[:, inner].max()),
-    )
-    d_second = float(np.abs(second - direct)[:, inner].max())
-    return max(d_first, d_second)
+    # np.minimum/np.maximum, unlike min/max, keep a NaN in either position
+    d_first = np.minimum(np.abs(first - direct)[:, inner].max(),
+                         np.abs(-first - direct)[:, inner].max())
+    d_second = np.abs(second - direct)[:, inner].max()
+    return float(np.maximum(d_first, d_second))
 
 
 def pipelines_agree(motion: MotionResult) -> float:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -99,14 +99,20 @@ def fd_derivative(values: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
     return np.moveaxis(out, -1, axis)
 
 
+@cache
 def _lagrange_weights(window: int, t: float) -> np.ndarray:
-    """Interpolation weights at position t (node units) over nodes 0..window-1."""
-    return np.array([math.prod((t - k) / (j - k) for k in range(window) if k != j)
-                     for j in range(window)])
+    """Interpolation weights at position t (node units) over nodes 0..window-1;
+    computed once per (window, t) and shared read-only."""
+    w = np.array([math.prod((t - k) / (j - k) for k in range(window) if k != j)
+                  for j in range(window)])
+    w.flags.writeable = False
+    return w
 
 
+@cache
 def _lagrange_deriv_weights(window: int, t: float) -> np.ndarray:
-    """Derivative weights (units of node spacing) at t over nodes 0..window-1."""
+    """Derivative weights (units of node spacing) at t over nodes 0..window-1;
+    computed once per (window, t) and shared read-only."""
     w = np.empty(window)
     for j in range(window):
         total = 0.0
@@ -114,6 +120,7 @@ def _lagrange_deriv_weights(window: int, t: float) -> np.ndarray:
             if i != j:
                 total += math.prod(t - k for k in range(window) if k != j and k != i)
         w[j] = total / math.prod(j - k for k in range(window) if k != j)
+    w.flags.writeable = False
     return w
 
 

@@ -247,4 +247,4 @@ def frame_compatibility_check(result: MotionResult) -> float:
     diff = alpha[1:] - alpha[:-1]
     e1 = fd_derivative(c, h, axis=1) - diff * s
     e2 = fd_derivative(s, h, axis=1) + diff * c
-    return float(max(np.abs(e1).max(), np.abs(e2).max()))
+    return float(np.maximum(np.abs(e1).max(), np.abs(e2).max()))

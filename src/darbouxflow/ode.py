@@ -1,12 +1,12 @@
 """Fixed-step classic Runge-Kutta integration on shared parameter grids.
 
-The state may be a complex scalar or any numpy array (curves move a whole
-vertex vector at once).  Right-hand sides are addressed by stage index on the
-refined grid (nodes and midpoints), so tabulated coefficients need no s arithmetic.
+The state may be a scalar or any numpy array (a motion moves a whole vertex
+vector at once).  Right-hand sides are addressed by stage index on the refined
+grid (nodes and midpoints), so tabulated coefficients need no s arithmetic.
+The scalar Riccati solve writes the same step out inline
+(``darboux.riccati_solve``) and does not come through here.
 """
 from __future__ import annotations
-
-import cmath
 
 import numpy as np
 
@@ -31,7 +31,6 @@ def rk4_path(s_values, rhs, y0):
     reached) as soon as a state goes non-finite.
     """
     s_list = np.asarray(s_values, dtype=float).tolist()
-    finite = cmath.isfinite if np.ndim(y0) == 0 else (lambda y: np.isfinite(y).all())
     y = y0
     comp = 0.0 * y0
     out = [y0]
@@ -52,7 +51,7 @@ def rk4_path(s_values, rhs, y0):
             t = y + d
             comp = (t - y) - d
             y = t
-            if not finite(y):
+            if not np.isfinite(y).all():
                 raise BlowupError(f"integration blew up at grid index {i}", index=i)
             out.append(y)
             s = s_next

@@ -79,6 +79,12 @@ class CheckResult:
                             for label, measured, rel, bound in self.bounds))
 
 
+def _worst(values) -> float:
+    """The largest value, NaN if any is: Python's max keeps its first
+    argument against a NaN, so a NaN defect in a later position would pass."""
+    return float(np.max(list(values)))
+
+
 def _circle(grid: SGrid, m=1.0) -> PolarizedCurve:
     return PolarizedCurve.from_generator(
         grid, lambda s: np.exp(1j * s), lambda s: 1j * np.exp(1j * s), m)
@@ -246,22 +252,23 @@ def _check_cross_ratio(art: Artifacts):
     defects.append(cross_ratio_defect(base2, t2, FIGURE_MU))
     defects += [sheet_cross_ratio_defect(sheet, base.mu)[0]
                 for base, sheet in (art.line_flow, art.nonunit_flow)]
-    return [("max |m cr - mu| over all transforms and flow sheets", max(defects), "<", "", 1e-6)]
+    return [("max |m cr - mu| over all transforms and flow sheets", _worst(defects),
+             "<", "", 1e-6)]
 
 
 def _check_lambda_laws(art: Artifacts):
-    worst_const = max(float(np.abs(pair_table(*pair).lam - 4.0).max())
-                      for pair in (art.circle_arclength_pair, art.line_pair))
+    worst_const = _worst(float(np.abs(pair_table(*pair).lam - 4.0).max())
+                         for pair in (art.circle_arclength_pair, art.line_pair))
     base, transform = art.mismatched_pair
     lam = pair_table(base, transform).lam
     return [("|lam - 1/mu|", worst_const, "<", ".constant", 1e-8),
-            ("mismatched lam' laws", max(lambda_evolution_defects(base, transform, 0.25)),
+            ("mismatched lam' laws", _worst(lambda_evolution_defects(base, transform, 0.25)),
              "<", ".evolution", 1e-5),
             ("mismatched lam spread", float(lam.max() - lam.min()), ">", None, 1e-4)]
 
 
 def _check_lemmas(art: Artifacts):
-    worst = max(max(lemma_defects(base, transform, 0.25)) for base, transform in (
+    worst = _worst(_worst(lemma_defects(base, transform, 0.25)) for base, transform in (
         art.circle_arclength_pair, art.line_pair, art.mismatched_pair))
     return [("relative center + ratio identities on all pairs", worst, "<", "", 1e-8)]
 
@@ -287,8 +294,8 @@ def _check_mkdv_generic(art: Artifacts):
 
 def _check_iso_cross_ratio(art: Artifacts):
     defects, imags = zip(*(iso_darboux_check(res.sheet) for _, res in art.motions()))
-    return [("max |cr - 1/a^2|", max(defects), "<", "", 1e-6),
-            ("max |Im cr|", max(imags), "<", ".imag", 1e-8)]
+    return [("max |cr - 1/a^2|", _worst(defects), "<", "", 1e-6),
+            ("max |Im cr|", _worst(imags), "<", ".imag", 1e-8)]
 
 
 def _check_pipelines(art: Artifacts):
@@ -303,13 +310,13 @@ def _check_pipelines(art: Artifacts):
 
 
 def _check_frameless(art: Artifacts):
-    worst = max(frameless_identity_check(res.sheet, res.theta, 1.0 / res.a[:, 0]**2)
-                for _, res in art.motions())
+    worst = _worst(frameless_identity_check(res.sheet, res.theta, 1.0 / res.a[:, 0]**2)
+                   for _, res in art.motions())
     return [("defect on all motion sheets", worst, "<", "", 1e-5)]
 
 
 def _check_compatibility(art: Artifacts):
-    worst = max(frame_compatibility_check(res) for _, res in art.motions())
+    worst = _worst(frame_compatibility_check(res) for _, res in art.motions())
     return [("matrix", worst, "<", "", 1e-5)]
 
 
@@ -317,9 +324,10 @@ def _check_figure(art: Artifacts):
     base1, t1, t2, base2 = art.figure
     d1 = cross_ratio_defect(base1, t1, FIGURE_MU)
     d2 = cross_ratio_defect(base2, t2, FIGURE_MU)
-    text = svg_text([base1.points, t1.points, t2.points],
+    # the tag count does not depend on the points, so every 64th node will do
+    text = svg_text([base1.points[::64], t1.points[::64], t2.points[::64]],
                     colors=["black", "red", "blue"], markers=[FIGURE_POINT])
-    return [("transform cross ratios", max(d1, d2), "<", ".cross-ratio", 1e-6),
+    return [("transform cross ratios", _worst([d1, d2]), "<", ".cross-ratio", 1e-6),
             ("mutual distance", float(np.abs(t1.points - t2.points).max()),
              ">", ".distance-min", 0.01),
             ("svg polylines", text.count("<polyline"), "==", None, 3),
@@ -331,8 +339,8 @@ def _check_discrete_arclength(art: Artifacts):
     good = arclength_flow_check(sheet, base.mu)
     base2, sheet2 = art.nonunit_flow
     bad = arclength_flow_check(sheet2, base2.mu)
-    return [("unit-speed flow deviations", max(good.discrete_deviation, good.smooth_deviation),
-             "<", "", 1e-8),
+    return [("unit-speed flow deviations",
+             _worst([good.discrete_deviation, good.smooth_deviation]), "<", "", 1e-8),
             ("non-unit-speed smooth deviation", bad.smooth_deviation, ">", None, 1.0),
             ("non-unit-speed column deviation away from s0",
              float(np.abs(bad.column_deviations[-1])), ">", ".growth-min", 1e-3)]

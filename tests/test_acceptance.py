@@ -166,6 +166,32 @@ def test_run_suite_builds_nothing_twice(monkeypatch):
     assert twice == ([], [])
 
 
+@pytest.mark.parametrize("position", [0, 1, 3], ids=["circle", "line", "figure m2"])
+def test_a_nan_defect_fails_its_check_in_any_position(monkeypatch, artifacts, position):
+    # cross-ratio-constancy folds six defects; a NaN in any one must fail it
+    transform = [artifacts.circle_transform, artifacts.line_pair[1],
+                 artifacts.mismatched_pair[1], artifacts.figure[2]][position]
+    defect = verification.cross_ratio_defect
+    monkeypatch.setattr(verification, "cross_ratio_defect", lambda base, t, mu: (
+        math.nan if t is transform else defect(base, t, mu)))
+    monkeypatch.setattr(verification, "_CHECKS",
+                        {"cross-ratio-constancy": verification._check_cross_ratio})
+    [result] = run_suite(artifacts=artifacts)
+    assert not result.passed, result.line()
+    assert "nan" in result.line()
+
+
+def test_figure_check_fails_when_the_svg_loses_its_marker(monkeypatch, artifacts):
+    svg_text = verification.svg_text
+    monkeypatch.setattr(verification, "svg_text", lambda curves, colors, markers: (
+        svg_text(curves, colors=colors)))
+    monkeypatch.setattr(verification, "_CHECKS", {
+        "figure-distinct-polarizations": verification._check_figure})
+    [result] = run_suite(artifacts=artifacts)
+    assert not result.passed, result.line()
+    assert "svg markers 0 == 1" in result.line()
+
+
 @pytest.fixture(scope="module")
 def check_entries(artifacts):
     """Every check's (label, measured, relation, key, default) entries on the

@@ -169,6 +169,19 @@ def test_figure_command_needs_only_the_command(tmp_path, capsys):
     assert len(root.get("viewBox").split()) == 4
 
 
+def test_unread_scenario_key_is_a_usage_error(tmp_path, capsys):
+    # figure1 draws the default circle, so a curve or an m it would drop
+    # is refused instead of written as the default figure
+    cfg = _write(tmp_path, "[run]\ncommand = figure1\n[curve]\nkind = line\nradius = 5\n"
+                           "[polarization]\nm = 2 + s\n")
+    out = tmp_path / "fig"
+    assert main(["figure1", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: [curve] kind, [curve] radius, [polarization] m: "
+                            "not read by the figure1 command\n")
+    assert captured.out == "" and not out.exists()
+
+
 def test_missing_config_is_a_usage_error(tmp_path, capsys):
     assert main(["darboux", "--config", str(tmp_path / "nope.ini")]) == 1
     assert "error:" in capsys.readouterr().err

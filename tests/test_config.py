@@ -232,6 +232,31 @@ def test_verify_section_tolerances(tmp_path):
     assert sc.tolerances == {"lemma-identities": 1e-6}
 
 
+@pytest.mark.parametrize("command, text, unread", [
+    ("figure1", "[run]\ncommand = figure1\n[curve]\nkind = line\n"
+                "[polarization]\nm = 2 + s\n", "[curve] kind, [polarization] m"),
+    ("darboux", DARBOUX_INI.replace("kind = circle", "kind = line"), "[curve] radius"),
+    ("darboux", DARBOUX_INI + "[verify]\nlemma-identities = 1e-6\n",
+     "[verify] lemma-identities"),
+    ("flow", FLOW_INI.replace("[initial]", "[parameters]\nw0 = 0.1\n[initial]"),
+     "[parameters] w0"),
+    ("motion", MOTION_INI.replace("[parameters]", "[polarization]\nm = 2\n[parameters]"),
+     "[polarization] m"),
+    ("verify", "[run]\ncommand = verify\n[grid]\ns0 = 0\ns1 = 1\nh = 1e-2\n",
+     "[grid] s0, [grid] s1, [grid] h"),
+    ("motion", "[DEFAULT]\nmu = 2\n" + MOTION_INI, "[DEFAULT] mu"),
+], ids=["figure1", "darboux", "darboux-verify", "flow", "motion", "verify", "default"])
+def test_keys_the_command_does_not_read_are_refused(tmp_path, command, text, unread):
+    with pytest.raises(ConfigError) as info:
+        load_scenario(_write(tmp_path, text), command)
+    assert str(info.value) == f"{unread}: not read by the {command} command"
+
+
+def test_a_default_key_read_by_one_section_is_read(tmp_path):
+    sc = load_scenario(_write(tmp_path, "[DEFAULT]\nradius = 2\n" + MOTION_INI))
+    assert abs(sc.vertices[0] - 2.0) < 1e-15
+
+
 def test_unknown_command_rejected(tmp_path):
     with pytest.raises(ConfigError, match="command"):
         load_scenario(_write(tmp_path, "[run]\ncommand = dance\n"))

@@ -214,6 +214,40 @@ def test_riccati_solve_matches_numpy_scalar_reference(kind):
     assert np.abs(fast - want).max() < 1e-13
 
 
+def _list_closure_riccati(source, mu, y0):
+    """riccati_solve as it was before its step was written out: a closure
+    over list-valued stage coefficients, driven by ``rk4_path``."""
+    xs, xps, ms = source._stage_data
+    a = ((mu / ms) / xps).tolist()
+    x = xs.tolist()
+
+    def rhs(k, y):
+        d = x[k] - y
+        return a[k] * d * d
+
+    return rk4_path(source.grid.values(), rhs, complex(y0))
+
+
+@pytest.mark.parametrize("kind", ["analytic circle", "sampled circle", "m = 1 + 0.3 sin s",
+                                  "interpolated flow row"])
+def test_riccati_solve_is_bit_identical_to_the_closure_step(kind):
+    g = SGrid.from_step(0.0, 2 * math.pi, 1e-3)
+    if kind == "analytic circle":
+        base = _circle(g)
+    elif kind == "sampled circle":
+        base = PolarizedCurve.from_samples(g, np.exp(1j * g.values()), 1.0)
+    elif kind == "m = 1 + 0.3 sin s":
+        base = _circle(g, m=lambda s: 1.0 + 0.3 * np.sin(s))
+    else:
+        # a flow row carries pair-equation tangents at the nodes only, so
+        # its stage data come from the Lagrange midpoint interpolation
+        base = propagate_edge(_line(SGrid.from_step(0.0, 2.0, 1e-3)), 1.0, 1j)
+    y0 = base.points[0] - 1.2 + 0.3j
+    fast = riccati_solve(base, 0.25, y0)
+    want = _list_closure_riccati(base, 0.25, y0)
+    assert np.array_equal(fast.view(float), want.view(float))
+
+
 def test_riccati_blowup_index_matches_reference(recwarn):
     # Edge (1, 2) of the non-unit-speed flow over 0, 2, 4, 6 (mu = 1/4): its
     # source row is the transform of x(s) = 2s, and the Riccati solution
@@ -223,9 +257,9 @@ def test_riccati_blowup_index_matches_reference(recwarn):
         g, lambda s: 2.0 * s + 0j, lambda s: 2.0 * np.ones_like(s, dtype=complex), 1.0)
     row1 = propagate_edge(line, 0.25, 2.0 + 0j)
     indices = []
-    for solve in (riccati_solve, _reference_riccati):
+    for solve in (riccati_solve, _reference_riccati, _list_closure_riccati):
         with pytest.raises(BlowupError) as info:
             solve(row1, 0.25, 4.0 + 0j)
         indices.append(info.value.index)
-    assert indices == [565, 565]
+    assert indices == [565, 565, 565]
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -8,6 +8,8 @@ from darbouxflow.darboux import pair_table
 from darbouxflow.errors import CoincidentPointsError, CurveError, SingularTangentError
 from darbouxflow.geometry import (
     DiscretePolarizedCurve,
+    _lagrange_deriv_weights,
+    _lagrange_weights,
     PolarizedCurve,
     SGrid,
     Sheet,
@@ -118,6 +120,22 @@ def test_analytic_tangent_is_evaluated_once_per_grid():
     assert np.abs(c.derivatives - 1j * np.exp(1j * g.values())).max() == 0.0
     c._stage_data
     assert sizes == [2001]
+
+
+def test_lagrange_weights_are_shared_read_only():
+    # computed once per (window, t) for every sampled curve, so no caller
+    # may write into them; the quintic oracle checks the shared values
+    for weights in (_lagrange_weights, _lagrange_deriv_weights):
+        w = weights(6, 2.5)
+        assert weights(6, 2.5) is w
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+    g = _grid(0.0, 0.1, 12)
+    mids = g.refined_values()[1::2]
+    c = PolarizedCurve.from_samples(g, g.values() ** 5 + 0j)
+    xs, xps, _ = c._stage_data
+    assert np.abs(xs[1::2] - mids**5).max() < 1e-12
+    assert np.abs(xps[1::2] - 5 * mids**4).max() < 1e-10
 
 
 def test_sampled_curve_falls_back_to_fd():
