@@ -1,18 +1,17 @@
-"""Isoperimetric motions of discrete plane curves: x_n' = e^{i(psi_n + w_n)}.
+"""Isoperimetric motions of discrete plane curves, integrated in angle form.
 
-The deformation angles w obey w_{n+1} + kappa_{n+1} = -w_n, which makes every
-edge length a_n a conserved quantity; the recorded potential theta (the
-tangential angle of each vertex trajectory) then satisfies the semi-discrete
-potential mKdV equation (theta_{n+1}+theta_n)'/2 = (2/a_n) sin((theta_{n+1}-theta_n)/2).
+The state is the edge angles psi_n (x_{n+1} - x_n = a_n e^{i psi_n}) and the
+vertex x_0, evolved by the semi-discrete potential mKdV equation
 
-With t_n = e^{i psi_n} the unit tangent of edge n and psi_{n+1} = psi_n + kappa_{n+1}:
+    psi_n' = -(2/a_n) sin w_n,    x_0' = e^{i(psi_0 + w_0)}
 
-    theta_n     = psi_n + w_n
-    theta_{n+1} = psi_{n+1} + w_{n+1} = psi_n - w_n
-    v_{n+1}     = e^{i theta_{n+1}} = t_n^2 conj(v_n)
-
-so the velocities at the two ends of an edge are mirror images across it, and
-Re(conj(t_n) (v_{n+1} - v_n)) = 0 keeps its length fixed.
+(Inoguchi, Kajiwara, Matsuura & Ohta, Kyushu J. Math. 66, 2012), with the
+deformation angles from w_{n0} = w0(s) and w_{k+1} = -w_k - (psi_{k+1} - psi_k).
+The a_n never change, so every edge length is conserved exactly.  Vertex n
+moves at unit speed along theta_n = psi_n + w_n, and theta_{n+1} = psi_n - w_n,
+so theta_n + theta_{n+1} = 2 psi_n: the velocities at the two ends of an edge
+are mirror images across it, and the recorded potential satisfies
+(theta_{n+1}+theta_n)'/2 = (2/a_n) sin((theta_{n+1}-theta_n)/2).
 """
 from __future__ import annotations
 
@@ -20,105 +19,17 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, sub, truediv
+from math import sin
 
 import numpy as np
 
 from .errors import BlowupError, CoincidentPointsError, CurveError, NonRegularError
 from .geometry import EPS_REG, SGrid, Sheet, fd_derivative
-from .ode import rk4_path, stage_abscissas
+from .ode import stage_abscissas
 
 #: Largest per-step angle change the recorder accepts before declaring the
 #: step size too coarse to track branches.
 MAX_ANGLE_JUMP = 0.5 * math.pi
-
-
-def _angles(vertices: np.ndarray, w0, n0: int) -> np.ndarray:
-    """Velocity angles theta_n of a polygon (shape (V,)) or of a stack of them
-    (shape (N, V), with ``w0`` a scalar or one value per polygon).
-
-    theta_n = psi_n + w_n, where psi_n are the unwrapped edge angles, kappa_n
-    the turning angles (psi_{n+1} = psi_n + kappa_n), and the deformation
-    angles follow the isoperimetric recursion w_{n+1} = -w_n - kappa_n seeded
-    with w_{n0} = w0 and run outward in both directions.  The final vertex,
-    which has no outgoing edge, gets theta = psi - w of the last edge: that is
-    where the recursion would continue, and it keeps the last edge length
-    conserved.
-
-    Raises CoincidentPointsError at a vanishing edge and NonRegularError at a
-    vertex whose adjacent edges fold back on each other (turning angle at
-    +-pi), in the first polygon of the stack that has one.  A zero turning
-    angle is fine: the recursion stays well defined, and several motions pass
-    through collinear configurations.
-    """
-    edges = np.diff(vertices, axis=-1)
-    a = np.abs(edges)
-    short = a <= EPS_REG
-    if short.any():
-        row = a[np.unravel_index(np.argmax(short), a.shape)[:-1]]
-        n = int(np.argmin(row))
-        raise CoincidentPointsError(f"edge ({n}, {n + 1}) has length {row.min():.3e}")
-    t = edges / a
-    # A stack holds every grid node at once: free what is no longer needed.
-    del edges, a
-    turn = np.angle(t[..., 1:] / t[..., :-1])
-    # Turning bound |kappa| < pi: adjacent edges must not be anti-parallel.
-    bad = math.pi - np.abs(turn) <= EPS_REG
-    if bad.any():
-        n = int(np.unravel_index(np.argmax(bad), bad.shape)[-1]) + 1
-        raise NonRegularError(
-            f"vertex {n} is not regular (adjacent edges anti-parallel)", vertex=n)
-    psi = np.empty(t.shape)
-    psi[..., 0] = np.angle(t[..., 0])
-    psi[..., 1:] = psi[..., :1] + np.cumsum(turn, axis=-1)
-    # The recursion runs one vertex column at a time with the stack as the
-    # trailing axis; a closed-form alternating sum would round differently.
-    kappa = turn.T
-    w = np.empty(psi.T.shape)
-    w[n0] = w0
-    for k in range(n0, len(w) - 1):
-        w[k + 1] = -w[k] - kappa[k]
-    for k in range(n0, 0, -1):
-        w[k - 1] = -w[k] - kappa[k - 1]
-    w = w.T
-    theta = np.empty(vertices.shape)
-    theta[..., :-1] = psi + w
-    theta[..., -1] = psi[..., -1] - w[..., -1]
-    return theta
-
-
-def _velocities(x: np.ndarray, w0: float, n0: int) -> np.ndarray:
-    """``np.exp(1j * _angles(x, w0, n0))`` for one polygon, by edge reflection
-    in Python ``complex`` arithmetic: one ``cmath.exp`` per call.
-
-    v_{n0} = t_{n0} e^{i w0}, and v_{k+1} = t_k^2 conj(v_k) (or v_k = t_k^2
-    conj(v_{k+1})) walks outward from n0 in both directions.  Same guards and
-    messages as ``_angles``; the two agree to round-off.
-    """
-    v = x.tolist()
-    edges = list(map(sub, v[1:], v))
-    a = list(map(abs, edges))
-    shortest = min(a)
-    if shortest <= EPS_REG:
-        n = a.index(shortest)
-        raise CoincidentPointsError(f"edge ({n}, {n + 1}) has length {shortest:.3e}")
-    t = list(map(truediv, edges, a))
-    # |t_n + t_{n-1}| = 2 cos(kappa/2) <= pi - |kappa|, so only a polygon
-    # with a vertex under this screen can fail the turning bound.
-    if min(map(abs, map(add, t[1:], t)), default=math.inf) <= 2.0 * EPS_REG:
-        for n in range(1, len(t)):
-            if math.pi - abs(cmath.phase(t[n] / t[n - 1])) <= EPS_REG:
-                raise NonRegularError(
-                    f"vertex {n} is not regular (adjacent edges anti-parallel)", vertex=n)
-    ahead = behind = t[n0] * cmath.exp(1j * w0)
-    vel = [ahead]
-    for tk in t[n0:]:
-        ahead = tk * tk * ahead.conjugate()
-        vel.append(ahead)
-    for tk in t[n0 - 1::-1] if n0 else ():
-        behind = tk * tk * behind.conjugate()
-        vel.insert(0, behind)
-    return np.array(vel, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,35 +39,37 @@ class MotionResult:
     sheet: Sheet
     theta: np.ndarray
 
-    @property
-    def psi(self) -> np.ndarray:
-        return 0.5 * (self.theta[1:] + self.theta[:-1])
-
-    @property
-    def w(self) -> np.ndarray:
-        return -0.5 * (self.theta[1:] - self.theta[:-1])
-
     @cached_property
     def a(self) -> np.ndarray:
-        """Edge lengths a_n(s_i); conserved along s up to solver error."""
+        """Edge lengths a_n(s_i), measured on the positions."""
         return np.abs(np.diff(self.sheet.values, axis=0))
 
 
 def integrate_motion(vertices, w0, n0: int, grid: SGrid) -> MotionResult:
-    """RK4-step all ``vertices`` of a polygon under the isoperimetric motion.
+    """RK4-step the edge angles and x_0 of a polygon under the isoperimetric
+    motion, then build the vertices by one cumulative sum of the edges.
 
     ``w0`` may be a constant or a function of s, called once per stage
-    abscissa (``stage_abscissas``); the w-recursion is re-run from (w0, n0)
-    against the current turning angles at every RK4 stage, so the constraint
-    holds exactly rather than drifting. Recorded theta rows are unwrapped
-    along s by nearest-branch selection.  A w0 that is not finite, or whose
-    call divides by zero or overflows, raises CurveError at the first such s.
+    abscissa (``stage_abscissas``).  Every stage walks theta outward from
+    theta_{n0} = psi_{n0} + w0 by theta_n + theta_{n+1} = 2 psi_n, which is
+    the w-recursion.  The step runs over Python floats one edge at a time
+    through all four stages, as stage j of an edge needs only stage j of the
+    edges nearer n0, with Kahan-compensated updates.  A w0 that is not
+    finite, or whose call divides by zero or overflows, raises CurveError at
+    the first such s; edges folding back on each other at a grid node raise
+    NonRegularError, and an angle jump of MAX_ANGLE_JUMP in one step
+    BlowupError.
     """
     v0 = np.asarray(vertices, dtype=complex)
     if v0.ndim != 1 or len(v0) < 2:
         raise CurveError("a motion needs a 1-D sequence of at least two vertices")
     if not 0 <= n0 < len(v0) - 1:
         raise CurveError(f"seed edge {n0} outside 0..{len(v0) - 2}")
+    edges = np.diff(v0)
+    a = np.abs(edges)
+    if a.min() <= EPS_REG:
+        n = int(np.argmin(a))
+        raise CoincidentPointsError(f"edge ({n}, {n + 1}) has length {a.min():.3e}")
     svals = grid.values()
     stages = stage_abscissas(svals).tolist()
     if callable(w0):
@@ -168,31 +81,97 @@ def integrate_motion(vertices, w0, n0: int, grid: SGrid) -> MotionResult:
         except (ZeroDivisionError, OverflowError):
             w.append(math.nan)
     else:
-        w = [w0]
-    bad = np.flatnonzero(~np.isfinite(np.array(w, dtype=float)))
+        w = [w0] * len(stages)
+    w = np.array(w, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(w))
     if bad.size:
         raise CurveError(f"w0 is not finite at s = {stages[bad[0]]!r}")
-    if not callable(w0):
-        w *= len(stages)
 
-    def rhs(k, x):
-        return _velocities(x, w[k], n0)
+    # The state runs in walk order, edges n0..E-1 then n0-1..0.  Walking
+    # towards vertex 0, w_n = psi_n - theta_{n+1}, so those rates flip sign.
+    E = len(edges)
+    order = np.r_[n0:E, n0 - 1:-1:-1]
+    psi = np.angle(edges[0]) + np.r_[0.0, np.cumsum(np.angle(edges[1:] / edges[:-1]))]
+    coef = -2.0 / a[order]
+    coef[E - n0:] *= -1.0
+    coef, y, comp = coef.tolist(), psi[order].tolist(), [0.0] * E
+    x, xcomp = complex(v0[0]), 0j
+    rows, xs = [y], [x]
+    h = np.diff(svals)
+    for wa, wb, wc, step, half, sixth in zip(
+            w[0::2].tolist(), w[1::2].tolist(), w[2::2].tolist(),
+            h.tolist(), (0.5 * h).tolist(), (h / 6.0).tolist()):
+        # theta_{n0} at each stage, from the seed edge's stages as computed below
+        p, c = y[0], coef[0]
+        t1 = p + wa
+        p2 = p + half * (c * sin(t1 - p))
+        t2 = p2 + wb
+        p3 = p + half * (c * sin(t2 - p2))
+        t3 = p3 + wb
+        seeds = t1, t2, t3, p + step * (c * sin(t3 - p3)) + wc
+        new, carry = [], []
+        for part in (slice(0, E - n0), slice(E - n0, E)):
+            t1, t2, t3, t4 = seeds
+            for c, p, e in zip(coef[part], y[part], comp[part]):
+                d = t1 - p
+                q1 = c * sin(d)
+                t1 = p - d
+                p2 = p + half * q1
+                d = t2 - p2
+                q2 = c * sin(d)
+                t2 = p2 - d
+                p3 = p + half * q2
+                d = t3 - p3
+                q3 = c * sin(d)
+                t3 = p3 - d
+                p4 = p + step * q3
+                d = t4 - p4
+                q4 = c * sin(d)
+                t4 = p4 - d
+                d = sixth * (q1 + 2.0 * (q2 + q3) + q4) - e
+                t = p + d
+                carry.append((t - p) - d)
+                new.append(t)
+        # t1..t4 end at theta_0 of each stage, the direction x_0 moves in.
+        y, comp = new, carry
+        d = sixth * (cmath.exp(1j * t1) + 2.0 * (cmath.exp(1j * t2) + cmath.exp(1j * t3))
+                     + cmath.exp(1j * t4)) - xcomp
+        t = x + d
+        xcomp = (t - x) - d
+        x = t
+        rows.append(y)
+        xs.append(x)
 
-    states = rk4_path(svals, rhs, v0)
-    theta = _angles(states, np.array(w[::2], dtype=float), n0)
-    # Row i moves by the row i-1 shift plus its own nearest-branch step.
-    turns = np.round((theta[:-1] - theta[1:]) / (2.0 * math.pi))
-    theta[1:] += 2.0 * math.pi * np.cumsum(turns, axis=0)
-    jumps = np.abs(np.diff(theta, axis=0)).max(axis=1)
+    psi = np.empty((E, grid.count))
+    psi[order] = np.array(rows).T
+    x0 = np.array(xs)
+    finite = np.isfinite(psi).all(axis=0) & np.isfinite(x0)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise BlowupError(f"integration blew up at grid index {i}", index=i)
+    # Adjacent edges must not be anti-parallel; collinear ones are fine.
+    bad = (math.pi - np.abs(np.diff(psi, axis=0)) <= EPS_REG).T
+    if bad.any():
+        n = int(np.unravel_index(np.argmax(bad), bad.shape)[-1]) + 1
+        raise NonRegularError(
+            f"vertex {n} is not regular (adjacent edges anti-parallel)", vertex=n)
+    theta = np.empty((E + 1, grid.count))
+    theta[n0] = psi[n0] + w[0::2]
+    for k in range(n0, E):
+        theta[k + 1] = psi[k] - (theta[k] - psi[k])
+    for k in range(n0 - 1, -1, -1):
+        theta[k] = psi[k] - (theta[k + 1] - psi[k])
+    jumps = np.abs(np.diff(theta, axis=1)).max(axis=0)
     bad = np.flatnonzero(jumps >= MAX_ANGLE_JUMP)
     if bad.size:
         i = int(bad[0]) + 1
         raise BlowupError(
             f"angle jump {jumps[i - 1]:.3f} at grid index {i}: step too coarse to "
             f"track branches", index=i)
-    th = theta.T.copy()
-    return MotionResult(sheet=Sheet(grid, states.T.copy(), tangents=np.exp(1j * th)),
-                        theta=th)
+    values = np.empty(theta.shape, dtype=complex)
+    values[0] = x0
+    values[1:] = x0 + np.cumsum(a[:, None] * np.exp(1j * psi), axis=0)
+    return MotionResult(sheet=Sheet(grid, values, tangents=np.exp(1j * theta)), theta=theta)
 
 
 def tangential_angles(sheet: Sheet, reference: np.ndarray) -> np.ndarray:
@@ -237,7 +216,9 @@ def frame_compatibility_check(result: MotionResult) -> float:
     defect is vacuously 0 without an interior vertex.  The scalar law
     psi_n' + (2/a_n) sin w_n = 0 is ``mkdv_residual``.
     """
-    psi, w, a = result.psi, result.w, result.a
+    theta, a = result.theta, result.a
+    psi = 0.5 * (theta[1:] + theta[:-1])
+    w = -0.5 * (theta[1:] - theta[:-1])
     if len(psi) < 2:
         return 0.0
     h = result.sheet.grid.h

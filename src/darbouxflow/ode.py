@@ -1,10 +1,12 @@
 """Fixed-step classic Runge-Kutta integration on shared parameter grids.
 
-The state may be a scalar or any numpy array (a motion moves a whole vertex
-vector at once).  Right-hand sides are addressed by stage index on the refined
-grid (nodes and midpoints), so tabulated coefficients need no s arithmetic.
-The scalar Riccati solve writes the same step out inline
-(``darboux.riccati_solve``) and does not come through here.
+``stage_abscissas`` gives the s of each RK4 stage, where the motion and the
+scenario loader evaluate w0.  ``rk4_path`` is the generic driver: the state
+may be a scalar or any numpy array, and right-hand sides are addressed by
+stage index on the refined grid (nodes and midpoints), so tabulated
+coefficients need no s arithmetic.  The package's solvers write the step out
+inline (``darboux.riccati_solve``, ``motion.integrate_motion``) and do not
+come through here; ``rk4_path`` remains the reference the tests drive.
 """
 from __future__ import annotations
 

@@ -10,6 +10,7 @@ import pytest
 from darbouxflow import verification
 from darbouxflow.cli import main
 from darbouxflow.config import COMMANDS, load_scenario
+from darbouxflow.errors import BlowupError
 from darbouxflow.output import read_csv
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -334,6 +335,26 @@ def test_verify_with_impossible_tolerance_fails(tmp_path, capsys, session_artifa
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "/12 checks passed" in out
+
+
+def test_a_failing_artifact_fails_its_checks_and_the_others_still_run(
+        tmp_path, capsys, monkeypatch):
+    def blow_up(vertices, w0, n0, grid):
+        raise BlowupError("integration blew up at grid index 7", index=7)
+
+    monkeypatch.setattr(verification, "integrate_motion", blow_up)
+    # an override under a check that could not run is not an unknown name
+    text = "[run]\ncommand = verify\n\n[verify]\nrotating-hexagon.edges = 1e-6\n"
+    cfg = _write(tmp_path, text)
+    assert main(["verify", "--config", cfg, "--h", "1e-2"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 13 and lines[-1] == "6/12 checks passed"
+    failed = [line.split()[1].rstrip(":") for line in lines[:12] if line.startswith("FAIL")]
+    assert failed == ["rotating-hexagon", "mkdv-generic", "iso-cross-ratio",
+                      "pipelines-agree", "frameless-identity", "frame-compatibility"]
+    for line in lines[:12]:
+        assert line.startswith("PASS") or line.endswith(
+            ": BlowupError: integration blew up at grid index 7")
 
 
 @pytest.mark.parametrize(
