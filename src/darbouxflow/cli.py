@@ -23,7 +23,7 @@ import numpy as np
 from .config import ConfigError, Scenario, load_scenario
 from .darboux import DarbouxParams, arclength_darboux, darboux_transform
 from .errors import BlowupError, CurveError
-from .geometry import Sheet, SGrid
+from .geometry import Sheet
 from .motion import integrate_motion
 from .output import ensure_dir, write_csv, write_svg
 from .semidiscrete import FlowSpec, infinitesimal_darboux
@@ -99,14 +99,11 @@ def _run_motion(sc: Scenario, outdir) -> list[str]:
     return _write_outputs(sc, outdir, "motion", result.sheet)
 
 
-def _run_figure(sc: Scenario, outdir, h: float | None) -> list[str]:
-    grid = sc.grid
-    if grid is None:
-        grid = SGrid.from_step(0.0, 2.0 * math.pi, h if h else 1e-3)
+def _run_figure(sc: Scenario, outdir) -> list[str]:
     mu = sc.mu if sc.mu is not None else FIGURE_MU
     point = sc.initial_point if sc.initial_point is not None else FIGURE_POINT
-    base, t1, t2, _ = figure_family(grid, mu, point)
-    sheet = Sheet(grid, np.stack([base.points, t1.points, t2.points]))
+    base, t1, t2, _ = figure_family(sc.grid, mu, point)
+    sheet = Sheet(sc.grid, np.stack([base.points, t1.points, t2.points]))
     return _write_outputs(sc, outdir, "figure1", sheet, svg_first=True,
                           colors=["black", "red", "blue"], markers=[point])
 
@@ -143,7 +140,7 @@ def main(argv=None) -> int:
         elif sc.command == "motion":
             files = _run_motion(sc, args.out)
         else:
-            files = _run_figure(sc, args.out, args.h)
+            files = _run_figure(sc, args.out)
     except (BlowupError, CurveError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -319,6 +319,9 @@ def load_scenario(path, command: str | None = None,
             # figure1 and verify supply their own spans, so a bare --h is
             # fine there; everything else needs [grid] to know the span.
             raise ConfigError("--h given but the scenario has no [grid] section")
+    if cmd == "figure1" and grid is None:
+        # The figure's own span: one turn of its circle.
+        grid = SGrid.from_step(0.0, 2.0 * math.pi, h_override or 1e-3)
 
     sc = Scenario(command=cmd, grid=grid)
     if cmd != "verify":

@@ -109,7 +109,7 @@ def _transform_row(curve: PolarizedCurve, mu: float, initial_point: complex) -> 
     xhp = (mu / curve.m) * d * d / curve.derivatives
     # The row shares the source's refined m, so m is never evaluated again
     # down a flow.
-    return PolarizedCurve(curve.grid, vals, curve._stage_data[2], xhp)
+    return PolarizedCurve(curve.grid, vals, curve._refined_m, xhp)
 
 
 def darboux_transform(curve: PolarizedCurve, params: DarbouxParams) -> PolarizedCurve:
@@ -145,39 +145,28 @@ class PairTable:
 
     cr is the tangential cross ratio x' xh' / (x - xh)^2; r and rhat are the
     inverse distances from x and xh to the common circle center
-    y = x + x'/r = xh + xh'/rhat, and lam = |xh - x|^2.  y is NaN where r
-    vanishes; ``degenerate`` marks the nodes where r or rhat does.
+    y = x + x'/r = xh + xh'/rhat, and lam = |xh - x|^2.
     """
 
-    s: np.ndarray
     cr: np.ndarray
     r: np.ndarray
     rhat: np.ndarray
-    y: np.ndarray
     lam: np.ndarray
-    degenerate: np.ndarray
 
 
 def pair_table(base: PolarizedCurve, transform: PolarizedCurve) -> PairTable:
     """Pointwise pair diagnostics along two curves sharing a grid."""
     if transform.grid != base.grid:
         raise CurveError("pair curves must share one grid")
-    x, xh = base.points, transform.points
     xp, xhp = base.derivatives, transform.derivatives
-    d = xh - x
+    d = transform.points - base.points
     lam = np.abs(d) ** 2
     if lam.min() <= EPS_REG**2:
         raise CoincidentPointsError(
             f"pair collides at node {int(np.argmin(lam))}"
         )
-    cr = xp * xhp / (d * d)
-    r = 2.0 * dot(d, xp) / lam
-    rhat = 2.0 * dot(-d, xhp) / lam
-    degenerate = (np.abs(r) <= EPS_REG) | (np.abs(rhat) <= EPS_REG)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = np.where(np.abs(r) > EPS_REG, x + xp / np.where(r == 0.0, np.nan, r), np.nan)
-    return PairTable(s=base.grid.values(), cr=cr, r=r, rhat=rhat, y=y,
-                     lam=lam, degenerate=degenerate)
+    return PairTable(cr=xp * xhp / (d * d), r=2.0 * dot(d, xp) / lam,
+                     rhat=2.0 * dot(-d, xhp) / lam, lam=lam)
 
 
 def cross_ratio_defect(base: PolarizedCurve, transform: PolarizedCurve, mu: float) -> float:
@@ -187,23 +176,19 @@ def cross_ratio_defect(base: PolarizedCurve, transform: PolarizedCurve, mu: floa
 
 
 def lemma_defects(base: PolarizedCurve, transform: PolarizedCurve, mu: float):
-    """Relative residuals of the pair identities at non-degenerate nodes.
+    """Residuals of the pair identities, multiplied through by their divisors
+    so that every node counts, r or rhat zero included.
 
-    Returns (center_defect, ratio_defect): agreement of the common circle
-    center computed from either curve, and the residual of
-    rhat/r = -(lam/|x'|^2)(mu/m). Degenerate nodes are skipped.
+    Returns (center_defect, ratio_defect): max |r rhat (x - xh) + rhat x' - r xh'|,
+    the common circle center y = x + x'/r = xh + xh'/rhat, and
+    max |rhat |x'|^2 m + r lam mu|, the ratio rhat/r = -(lam/|x'|^2)(mu/m).
     """
     table = pair_table(base, transform)
-    keep = ~table.degenerate
-    if not keep.any():
-        return 0.0, 0.0
-    y1 = table.y[keep]
-    y2 = transform.points[keep] + transform.derivatives[keep] / table.rhat[keep]
-    center = np.abs(y1 - y2) / (1.0 + np.abs(y1))
-    ratio = table.rhat[keep] / table.r[keep]
-    target = -(table.lam[keep] / np.abs(base.derivatives[keep]) ** 2) * (mu / base.m[keep])
-    rdef = np.abs(ratio - target) / (1.0 + np.abs(ratio))
-    return float(center.max()), float(rdef.max())
+    r, rhat, xp = table.r, table.rhat, base.derivatives
+    center = (r * rhat * (base.points - transform.points) + rhat * xp
+              - r * transform.derivatives)
+    ratio = rhat * np.abs(xp) ** 2 * base.m + r * table.lam * mu
+    return float(np.abs(center).max()), float(np.abs(ratio).max())
 
 
 def lambda_evolution_defects(base: PolarizedCurve, transform: PolarizedCurve, mu: float):

@@ -62,7 +62,10 @@ class SGrid:
             raise CurveError("grid endpoints must be finite")
         if not (math.isfinite(h) and h > 0):
             raise CurveError(f"grid step must be a finite positive real, got {h!r}")
-        intervals = int(round((s1 - s0) / h))
+        ratio = (s1 - s0) / h
+        if not math.isfinite(ratio):
+            raise CurveError(f"grid node count overflows: (s1 - s0)/h = {ratio!r}")
+        intervals = int(round(ratio))
         if intervals < 0:
             raise CurveError(f"grid endpoints reversed: {s0!r} > {s1!r}")
         return cls(s0, s0 + intervals * h, h, intervals + 1)
@@ -266,12 +269,8 @@ class PolarizedCurve:
     def _stage_data(self):
         """(x, x', m) on the refined grid (nodes + midpoints), for Riccati
         stepping."""
-        count = self.grid.count
         if self._refined_x is not None:
             xs, xps = self._refined_x
-        elif count == 1:
-            xs = self.points.copy()
-            xps = np.full(1, np.nan, dtype=complex)
         else:
             xs = _interleave(self.points, _midpoint_interp(self.points))
             xps = _interleave(

@@ -226,9 +226,16 @@ def test_bad_step_and_bad_tolerance_are_usage_errors(tmp_path, capsys):
     ("flow", FLOW_INI.replace("mu = arclength", "mu = nan"), [], "[polarization] mu"),
     ("flow", FLOW_INI.replace("mu = arclength", "mu = 0.25, inf, 0.25"), [],
      "[polarization] mu"),
+    # finite numbers whose node count (s1 - s0)/h overflows to inf
+    ("motion", MOTION_INI.replace("s0 = 0", "s0 = -1e308").replace("s1 = 0.25", "s1 = 1e308")
+     .replace("h = 1e-3", "h = 1e307"), [], "[grid] s0/s1/h: grid node count overflows"),
+    ("motion", MOTION_INI, ["--h", "1e-320"], "error: grid node count overflows"),
+    ("figure1", "[run]\ncommand = figure1\n", ["--h", "1e-320"],
+     "error: grid node count overflows"),
 ], ids=["grid-h", "grid-s0", "darboux-h", "verify-h", "tol", "verify-key", "offset-text",
         "offset-nan", "mu-nan", "mu-inf", "point-nan", "point-pair-inf", "ngon-radius-inf",
-        "ngon-radius-nan", "circle-radius-nan", "flow-mu-nan", "flow-mu-list-inf"])
+        "ngon-radius-nan", "circle-radius-nan", "flow-mu-nan", "flow-mu-list-inf",
+        "grid-count-overflow", "motion-h-count-overflow", "figure1-h-count-overflow"])
 def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, command, text, args, key):
     cfg = _write(tmp_path, text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")] + args) == 1

@@ -104,17 +104,6 @@ def test_lemma_and_lambda_residuals_on_line_pair():
     assert single_form < 1e-8
 
 
-def test_pair_table_marks_degenerate_nodes():
-    g = SGrid.from_step(0.0, 1.0, 1e-2)
-    base = _circle(g)
-    # a radial seed makes d parallel to the normal at s = 0, so r(0) = 0
-    t = darboux_transform(base, DarbouxParams(0.25, -1.2 + 0j))
-    table = pair_table(base, t)
-    assert table.degenerate[0]
-    assert not table.degenerate[20]
-    assert np.isnan(table.y[0])
-
-
 def _one_node_pair(x, xp, xh, xhp):
     """A pair on a one-node grid, with the tangents given as samples."""
     g = SGrid(0.0, 0.0, 1.0, 1)
@@ -127,9 +116,17 @@ def test_pair_table_hand_values():
     assert table.lam[0] == pytest.approx(2.0)
     assert table.r[0] == pytest.approx(1.0)
     assert table.rhat[0] == pytest.approx(-1.0)
-    assert table.y[0] == pytest.approx(1.0 + 0j)
     assert table.cr[0] == pytest.approx(-0.5j)
-    assert not table.degenerate[0]
+
+
+def test_lemma_defects_count_nodes_where_r_vanishes():
+    # d = i is normal to x' = 1, so r = 0 while rhat = -2: the identities
+    # read |rhat x'| = 2 and |rhat |x'|^2 m| = 2 instead of skipping the node
+    base, transform = _one_node_pair(0j, 1 + 0j, 1j, 1 + 1j)
+    table = pair_table(base, transform)
+    assert table.r[0] == 0.0
+    assert table.rhat[0] == pytest.approx(-2.0)
+    assert lemma_defects(base, transform, 0.25) == pytest.approx((2.0, 2.0))
 
 
 def test_seed_collision_rejected():

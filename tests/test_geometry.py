@@ -45,9 +45,11 @@ def test_grid_rejects_bad_step():
         SGrid.from_step(0.0, 1.0, -0.1)
     with pytest.raises(CurveError):
         SGrid.from_step(0.0, 1.0, 0.0)
-    # non-finite numbers are refused, not passed on to the node count
+    # non-finite numbers are refused, not passed on to the node count, and
+    # so is a node count (s1 - s0)/h that overflows to inf
     for s0, s1, h in ((0.0, 1.0, math.nan), (0.0, 1.0, math.inf),
-                      (math.nan, 1.0, 0.1), (0.0, math.inf, 0.1)):
+                      (math.nan, 1.0, 0.1), (0.0, math.inf, 0.1),
+                      (-1e308, 1e308, 1e307), (0.0, 2 * math.pi, 1e-320)):
         with pytest.raises(CurveError):
             SGrid.from_step(s0, s1, h)
 

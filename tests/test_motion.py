@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from darbouxflow.errors import BlowupError, CoincidentPointsError, CurveError, NonRegularError
+from darbouxflow.expressions import parse_expression
 from darbouxflow.geometry import EPS_REG, SGrid, Sheet, fd_derivative, ngon_vertices
 from darbouxflow.motion import (
     frame_compatibility_check,
@@ -15,8 +16,8 @@ from darbouxflow.motion import (
     tangential_angles,
 )
 from darbouxflow.ode import rk4_path, stage_abscissas
-from darbouxflow.verification import (HEPTAGON_LENGTHS, HEPTAGON_TURNS, HEPTAGON_W0,
-                                      polyline_vertices)
+from darbouxflow.verification import (HEPTAGON_LENGTHS, HEPTAGON_N0, HEPTAGON_TURNS,
+                                      HEPTAGON_W0, polyline_vertices)
 
 SQUARE = np.array([0, 1, 1 + 1j, 1j, 0], dtype=complex)
 
@@ -207,7 +208,7 @@ def test_motion_matches_the_numpy_stage_reference():
     for v, w0, n0, length in [(ngon_vertices(6), -math.pi / 6.0, 0, 1.0),
                               (ngon_vertices(4), 0.0, 0, 0.5),
                               (ngon_vertices(5), -math.pi / 5.0, 0, 1.0),
-                              (heptagon, HEPTAGON_W0, 0, 0.5),
+                              (heptagon, parse_expression(HEPTAGON_W0), HEPTAGON_N0, 0.5),
                               (ngon_vertices(5), lambda s: 0.2 * math.sin(s), 0, 0.5),
                               (ngon_vertices(6), lambda s: -math.pi / 6 + 0.1 * math.sin(s), 2,
                                1.0)]:
@@ -221,7 +222,8 @@ def test_motion_and_the_numpy_stage_reference_differ_at_fourth_order(case):
     rng = np.random.default_rng(13)
     wide = polyline_vertices(rng.uniform(-0.3, 0.3, 62), rng.uniform(0.8, 1.2, 63))
     v, w0, n0, length = {
-        "heptagon": (polyline_vertices(HEPTAGON_TURNS, HEPTAGON_LENGTHS), HEPTAGON_W0, 0, 0.5),
+        "heptagon": (polyline_vertices(HEPTAGON_TURNS, HEPTAGON_LENGTHS),
+                     parse_expression(HEPTAGON_W0), HEPTAGON_N0, 0.5),
         "wide": (wide, 0.1, 3, 0.1)}[case]
     gaps = []
     for h in (1e-3, 5e-4):
