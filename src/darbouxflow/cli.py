@@ -7,8 +7,8 @@ propagation of a discrete polarized curve), motion (isoperimetric polygon
 motion), verify (run the acceptance suite), figure1 (one circle, one
 parameter, two polarizations — two visibly different transforms).
 
-Exit codes: 0 success, 1 validation/config error, 2 numerical failure,
-3 verification failure.
+Exit codes, by the failure's type: 0 success, 1 bad usage or input, 2 numerical
+failure (one of NUMERICAL_FAILURES), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import numpy as np
 
 from .config import ConfigError, Scenario, load_scenario
 from .darboux import DarbouxParams, arclength_darboux, darboux_transform
-from .errors import BlowupError, CurveError
+from .errors import (BlowupError, CoincidentPointsError, CurveError, NonRegularError,
+                     SingularTangentError)
 from .geometry import Sheet
 from .motion import integrate_motion
 from .output import ensure_dir, write_csv, write_svg
@@ -31,9 +32,20 @@ from .verification import FIGURE_MU, FIGURE_POINT, figure_family, run_suite
 
 __all__ = ["main"]
 
+#: A solution that blew up or left the regular regime: exit code 2.
+NUMERICAL_FAILURES = (BlowupError, CoincidentPointsError, SingularTangentError,
+                      NonRegularError)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error instead of exiting with argparse's code 2."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="darbouxflow",
         description="Darboux transforms, discrete curve flows, and their "
                     "equivalence checks.")
@@ -119,32 +131,23 @@ def _run_verify(sc: Scenario, h: float | None, tol: float | None) -> int:
     return 3 if failed else 0
 
 
+_RUNNERS = {"darboux": _run_darboux, "flow": _run_flow, "motion": _run_motion,
+            "figure1": _run_figure}
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         sc = load_scenario(args.config, args.command, args.h)
         if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
             raise ConfigError(f"--tol must be a finite positive number, got {args.tol!r}")
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-    except (ConfigError, CurveError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         if sc.command == "verify":
             return _run_verify(sc, args.h, args.tol)
-        if sc.command == "darboux":
-            files = _run_darboux(sc, args.out)
-        elif sc.command == "flow":
-            files = _run_flow(sc, args.out)
-        elif sc.command == "motion":
-            files = _run_motion(sc, args.out)
-        else:
-            files = _run_figure(sc, args.out)
-    except (BlowupError, CurveError) as exc:
+        files = _RUNNERS[sc.command](sc, args.out)
+    except NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, CurveError, OSError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for path in files:

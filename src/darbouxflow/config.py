@@ -254,29 +254,20 @@ def _discrete_vertices(cp, section: str) -> np.ndarray:
                            "(expected ngon or vertices)")
 
 
-def _mu_edges(cp, vertices: np.ndarray, section="polarization"):
+def _mu_edges(cp, vertices: np.ndarray):
     """Per-edge mu for a discrete base: scalar, list, or 'arclength'."""
-    raw = _get(cp, section, "mu", required=True)
+    raw = _get(cp, "polarization", "mu", required=True)
     if raw.lower() == "arclength":
         # A zero edge gives inf; DiscretePolarizedCurve then names its vertices.
         with np.errstate(divide="ignore"):
             return 1.0 / np.abs(np.diff(vertices)) ** 2
-    vals = np.array([_finite(p, section, "mu") for p in raw.split(",") if p.strip()])
+    vals = np.array([_finite(p, "polarization", "mu") for p in raw.split(",") if p.strip()])
     if len(vals) == 1:
         return float(vals[0])
     if len(vals) != len(vertices) - 1:
-        _fail(section, "mu", f"need one value per edge "
-                             f"({len(vertices) - 1}), got {len(vals)}")
+        _fail("polarization", "mu", f"need one value per edge "
+                                    f"({len(vertices) - 1}), got {len(vals)}")
     return vals
-
-
-def _scalar_mu(cp) -> float | None:
-    section = "polarization"
-    if _get(cp, section, "mu") is None:
-        section = "parameters"
-    elif _get(cp, "parameters", "mu") is not None:
-        _fail("parameters", "mu", "mu given in both [polarization] and [parameters]")
-    return _get_float(cp, section, "mu")
 
 
 def load_scenario(path, command: str | None = None,
@@ -338,9 +329,7 @@ def load_scenario(path, command: str | None = None,
         m = _expression(cp, "polarization", "m", default="1")
     if cmd == "darboux":
         sc.source = _smooth_curve(cp, "curve", grid, m)
-        sc.mu = _scalar_mu(cp)
-        if sc.mu is None:
-            _fail("polarization", "mu", "darboux needs a numeric mu")
+        sc.mu = _get_float(cp, "polarization", "mu", required=True)
         raw_pt = _get(cp, "parameters", "initial_point")
         raw_off = _get(cp, "parameters", "offset_angle")
         if raw_pt is not None and raw_off is not None:
@@ -372,7 +361,7 @@ def load_scenario(path, command: str | None = None,
         sc.w0 = _expression(cp, "parameters", "w0", grid)
     elif cmd == "figure1":
         # Optional overrides; defaults are supplied by the figure pipeline.
-        sc.mu = _scalar_mu(cp)
+        sc.mu = _get_float(cp, "polarization", "mu")
         raw_pt = _get(cp, "parameters", "initial_point")
         if raw_pt is not None:
             sc.initial_point = _parse_point(raw_pt, "parameters", "initial_point")

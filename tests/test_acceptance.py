@@ -111,6 +111,16 @@ def test_transform_stacking_and_motion_integration_build_the_same_sheet(
     _check(acceptance_results, "pipelines-agree")
 
 
+def test_pipelines_halving_ratios_hold_off_the_default_step():
+    # the hexagon is a rigid rotation whose h/2 sup sits on round-off; a ratio
+    # taken on it read 28.1 at this step, against the ratio-max of 20
+    result = next(r for r in run_suite(h=9e-4) if r.name == "pipelines-agree")
+    assert result.passed, result.line()
+    assert [label for label, *_ in result.bounds if "ratio" in label] == [
+        "square halving ratio", "square halving ratio",
+        "heptagon halving ratio", "heptagon halving ratio"]
+
+
 def test_position_sheet_satisfies_the_frameless_identity(acceptance_results):
     _check(acceptance_results, "frameless-identity")
 

@@ -1,19 +1,23 @@
 """End-to-end command line runs, one per exit code."""
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from darbouxflow import verification
+from darbouxflow import cli, verification
 from darbouxflow.cli import main
-from darbouxflow.config import COMMANDS, load_scenario
-from darbouxflow.errors import BlowupError
+from darbouxflow.config import COMMANDS, ConfigError, load_scenario
+from darbouxflow.errors import (BlowupError, CoincidentPointsError, CurveError,
+                                GridTooShortError, NonRegularError,
+                                NotArclengthPolarizedError, SingularTangentError)
 from darbouxflow.output import read_csv
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+README = SCENARIO_DIR.parent / "README.md"
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -253,6 +257,73 @@ def test_transform_past_the_pole_is_a_numerical_failure(tmp_path, capsys):
     assert "blew up" in err
 
 
+FAILURES = [(BlowupError, 2), (CoincidentPointsError, 2), (SingularTangentError, 2),
+            (NonRegularError, 2), (CurveError, 1), (GridTooShortError, 1),
+            (NotArclengthPolarizedError, 1), (ConfigError, 1), (OSError, 1)]
+
+
+@pytest.mark.parametrize("error, code", FAILURES, ids=[e.__name__ for e, _ in FAILURES])
+def test_exit_code_follows_the_failure_type(tmp_path, capsys, monkeypatch, error, code):
+    # raised while running, after the scenario has loaded: the type alone decides
+    def fail(*args):
+        raise error("raised by the runner")
+
+    monkeypatch.setattr(cli, "integrate_motion", fail)
+    out = tmp_path / "out"
+    assert main(["motion", "--config", _write(tmp_path, MOTION_INI), "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    prefix = "numerical failure" if code == 2 else "error"
+    assert captured.err == f"{prefix}: raised by the runner\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("darboux", DARBOUX_INI.replace("mu = 0.25", "mu = 0"),
+     "mu must be a nonzero finite real, got 0.0"),
+    ("darboux", DARBOUX_INI.replace("[polarization]\n", "[polarization]\nm = 2\n").replace(
+        "initial_point = -1+0j", "offset_angle = 0"), "curve is not arc-length polarized"),
+    ("motion", MOTION_INI.replace("[parameters]\n", "[parameters]\nn0 = 9\n"),
+     "seed edge 9 outside 0..5"),
+    ("darboux", DARBOUX_INI.replace("kind = circle", "kind = samples\ncsv = {tmp}/three.csv")
+     .replace("h = 1e-2", "h = 0.5"), "need at least 5 samples to interpolate midpoints"),
+    ("flow", (SCENARIO_DIR / "flow_line.ini").read_text().replace(
+        "[initial]", "[parameters]\nn0 = 1\n\n[initial]"),
+     "initial curve misses base vertex 1"),
+], ids=["mu-zero", "not-arclength-polarized", "seed-edge-outside", "grid-too-short",
+        "initial-misses-vertex"])
+def test_bad_input_found_while_running_is_a_usage_error(tmp_path, capsys, command, text,
+                                                       message):
+    (tmp_path / "three.csv").write_text("n,s,x,y\n0,0,0,0\n0,0.5,0.5,0\n0,1,1,0\n")
+    cfg = _write(tmp_path, text.replace("{tmp}", str(tmp_path)))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    ([], "the following arguments are required: command"),
+    (["darboux"], "the following arguments are required: --config"),
+    (["darboux", "--config", "x.ini", "--h", "abc"], "argument --h: invalid float value: 'abc'"),
+    (["spiral", "--config", "x.ini"], "argument command: invalid choice: 'spiral'"),
+    (["verify", "--config", "x.ini", "--bogus"], "unrecognized arguments: --bogus"),
+], ids=["no-command", "no-config", "h-not-a-number", "unknown-command", "unknown-option"])
+def test_argparse_errors_are_usage_errors(capsys, args, message):
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("args", [["-h"], ["darboux", "-h"]], ids=["top", "command"])
+def test_help_exits_zero(capsys, args):
+    with pytest.raises(SystemExit) as info:
+        main(args)
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: darbouxflow")
+
+
 def test_polarization_vanishing_between_nodes_is_a_usage_error(tmp_path, capsys):
     # m > 0 at every node, m = 0 at the first RK4 midpoint: bad input, found
     # while the scenario loads (a blow-up past a pole still exits 2, above),
@@ -364,10 +435,22 @@ def test_a_failing_artifact_fails_its_checks_and_the_others_still_run(
             ": BlowupError: integration blew up at grid index 7")
 
 
-@pytest.mark.parametrize(
-    "name", sorted(p.name for p in SCENARIO_DIR.glob("*.ini")))
-def test_shipped_scenarios_parse(name):
-    sc = load_scenario(SCENARIO_DIR / name)
+# The scenario files, and README's ```ini blocks under README-<k> names.
+SHIPPED = {p.name: p for p in SCENARIO_DIR.glob("*.ini")}
+SHIPPED.update((f"README-{k}", text) for k, text in enumerate(
+    re.findall(r"```ini\n(.*?)```", README.read_text(), re.S), 1))
+
+
+def test_readme_has_four_scenario_examples():
+    assert sorted(name for name in SHIPPED if name.startswith("README-")) == [
+        "README-1", "README-2", "README-3", "README-4"]
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_shipped_scenarios_parse(tmp_path, name):
+    source = SHIPPED[name]
+    path = source if isinstance(source, pathlib.Path) else _write(tmp_path, source)
+    sc = load_scenario(path)
     assert sc.command in COMMANDS
 
 
