@@ -47,7 +47,6 @@ import numpy as np
 from .errors import CurveError
 from .expressions import ExpressionError, parse_expression
 from .geometry import DiscretePolarizedCurve, PolarizedCurve, SGrid, _resolve_m, ngon_vertices
-from .ode import stage_abscissas
 from .output import read_csv
 
 __all__ = ["ConfigError", "Scenario", "load_scenario", "COMMANDS"]
@@ -185,8 +184,7 @@ def _expression(cp, section: str, key: str, grid: SGrid | None = None, default=N
     expr = _parse_expr(raw, section, key)
     if not expr.is_constant and grid is None:
         return expr
-    # Where the motion calls w0: its midpoints can sit an ulp off refined_values().
-    s = 0.0 if expr.is_constant else stage_abscissas(grid.values())
+    s = 0.0 if expr.is_constant else grid.refined_values()
     try:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             values = expr(s)

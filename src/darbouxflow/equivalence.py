@@ -36,8 +36,9 @@ def frameless_identity_check(sheet: Sheet, theta: np.ndarray, mu) -> float:
 
     The direct term differentiates row derivatives that are themselves finite
     differences, so the defect is taken where every ingredient uses a central
-    stencil: four columns in from each end.  (Differencing across the one-sided
-    to central changeover costs an order of accuracy and would dominate.)
+    stencil: four columns in from each end, two on grids of 5 to 8 nodes.
+    (Differencing across the one-sided to central changeover costs an order
+    of accuracy and would dominate.)  Raises GridTooShortError under 5 nodes.
     """
     h = sheet.grid.h
     theta = np.asarray(theta, dtype=float)
@@ -49,13 +50,7 @@ def frameless_identity_check(sheet: Sheet, theta: np.ndarray, mu) -> float:
     first = 2.0 * np.sqrt(mu_arr) * (np.exp(1j * theta[1:]) - np.exp(1j * theta[:-1])) * sum_half
     theta_p = fd_derivative(theta, h, axis=1)
     second = 1j * (theta_p[1:] + theta_p[:-1]) * sum_half**2
-    count = sheet.grid.count
-    if count >= 9:
-        inner = slice(4, -4)
-    elif count >= 5:
-        inner = slice(2, -2)
-    else:
-        inner = slice(None)
+    inner = slice(4, -4) if sheet.grid.count >= 9 else slice(2, -2)
     # np.minimum/np.maximum, unlike min/max, keep a NaN in either position
     d_first = np.minimum(np.abs(first - direct)[:, inner].max(),
                          np.abs(-first - direct)[:, inner].max())

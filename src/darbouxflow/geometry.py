@@ -18,12 +18,10 @@ from .errors import (
     GridTooShortError,
     SingularTangentError,
 )
+from .ode import _interleave
 
 #: Regularity constant; every near-zero guard funnels through it.
 EPS_REG = 1e-9
-
-#: Relative slack allowed in the grid consistency identity s1 - s0 = (count-1) h.
-GRID_RTOL = 1e-12
 
 
 def dot(a, b):
@@ -33,48 +31,46 @@ def dot(a, b):
 
 @dataclass(frozen=True)
 class SGrid:
-    """Uniform parameter grid s_i = s0 + i*h, i = 0..count-1."""
+    """Uniform parameter grid s_i = s0 + i*h, i = 0..count-1, ending at s1."""
 
     s0: float
-    s1: float
     h: float
     count: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.s0) and math.isfinite(self.s1)):
-            raise CurveError("grid endpoints must be finite")
         if not (math.isfinite(self.h) and self.h > 0):
             raise CurveError(f"grid step must be a finite positive real, got {self.h!r}")
         if self.count < 1:
             raise CurveError(f"grid needs at least one node, got count={self.count}")
-        span = (self.count - 1) * self.h
-        scale = max(abs(self.s1 - self.s0), abs(span), 1.0)
-        if abs((self.s1 - self.s0) - span) > GRID_RTOL * scale:
-            raise CurveError(
-                f"inconsistent grid: s1-s0={self.s1 - self.s0!r} but (count-1)*h={span!r}"
-            )
+        if not (math.isfinite(self.s0) and math.isfinite(self.s1)):
+            raise CurveError("grid endpoints must be finite")
+
+    @property
+    def s1(self) -> float:
+        """The last node, s0 + (count-1)*h."""
+        return self.s0 + (self.count - 1) * self.h
 
     @classmethod
     def from_step(cls, s0: float, s1: float, h: float) -> "SGrid":
-        """Grid from endpoints and step; the node count is rounded to fit and
-        s1 is snapped to s0 + (count-1)*h so the step stays exact."""
+        """Grid from endpoints and step; the node count is rounded to fit, so
+        the grid's own s1 is s0 + (count-1)*h and the step stays exact."""
         if not (math.isfinite(s0) and math.isfinite(s1)):
             raise CurveError("grid endpoints must be finite")
         if not (math.isfinite(h) and h > 0):
             raise CurveError(f"grid step must be a finite positive real, got {h!r}")
+        if s1 < s0:
+            raise CurveError(f"grid endpoints reversed: {s0!r} > {s1!r}")
         ratio = (s1 - s0) / h
         if not math.isfinite(ratio):
             raise CurveError(f"grid node count overflows: (s1 - s0)/h = {ratio!r}")
-        intervals = int(round(ratio))
-        if intervals < 0:
-            raise CurveError(f"grid endpoints reversed: {s0!r} > {s1!r}")
-        return cls(s0, s0 + intervals * h, h, intervals + 1)
+        return cls(s0, h, int(round(ratio)) + 1)
 
     def values(self) -> np.ndarray:
         return self.s0 + self.h * np.arange(self.count)
 
     def refined_values(self) -> np.ndarray:
-        """Nodes plus midpoints: s0 + k*(h/2), k = 0..2*count-2."""
+        """The RK4 stage abscissas, nodes plus midpoints: s0 + k*(h/2),
+        k = 0..2*count-2, in the ``ode._interleave`` layout."""
         return self.s0 + 0.5 * self.h * np.arange(2 * self.count - 1)
 
 
@@ -143,13 +139,6 @@ def _midpoint_interp(samples: np.ndarray, derivative: bool = False) -> np.ndarra
     for i in (n - 3, n - 2):
         mids[i] = weights(window, i + 0.5 - (n - window)) @ samples[-window:]
     return mids
-
-
-def _interleave(nodes: np.ndarray, mids: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * len(nodes) - 1, dtype=np.result_type(nodes.dtype, mids.dtype))
-    out[0::2] = nodes
-    out[1::2] = mids
-    return out
 
 
 def _validate_m(m: np.ndarray):

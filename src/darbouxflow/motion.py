@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import BlowupError, CoincidentPointsError, CurveError, NonRegularError
 from .geometry import EPS_REG, SGrid, Sheet, fd_derivative
-from .ode import stage_abscissas
 
 #: Largest per-step angle change the recorder accepts before declaring the
 #: step size too coarse to track branches.
@@ -49,20 +48,23 @@ def integrate_motion(vertices, w0, n0: int, grid: SGrid) -> MotionResult:
     """RK4-step the edge angles and x_0 of a polygon under the isoperimetric
     motion, then build the vertices by one cumulative sum of the edges.
 
-    ``w0`` may be a constant or a function of s, called once per stage
-    abscissa (``stage_abscissas``).  Every stage walks theta outward from
-    theta_{n0} = psi_{n0} + w0 by theta_n + theta_{n+1} = 2 psi_n, which is
-    the w-recursion.  The step runs over Python floats one edge at a time
+    ``w0`` may be a constant or a function of s, called once at each RK4
+    stage abscissa (``grid.refined_values()``, where the Riccati solve
+    evaluates m).  Every stage walks theta outward from theta_{n0} =
+    psi_{n0} + w0 by theta_n + theta_{n+1} = 2 psi_n, which is the
+    w-recursion.  The step runs over Python floats one edge at a time
     through all four stages, as stage j of an edge needs only stage j of the
-    edges nearer n0, with Kahan-compensated updates.  A w0 that is not
-    finite, or whose call divides by zero or overflows, raises CurveError at
-    the first such s; edges folding back on each other at a grid node raise
-    NonRegularError, and an angle jump of MAX_ANGLE_JUMP in one step
-    BlowupError.
+    edges nearer n0, with Kahan-compensated updates.  A vertex that is not
+    finite raises CurveError, and so does a w0 that is not finite, or whose
+    call divides by zero or overflows, at the first such s; edges folding
+    back on each other at a grid node raise NonRegularError, and an angle
+    jump of MAX_ANGLE_JUMP in one step BlowupError.
     """
     v0 = np.asarray(vertices, dtype=complex)
     if v0.ndim != 1 or len(v0) < 2:
         raise CurveError("a motion needs a 1-D sequence of at least two vertices")
+    if not np.isfinite(v0).all():
+        raise CurveError("vertices must be finite")
     if not 0 <= n0 < len(v0) - 1:
         raise CurveError(f"seed edge {n0} outside 0..{len(v0) - 2}")
     edges = np.diff(v0)
@@ -70,8 +72,7 @@ def integrate_motion(vertices, w0, n0: int, grid: SGrid) -> MotionResult:
     if a.min() <= EPS_REG:
         n = int(np.argmin(a))
         raise CoincidentPointsError(f"edge ({n}, {n + 1}) has length {a.min():.3e}")
-    svals = grid.values()
-    stages = stage_abscissas(svals).tolist()
+    stages = grid.refined_values().tolist()
     if callable(w0):
         # Scalar calls, as a callable applied to a whole array can round differently.
         w = []
@@ -97,7 +98,7 @@ def integrate_motion(vertices, w0, n0: int, grid: SGrid) -> MotionResult:
     coef, y, comp = coef.tolist(), psi[order].tolist(), [0.0] * E
     x, xcomp = complex(v0[0]), 0j
     rows, xs = [y], [x]
-    h = np.diff(svals)
+    h = np.diff(grid.values())
     for wa, wb, wc, step, half, sixth in zip(
             w[0::2].tolist(), w[1::2].tolist(), w[2::2].tolist(),
             h.tolist(), (0.5 * h).tolist(), (h / 6.0).tolist()):
@@ -203,8 +204,7 @@ def mkdv_residual(theta: np.ndarray, a, grid: SGrid) -> float:
         raise CurveError("edge lengths must be positive")
     lhs = fd_derivative(0.5 * (theta[1:] + theta[:-1]), grid.h, axis=1)
     rhs = (2.0 / a_arr) * np.sin(0.5 * (theta[1:] - theta[:-1]))
-    res = np.abs(lhs - rhs)
-    inner = res[:, 2:-2] if grid.count >= 5 else res
+    inner = np.abs(lhs - rhs)[:, 2:-2]
     return float(inner.max()) if inner.size else 0.0
 
 

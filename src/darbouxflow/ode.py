@@ -1,34 +1,37 @@
 """Fixed-step classic Runge-Kutta integration on shared parameter grids.
 
-``stage_abscissas`` gives the s of each RK4 stage, where the motion and the
-scenario loader evaluate w0.  ``rk4_path`` is the generic driver: the state
-may be a scalar or any numpy array, and right-hand sides are addressed by
-stage index on the refined grid (nodes and midpoints), so tabulated
-coefficients need no s arithmetic.  The package's solvers write the step out
-inline (``darboux.riccati_solve``, ``motion.integrate_motion``) and do not
-come through here; ``rk4_path`` remains the reference the tests drive.
+The RK4 stages of a step from node i to node i+1 sit at the two nodes and
+the step midpoint.  ``_interleave`` lays node and midpoint data out in that
+stage order (node i at 2i, the midpoint at 2i+1); ``SGrid.refined_values``
+is the one source of the stage abscissas in that layout.  ``rk4_path`` is
+the generic driver: the state may be a scalar or any numpy array, and
+right-hand sides are addressed by stage index, so tabulated coefficients
+need no s arithmetic.  The package's solvers write the step out inline
+(``darboux.riccati_solve``, ``motion.integrate_motion``) and do not come
+through here; ``rk4_path`` remains the reference the tests drive.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import BlowupError
-from .geometry import _interleave
 
 
-def stage_abscissas(s_values) -> np.ndarray:
-    """The s of each ``rk4_path`` stage index: node i at 2i, the step midpoint at 2i+1."""
-    s = np.asarray(s_values, dtype=float)
-    return _interleave(s, s[:-1] + 0.5 * np.diff(s))
+def _interleave(nodes: np.ndarray, mids: np.ndarray) -> np.ndarray:
+    """Node and step-midpoint data in RK4 stage order: node i at 2i, midpoint at 2i+1."""
+    out = np.empty(2 * len(nodes) - 1, dtype=np.result_type(nodes.dtype, mids.dtype))
+    out[0::2] = nodes
+    out[1::2] = mids
+    return out
 
 
 def rk4_path(s_values, rhs, y0):
     """Classic RK4 along an ordered sequence of s values (either direction).
 
     ``rhs(k, y)`` gets the stage index k along ``s_values`` as given: step i
-    calls it at k = 2i, 2i+1, 2i+1, 2i+2 (see ``stage_abscissas``), and s
-    only sets the step h.  Compensated (Kahan) summation of the updates keeps
-    round-off from swamping the O(h^4) truncation error.  Returns the states
+    calls it at k = 2i, 2i+1, 2i+1, 2i+2 (the ``_interleave`` layout), and
+    s only sets the step h.  Compensated (Kahan) summation of the updates
+    keeps round-off from swamping the O(h^4) truncation error.  Returns the states
     at every entry of ``s_values``; raises BlowupError (carrying the index
     reached) as soon as a state goes non-finite.
     """

@@ -43,8 +43,8 @@ def read_csv(path):
     """Parse an n,s,x,y file back into (s values, complex value array by row).
 
     n must be an integer.  Rows must form a complete rectangular sheet:
-    every n present on the same evenly spaced s grid, each in file order.
-    Any malformed or non-finite row raises CurveError naming the file.
+    every n present on the same increasing, evenly spaced s grid, each in
+    file order.  Any malformed or non-finite row raises CurveError naming the file.
     """
     with open(path, newline="") as fh:
         lines = (ln for ln in fh if ln.strip())
@@ -75,10 +75,12 @@ def read_csv(path):
         raise CurveError(f"{path}: rows have differing grid lengths")
     ss = table[:, 1].reshape(len(labels), count)
     svals = ss[0].copy()
+    steps = np.diff(svals)
+    if (steps <= 0).any():
+        raise CurveError(f"{path}: s values must increase")
     if len(svals) > 2:
         h = (svals[-1] - svals[0]) / (len(svals) - 1)
-        steps = np.diff(svals)
-        off = np.abs(steps - h) > SPACING_RTOL * abs(h)
+        off = np.abs(steps - h) > SPACING_RTOL * h
         if off.any():
             i = int(np.argmax(off))
             raise CurveError(
@@ -94,12 +96,8 @@ def read_csv(path):
 def sheet_from_csv(path) -> Sheet:
     """Reconstruct a Sheet from a file produced by write_csv."""
     svals, values = read_csv(path)
-    if len(svals) == 1:
-        grid = SGrid(float(svals[0]), float(svals[0]), 1.0, 1)
-    else:
-        h = (float(svals[-1]) - float(svals[0])) / (len(svals) - 1)
-        grid = SGrid(float(svals[0]), float(svals[-1]), h, len(svals))
-    return Sheet(grid, values)
+    h = (float(svals[-1]) - float(svals[0])) / (len(svals) - 1) if len(svals) > 1 else 1.0
+    return Sheet(SGrid(float(svals[0]), h, len(svals)), values)
 
 
 def svg_text(curves, colors=None, markers=()) -> str:

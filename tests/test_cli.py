@@ -236,10 +236,45 @@ def test_bad_step_and_bad_tolerance_are_usage_errors(tmp_path, capsys):
     ("motion", MOTION_INI, ["--h", "1e-320"], "error: grid node count overflows"),
     ("figure1", "[run]\ncommand = figure1\n", ["--h", "1e-320"],
      "error: grid node count overflows"),
+    # endpoints reversed by less than half a step round to no intervals at all
+    ("darboux", DARBOUX_INI.replace("s0 = 0\ns1 = 1", "s0 = 1\ns1 = 0.996"), [],
+     "[grid] s0/s1/h: grid endpoints reversed: 1.0 > 0.996"),
+    # other malformed values and sections, each refused while loading
+    ("darboux", DARBOUX_INI.replace("kind = circle", "kind = circle\nradius = 0"), [],
+     "[curve] radius: must be positive, got 0.0"),
+    ("motion", MOTION_INI.replace("n = 6", "n = 6.5"), [], "[curve] n: not an integer"),
+    ("motion", MOTION_INI.replace("[parameters]\n", "[parameters]\nn0 = 1.5\n"), [],
+     "[parameters] n0: not an integer"),
+    ("darboux", DARBOUX_INI.replace("-1+0j", "(1, 2, 3)"), [],
+     "[parameters] initial_point: expected (x, y), got"),
+    ("darboux", DARBOUX_INI.replace("-1+0j", "(a, 2)"), [],
+     "[parameters] initial_point: expected (x, y) with numeric entries"),
+    ("flow", FLOW_INI.replace("0+0j, 2+0j, 4+0j, 6+0j", "0+0j"), [],
+     "[curve] values: need at least two comma-separated vertices"),
+    ("flow", FLOW_INI.replace("0+0j, 2+0j", "0+0j, 0+0j"), [],
+     "[curve] values: consecutive vertices 0 and 1 coincide"),
+    ("darboux", DARBOUX_INI.replace("[grid]", "[nogrid]"), [],
+     "[grid] s0: this command needs a [grid] section"),
+    ("darboux", DARBOUX_INI.replace("[grid]", "[nogrid]"), ["--h", "1e-2"],
+     "error: --h given but the scenario has no [grid] section"),
+    ("motion", MOTION_INI.replace("[grid]", "[nogrid]"), [],
+     "error: motion needs a [grid] section"),
+    ("darboux", DARBOUX_INI.replace("kind = circle", "kind = samples\ncsv = nope.csv"), [],
+     "[curve] csv: no such file: nope.csv"),
+    ("darboux", DARBOUX_INI.replace("initial_point = -1+0j\n", ""), [],
+     "[parameters] initial_point: darboux needs initial_point or offset_angle"),
+    ("verify", "[run]\ncommand = verify\n\n[verify]\nlemma-identities = 0\n", [],
+     "[verify] lemma-identities: must be a finite positive number, got '0'"),
+    ("darboux", "[run]\ncommand = darboux\nbroken line\n", [],
+     "[line  3]: 'broken line"),
 ], ids=["grid-h", "grid-s0", "darboux-h", "verify-h", "tol", "verify-key", "offset-text",
         "offset-nan", "mu-nan", "mu-inf", "point-nan", "point-pair-inf", "ngon-radius-inf",
         "ngon-radius-nan", "circle-radius-nan", "flow-mu-nan", "flow-mu-list-inf",
-        "grid-count-overflow", "motion-h-count-overflow", "figure1-h-count-overflow"])
+        "grid-count-overflow", "motion-h-count-overflow", "figure1-h-count-overflow",
+        "grid-reversed", "circle-radius-zero", "ngon-n-fraction", "n0-fraction",
+        "point-triple", "point-pair-text", "one-vertex", "coincident-vertices",
+        "darboux-no-grid", "h-no-grid", "motion-no-grid", "samples-no-file",
+        "darboux-no-seed", "verify-key-zero", "ini-syntax"])
 def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, command, text, args, key):
     cfg = _write(tmp_path, text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")] + args) == 1
@@ -289,8 +324,13 @@ def test_exit_code_follows_the_failure_type(tmp_path, capsys, monkeypatch, error
     ("flow", (SCENARIO_DIR / "flow_line.ini").read_text().replace(
         "[initial]", "[parameters]\nn0 = 1\n\n[initial]"),
      "initial curve misses base vertex 1"),
+    # refused while loading, but they need the csv this test writes
+    ("darboux", DARBOUX_INI.replace("kind = circle", "kind = samples\ncsv = {tmp}/three.csv\n"
+                                    "row = 1"), "[curve] row: file has rows 0..0"),
+    ("darboux", DARBOUX_INI.replace("kind = circle", "kind = samples\ncsv = {tmp}/three.csv\n"
+                                    "row = x"), "[curve] row: not an integer: 'x'"),
 ], ids=["mu-zero", "not-arclength-polarized", "seed-edge-outside", "grid-too-short",
-        "initial-misses-vertex"])
+        "initial-misses-vertex", "samples-row-outside", "samples-row-text"])
 def test_bad_input_found_while_running_is_a_usage_error(tmp_path, capsys, command, text,
                                                        message):
     (tmp_path / "three.csv").write_text("n,s,x,y\n0,0,0,0\n0,0.5,0.5,0\n0,1,1,0\n")
@@ -517,8 +557,8 @@ def test_polarization_pole_prints_only_the_error(tmp_path):
 
 @pytest.mark.parametrize("w0, where", [
     ("1/(s-0.25)", " at s = 0.25"),
-    # the stage midpoint 0.0095 + ulp, one ulp off grid.refined_values()
-    ("1/(s-0.009500000000000001)", " at s = 0.009500000000000001"),
+    # a pole at a step midpoint, where the loader and the motion both look
+    ("1/(s-0.0095)", " at s = 0.0095"),
     ("1/0", ""), ("exp(1000)", ""), ("1/0 + s", " at s = 0.0")])
 def test_non_finite_w0_is_a_usage_error(tmp_path, capsys, recwarn, w0, where):
     text = (SCENARIO_DIR / "motion_hexagon.ini").read_text().replace(

@@ -2,14 +2,16 @@
 import math
 
 import numpy as np
+import pytest
 
 from darbouxflow.equivalence import (
     frameless_identity_check,
     iso_darboux_check,
     pipelines_agree,
 )
+from darbouxflow.errors import GridTooShortError
 from darbouxflow.geometry import SGrid, Sheet, ngon_vertices
-from darbouxflow.motion import integrate_motion, tangential_angles
+from darbouxflow.motion import integrate_motion, mkdv_residual, tangential_angles
 
 
 def test_hexagon_pipelines_agree():
@@ -65,3 +67,17 @@ def test_frameless_identity_fd_fallback():
     theta = tangential_angles(bare, reference=res.theta)
     a0 = np.abs(np.diff(ngon_vertices(6)))
     assert frameless_identity_check(bare, theta, 1.0 / a0**2) < 1e-5
+
+
+def test_frameless_identity_needs_five_nodes_and_reads_six_inside_the_stencil():
+    # under 5 nodes there is no 4th-order stencil, for this check or the
+    # mKdV residual; with 6 the defect is read two columns in from each end
+    v = ngon_vertices(6)
+    mu = 1.0 / np.abs(np.diff(v))**2
+    short = integrate_motion(v, -math.pi / 6, 0, SGrid(0.0, 1e-2, 4))
+    with pytest.raises(GridTooShortError):
+        frameless_identity_check(short.sheet, short.theta, mu)
+    with pytest.raises(GridTooShortError):
+        mkdv_residual(short.theta, short.a, short.sheet.grid)
+    six = integrate_motion(v, -math.pi / 6, 0, SGrid(0.0, 1e-2, 6))
+    assert frameless_identity_check(six.sheet, six.theta, mu) < 1e-7

@@ -19,10 +19,6 @@ from darbouxflow.geometry import (
 )
 
 
-def _grid(s0, h, count):
-    return SGrid(s0, s0 + (count - 1) * h, h, count)
-
-
 # ---------------------------------------------------------------- grids
 
 def test_grid_from_step_snaps_count():
@@ -34,8 +30,18 @@ def test_grid_from_step_snaps_count():
     assert np.allclose(np.diff(s), g.h)
 
 
+def test_grid_from_step_refuses_reversed_endpoints():
+    # reversed by less than half a step is still reversed; equal endpoints
+    # are a one-node grid
+    for s0, s1 in ((1.0, 0.9996), (1.0, 0.0)):
+        with pytest.raises(CurveError, match=rf"^grid endpoints reversed: {s0!r} > {s1!r}$"):
+            SGrid.from_step(s0, s1, 1e-3)
+    g = SGrid.from_step(1.0, 1.0, 1e-3)
+    assert (g.count, g.s1) == (1, 1.0)
+
+
 def test_refined_values_interleave_midpoints():
-    g = _grid(0.0, 0.5, 3)
+    g = SGrid(0.0, 0.5, 3)
     r = g.refined_values()
     assert list(r) == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
 
@@ -52,6 +58,12 @@ def test_grid_rejects_bad_step():
                       (-1e308, 1e308, 1e307), (0.0, 2 * math.pi, 1e-320)):
         with pytest.raises(CurveError):
             SGrid.from_step(s0, s1, h)
+    # a grid built directly is held to the same rules, its derived s1 included
+    for s0, h, count, message in ((0.0, -0.1, 3, "grid step"), (0.0, math.nan, 3, "grid step"),
+                                  (0.0, 0.1, 0, "at least one node"),
+                                  (math.nan, 0.1, 3, "endpoints"), (1e308, 1e308, 3, "endpoints")):
+        with pytest.raises(CurveError, match=message):
+            SGrid(s0, h, count)
 
 
 # ------------------------------------------------------- plane helpers
@@ -68,7 +80,7 @@ def test_dot_rotate_hand_values():
 
 def test_fd_derivative_exact_on_quartics():
     # the five-point stencils (central and one-sided) are exact through s^4
-    g = _grid(0.0, 0.1, 21)
+    g = SGrid(0.0, 0.1, 21)
     s = g.values()
     vals = s**4 - 3 * s**2 + 2 * s + 1.0
     want = 4 * s**3 - 6 * s + 2
@@ -86,7 +98,7 @@ def test_fd_derivative_fourth_order_on_exponential():
 
 
 def test_fd_derivative_axis_argument():
-    g = _grid(0.0, 0.1, 11)
+    g = SGrid(0.0, 0.1, 11)
     s = g.values()
     stacked = np.vstack([s**2, 3 * s])
     d = fd_derivative(stacked, g.h, axis=1)
@@ -103,7 +115,7 @@ def _circle(grid, radius=1.0, m=1.0):
 
 
 def test_generator_curve_uses_analytic_derivatives():
-    g = _grid(0.0, math.pi / 16, 33)
+    g = SGrid(0.0, math.pi / 16, 33)
     c = _circle(g)
     assert np.abs(c.derivatives - 1j * np.exp(1j * g.values())).max() == 0.0
 
@@ -132,7 +144,7 @@ def test_lagrange_weights_are_shared_read_only():
         assert weights(6, 2.5) is w
         with pytest.raises(ValueError):
             w[0] = 0.0
-    g = _grid(0.0, 0.1, 12)
+    g = SGrid(0.0, 0.1, 12)
     mids = g.refined_values()[1::2]
     c = PolarizedCurve.from_samples(g, g.values() ** 5 + 0j)
     xs, xps, _ = c._stage_data
@@ -141,20 +153,20 @@ def test_lagrange_weights_are_shared_read_only():
 
 
 def test_sampled_curve_falls_back_to_fd():
-    g = _grid(0.0, 0.025, 41)
+    g = SGrid(0.0, 0.025, 41)
     s = g.values()
     c = PolarizedCurve.from_samples(g, s + 1j * s**2)
     assert np.abs(c.derivatives - (1 + 2j * s)).max() < 1e-9
 
 
 def test_curve_point_shape_mismatch():
-    g = _grid(0.0, 0.25, 5)
+    g = SGrid(0.0, 0.25, 5)
     with pytest.raises(CurveError):
         PolarizedCurve.from_samples(g, np.zeros(4, dtype=complex))
 
 
 def test_curve_rejects_nonfinite_points():
-    g = _grid(0.0, 0.25, 5)
+    g = SGrid(0.0, 0.25, 5)
     pts = np.ones(5, dtype=complex)
     pts[2] = np.nan
     with pytest.raises(CurveError):
@@ -165,7 +177,7 @@ def test_polarization_must_not_change_sign_or_vanish():
     # m sampled on the refined grid: even entries at the nodes, odd ones at
     # the RK4 midpoints.  A bad node gives the node message, a bad midpoint
     # alone the "between grid nodes" one.
-    g = _grid(0.0, 0.25, 5)
+    g = SGrid(0.0, 0.25, 5)
     pts = g.values() + 0j
     sign = "polarization must be nonvanishing and of constant sign"
     for index, value, message in ((4, 0.0, sign), (4, -1.0, sign),
@@ -183,13 +195,13 @@ def test_polarization_must_not_change_sign_or_vanish():
 
 
 def test_node_length_polarization_is_refused():
-    g = _grid(0.0, 0.25, 5)
+    g = SGrid(0.0, 0.25, 5)
     with pytest.raises(CurveError, match=r"polarization samples have shape \(5,\), expected \(9,\)"):
         PolarizedCurve(g, g.values() + 0j, np.ones(5))
 
 
 def test_singular_tangent_is_rejected():
-    g = _grid(-1.0, 0.1, 21)
+    g = SGrid(-1.0, 0.1, 21)
     s = g.values()
     with pytest.raises(SingularTangentError):
         # x(s) = s^2 has x'(0) = 0
@@ -197,7 +209,7 @@ def test_singular_tangent_is_rejected():
 
 
 def test_tangent_samples_are_used_verbatim():
-    g = _grid(0.0, 0.1, 7)
+    g = SGrid(0.0, 0.1, 7)
     s = g.values()
     xp = np.full(7, 2.0 + 0j)
     c = PolarizedCurve(g, 2 * s + 0j, 1.0, xp_samples=xp)
@@ -206,7 +218,7 @@ def test_tangent_samples_are_used_verbatim():
 
 
 def test_tangent_samples_validation():
-    g = _grid(0.0, 0.1, 7)
+    g = SGrid(0.0, 0.1, 7)
     s = g.values()
     with pytest.raises(CurveError):
         PolarizedCurve(g, s + 0j, 1.0, xp_samples=np.ones(6, dtype=complex))
@@ -258,7 +270,7 @@ def test_ngon_rejects_degenerate_input():
 # ----------------------------------------------------------------- sheets
 
 def test_sheet_shape_checks():
-    g = _grid(0.0, 0.25, 5)
+    g = SGrid(0.0, 0.25, 5)
     with pytest.raises(CurveError):
         Sheet(g, np.zeros((2, 4), dtype=complex))
     with pytest.raises(CurveError):
@@ -266,7 +278,7 @@ def test_sheet_shape_checks():
 
 
 def test_sheet_tangents_shape_and_use():
-    g = _grid(0.0, 0.25, 5)
+    g = SGrid(0.0, 0.25, 5)
     vals = np.vstack([g.values() + 0j, g.values() + 1j])
     tang = np.ones_like(vals)
     sh = Sheet(g, vals, tangents=tang)
@@ -276,7 +288,7 @@ def test_sheet_tangents_shape_and_use():
 
 
 def test_sheet_fd_rows_when_no_tangents():
-    g = _grid(0.0, 0.1, 11)
+    g = SGrid(0.0, 0.1, 11)
     s = g.values()
     sh = Sheet(g, np.vstack([s**2 + 0j]))
     assert np.abs(sh.row_derivatives[0] - 2 * s).max() < 1e-11
@@ -285,7 +297,7 @@ def test_sheet_fd_rows_when_no_tangents():
 # ------------------------------------------------------------ cross ratio
 
 def _one_node(x, xp):
-    return PolarizedCurve(_grid(0.0, 1.0, 1), [x], 1.0, xp_samples=[xp])
+    return PolarizedCurve(SGrid(0.0, 1.0, 1), [x], 1.0, xp_samples=[xp])
 
 
 def test_tangential_cross_ratio_hand_value():

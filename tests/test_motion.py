@@ -15,14 +15,14 @@ from darbouxflow.motion import (
     mkdv_residual,
     tangential_angles,
 )
-from darbouxflow.ode import rk4_path, stage_abscissas
+from darbouxflow.ode import rk4_path
 from darbouxflow.verification import (HEPTAGON_LENGTHS, HEPTAGON_N0, HEPTAGON_TURNS,
                                       HEPTAGON_W0, polyline_vertices)
 
 SQUARE = np.array([0, 1, 1 + 1j, 1j, 0], dtype=complex)
 
 #: A grid of one node: the motion only reads and checks its input polygon.
-ONE_NODE = SGrid(0.0, 0.0, 1.0, 1)
+ONE_NODE = SGrid(0.0, 1.0, 1)
 
 
 def _reference_theta(vertices, w0, n0):
@@ -196,7 +196,7 @@ def test_stage_fold_screen_keeps_the_turning_bound(gap):
 
 def _reference_motion(v0, w0, n0, grid):
     """Vertex trajectories stepped with the numpy stage through ``rk4_path``."""
-    s = stage_abscissas(grid.values()).tolist()
+    s = grid.refined_values().tolist()
     w = [w0(sk) for sk in s] if callable(w0) else [w0] * len(s)
     return rk4_path(grid.values(), lambda k, x: _numpy_stage(x, w[k], n0), v0).T
 
@@ -231,6 +231,15 @@ def test_motion_and_the_numpy_stage_reference_differ_at_fourth_order(case):
         got = integrate_motion(v, w0, n0, grid).sheet.values
         gaps.append(np.abs(got - _reference_motion(v, w0, n0, grid)).max())
     assert 12.0 <= gaps[0] / gaps[1] <= 20.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf)], ids=["nan", "inf"])
+def test_non_finite_vertex_is_bad_input(recwarn, bad):
+    v = SQUARE.copy()
+    v[2] = bad
+    with pytest.raises(CurveError, match="^vertices must be finite$"):
+        integrate_motion(v, 0.0, 0, SGrid.from_step(0.0, 0.1, 1e-2))
+    assert not recwarn
 
 
 def test_frame_of_unit_square():
@@ -333,7 +342,7 @@ def test_callable_w0_is_called_once_per_stage_abscissa():
 
     res = integrate_motion(ngon_vertices(5), w0, 0, grid)
     assert len(calls) == 2 * grid.count - 1
-    assert calls == stage_abscissas(grid.values()).tolist()
+    assert calls == grid.refined_values().tolist()
     # the seed edge's recorded w is w0 at the nodes
     _, w = _psi_w(res.theta)
     assert np.abs(w[0] - 0.2 * np.sin(grid.values())).max() < 1e-12

@@ -8,7 +8,7 @@ import pytest
 
 from darbouxflow.errors import BlowupError
 from darbouxflow.geometry import SGrid
-from darbouxflow.ode import rk4_path, stage_abscissas
+from darbouxflow.ode import rk4_path
 
 
 def test_exponential_oracle():
@@ -49,7 +49,7 @@ def test_reversed_path_returns_to_start():
     # the stage index runs along each list as given, so the backward run
     # reads the forward run's stage abscissas from the other end
     g = SGrid.from_step(0.0, 1.0, 1e-3)
-    sin_s = np.sin(stage_abscissas(g.values()))
+    sin_s = np.sin(g.refined_values())
     fwd = rk4_path(g.values(), lambda k, y: 1j * y + sin_s[k], 0.3 + 0.1j)
     back = rk4_path(g.values()[::-1], lambda k, y: 1j * y + sin_s[-1 - k], fwd[-1])
     assert abs(back[-1] - (0.3 + 0.1j)) < 1e-12
@@ -62,15 +62,6 @@ def test_rhs_sees_stage_indices_along_the_list(reverse):
     seen = []
     rk4_path(s[::-1] if reverse else s, lambda k, y: seen.append(k) or y, 1.0)
     assert seen == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8]
-
-
-def test_stage_abscissas_are_the_nodes_and_step_midpoints():
-    s = np.array([0.0, 0.1, 0.3, 0.35])
-    for path in (s, s[::-1]):
-        nodes = path.tolist()
-        got = stage_abscissas(path).tolist()
-        assert got[::2] == nodes
-        assert got[1::2] == [a + 0.5 * (b - a) for a, b in zip(nodes, nodes[1:])]
 
 
 def test_vector_state_matches_scalar_runs():

@@ -38,7 +38,7 @@ def test_csv_header_and_line_endings(tmp_path):
 
 
 def test_csv_17_digit_format(tmp_path):
-    grid = SGrid(0.0, 0.0, 1.0, 1)
+    grid = SGrid(0.0, 1.0, 1)
     sheet = Sheet(grid, np.array([[1 / 3 + 0j]]))
     path = tmp_path / "third.csv"
     write_csv(path, sheet)
@@ -60,7 +60,7 @@ def test_sheet_from_csv_restores_grid(tmp_path):
                 min_size=2, max_size=8))
 def test_csv_floats_survive_verbatim(tmp_path_factory, xs):
     tmp = tmp_path_factory.mktemp("csv")
-    grid = SGrid(0.0, len(xs) - 1.0, 1.0, len(xs))
+    grid = SGrid(0.0, 1.0, len(xs))
     sheet = Sheet(grid, np.asarray(xs, dtype=complex)[None, :])
     path = tmp / "row.csv"
     write_csv(path, sheet)
@@ -114,7 +114,7 @@ def _edge_sheets():
     odd = np.array([complex(-0.0, 1e-300), complex(1e300, -0.0), 2 + 3j,
                     complex(-1e-300, -0.0), 1 / 3 - 1e300j])
     yield Sheet(SGrid.from_step(-2.0, 2.0, 1.0), np.vstack([odd, odd[::-1].conj()]))
-    yield Sheet(SGrid(-0.0, -0.0, 1.0, 1), np.array([[-0.0 - 0.0j]]))
+    yield Sheet(SGrid(-0.0, 1.0, 1), np.array([[-0.0 - 0.0j]]))
     yield Sheet(SGrid.from_step(0.0, 1.0, 1e-2),
                 rng.standard_normal((64, 101)) + 1j * rng.standard_normal((64, 101)))
 
@@ -165,8 +165,13 @@ def test_read_csv_rejects_mismatched_grids(tmp_path):
     ("n,s,x,y\n0,0,1,0\n0,1,nan,0\n", "data row 2 has a non-finite field"),
     ("n,s,x,y\n0,0,1,0\n0,inf,1,0\n", "data row 2 has a non-finite field"),
     ("n,s,x,y\n0,0,1,-inf\n", "data row 1 has a non-finite field"),
+    ("n,s,x,y\n" + "".join(f"0,{1 - k / 8},{k},0\n" for k in range(8)),
+     "s values must increase"),
+    ("n,s,x,y\n0,0.5,0,0\n0,0.5,1,0\n0,0.5,2,0\n", "s values must increase"),
+    ("n,s,x,y\n0,1,0,0\n0,0,1,0\n", "s values must increase"),
 ], ids=["empty", "header-only", "blank-body", "text-field", "hash-row", "short-row",
-        "three-fields", "fractional-n", "infinite-n", "nan-x", "infinite-s", "infinite-y"])
+        "three-fields", "fractional-n", "infinite-n", "nan-x", "infinite-s", "infinite-y",
+        "decreasing-s", "constant-s", "reversed-pair"])
 def test_read_csv_rejects_malformed_files(tmp_path, text, message):
     p = tmp_path / "bad.csv"
     p.write_text(text)

@@ -92,7 +92,7 @@ def test_mid_grid_collision_is_reported_as_such():
     # For x = s the edge row solves u' = 1 - mu u^2 with u = x - xh; from
     # u(0) = -1 at mu = 1/4 it crosses zero at s = ln 3, node 1000 of this grid.
     h = math.log(3.0) / 1000
-    grid = SGrid(0.0, 1200 * h, h, 1201)
+    grid = SGrid(0.0, h, 1201)
     base = DiscretePolarizedCurve(np.array([0, 1 + 0j]), 0.25)
     with pytest.raises(CoincidentPointsError, match=r"edge \(0, 1\).*node 1000"):
         infinitesimal_darboux(FlowSpec(base, 1.0, 0, _line(grid)))

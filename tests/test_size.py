@@ -1,5 +1,5 @@
 """Source size budget: the package stays within the 2,548 lines that
-ROADMAP item 6 allows, so new work pays for itself in deletions."""
+ROADMAP item 9 allows, so new work pays for itself in deletions."""
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "darbouxflow"
