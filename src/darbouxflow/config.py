@@ -30,7 +30,9 @@ Curve kinds: ``circle`` (radius), ``line`` (x(s) = s), ``ngon`` (n, radius —
 closed, so n+1 vertices), ``vertices`` (comma-separated complex values or
 (x, y) pairs), ``samples`` (csv = a previously emitted n,s,x,y file, row =
 which n to use for a smooth curve).  m and w0 accept closed-form expressions
-in s; mu is a number, a comma-separated per-edge list, or ``arclength``.
+in s; mu is a number, a comma-separated per-edge list, or ``arclength``.  A
+value the library refuses raises the library's own error (exit code by type),
+prefixed with the ``[section] key`` it came from; ConfigError covers the text.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CurveError
+from .errors import labeled
 from .expressions import ExpressionError, parse_expression
-from .geometry import DiscretePolarizedCurve, PolarizedCurve, SGrid, _resolve_m, ngon_vertices
+from .geometry import (DiscretePolarizedCurve, PolarizedCurve, SGrid, _resolve_m, _validate_m,
+                       ngon_vertices)
 from .output import read_csv
 
 __all__ = ["ConfigError", "Scenario", "load_scenario", "COMMANDS"]
@@ -55,7 +58,8 @@ COMMANDS = ("darboux", "flow", "motion", "verify", "figure1")
 
 
 class ConfigError(ValueError):
-    """A scenario file problem; the message names the section and key."""
+    """A problem in the file's text: a missing or unread key, a value that does not
+    parse or is out of range, an unknown command; the message names the key."""
 
 
 @dataclass
@@ -158,30 +162,24 @@ def _parse_points(raw: str, section: str, key: str) -> np.ndarray:
     return np.array([_parse_point(v, section, key) for v in vals], dtype=complex)
 
 
-def _parse_expr(raw: str, section: str, key: str):
-    try:
-        return parse_expression(raw)
-    except ExpressionError as exc:
-        _fail(section, key, str(exc))
-
-
 def _load_grid(cp) -> SGrid | None:
     if not cp.has_section("grid"):
         return None
     s0 = _get_float(cp, "grid", "s0", required=True)
     s1 = _get_float(cp, "grid", "s1", required=True)
     h = _get_float(cp, "grid", "h", required=True)
-    try:
+    with labeled("[grid] s0/s1/h"):
         return SGrid.from_step(s0, s1, h)
-    except CurveError as exc:
-        _fail("grid", "s0/s1/h", str(exc))
 
 
 def _expression(cp, section: str, key: str, grid: SGrid | None = None, default=None):
     """``[section] key``: a constant as its value, else an Expression of s,
     refused under the key if a pole or overflow shows at ``grid``'s stages."""
     raw = _get(cp, section, key, default=default, required=default is None)
-    expr = _parse_expr(raw, section, key)
+    try:
+        expr = parse_expression(raw)
+    except ExpressionError as exc:
+        _fail(section, key, str(exc))
     if not expr.is_constant and grid is None:
         return expr
     s = 0.0 if expr.is_constant else grid.refined_values()
@@ -201,37 +199,32 @@ def _smooth_curve(cp, section: str, grid: SGrid, m) -> PolarizedCurve:
     """Build the smooth curve a section describes on ``grid`` with polarization m."""
     if grid is None:
         _fail("grid", "s0", "this command needs a [grid] section")
-    try:
+    with labeled("[polarization] m"):
         m = _resolve_m(m, grid)
-    except (CurveError, ZeroDivisionError) as exc:
-        _fail("polarization", "m", str(exc))
     kind = _get(cp, section, "kind", required=True).lower()
-    try:
-        if kind == "circle":
-            radius = _radius(cp, section)
+    if kind == "circle":
+        radius = _radius(cp, section)
+        with labeled(f"[{section}] radius"):
             return PolarizedCurve.from_generator(
                 grid, lambda s: radius * np.exp(1j * s),
                 lambda s: 1j * radius * np.exp(1j * s), m)
-        if kind == "line":
-            return PolarizedCurve.from_generator(
-                grid, lambda s: s + 0j, lambda s: np.ones_like(s, dtype=complex), m)
-        if kind == "samples":
-            path = _get(cp, section, "csv", required=True)
-            if not os.path.exists(path):
-                _fail(section, "csv", f"no such file: {path}")
-            try:
-                svals, values = read_csv(path)
-            except CurveError as exc:
-                _fail(section, "csv", str(exc))
-            row = _get_int(cp, section, "row", default=0)
-            if not 0 <= row < len(values):
-                _fail(section, "row", f"file has rows 0..{len(values) - 1}")
-            if len(svals) != grid.count or abs(svals[0] - grid.s0) > 1e-12 or (
-                    len(svals) > 1 and abs(svals[-1] - grid.s1) > 1e-9):
-                _fail(section, "csv", "sample grid does not match the [grid] section")
+    if kind == "line":
+        return PolarizedCurve.from_generator(
+            grid, lambda s: s + 0j, lambda s: np.ones_like(s, dtype=complex), m)
+    if kind == "samples":
+        path = _get(cp, section, "csv", required=True)
+        if not os.path.exists(path):
+            _fail(section, "csv", f"no such file: {path}")
+        with labeled(f"[{section}] csv"):
+            svals, values = read_csv(path)
+        row = _get_int(cp, section, "row", default=0)
+        if not 0 <= row < len(values):
+            _fail(section, "row", f"file has rows 0..{len(values) - 1}")
+        if len(svals) != grid.count or abs(svals[0] - grid.s0) > 1e-12 or (
+                len(svals) > 1 and abs(svals[-1] - grid.s1) > 1e-9):
+            _fail(section, "csv", "sample grid does not match the [grid] section")
+        with labeled(f"[{section}] csv"):
             return PolarizedCurve.from_samples(grid, values[row], m)
-    except CurveError as exc:
-        _fail(section, "kind", str(exc))
     _fail(section, "kind", f"unknown smooth curve kind {kind!r} "
                            "(expected circle, line, or samples)")
 
@@ -241,10 +234,8 @@ def _discrete_vertices(cp, section: str) -> np.ndarray:
     if kind == "ngon":
         n = _get_int(cp, section, "n", required=True)
         radius = _radius(cp, section)
-        try:
+        with labeled(f"[{section}] n"):
             return ngon_vertices(n, radius)
-        except CurveError as exc:
-            _fail(section, "n", str(exc))
     if kind == "vertices":
         return _parse_points(_get(cp, section, "values", required=True),
                              section, "values")
@@ -260,12 +251,12 @@ def _mu_edges(cp, vertices: np.ndarray):
         with np.errstate(divide="ignore"):
             return 1.0 / np.abs(np.diff(vertices)) ** 2
     vals = np.array([_finite(p, "polarization", "mu") for p in raw.split(",") if p.strip()])
-    if len(vals) == 1:
-        return float(vals[0])
-    if len(vals) != len(vertices) - 1:
+    if len(vals) not in (1, len(vertices) - 1):
         _fail("polarization", "mu", f"need one value per edge "
                                     f"({len(vertices) - 1}), got {len(vals)}")
-    return vals
+    with labeled("[polarization] mu"):
+        _validate_m(vals)
+    return float(vals[0]) if len(vals) == 1 else vals
 
 
 def load_scenario(path, command: str | None = None,
@@ -343,10 +334,8 @@ def load_scenario(path, command: str | None = None,
     elif cmd == "flow":
         vertices = _discrete_vertices(cp, "curve")
         mu = _mu_edges(cp, vertices)
-        try:
+        with labeled("[curve] values"):
             sc.base = DiscretePolarizedCurve(vertices, mu)
-        except CurveError as exc:
-            _fail("curve", "values", str(exc))
         sc.n0 = _get_int(cp, "parameters", "n0", default=0)
         if not cp.has_section("initial"):
             raise ConfigError("flow needs an [initial] section for the seeded row")

@@ -45,10 +45,10 @@ def frameless_identity_check(sheet: Sheet, theta: np.ndarray, mu) -> float:
     mu_arr = np.asarray(mu, dtype=float).reshape(-1, 1)
     xp = sheet.row_derivatives
     product = xp[:-1] * xp[1:]
-    direct = fd_derivative(product, h, axis=1)
+    direct = fd_derivative(product, h)
     sum_half = np.exp(0.5j * (theta[1:] + theta[:-1]))
     first = 2.0 * np.sqrt(mu_arr) * (np.exp(1j * theta[1:]) - np.exp(1j * theta[:-1])) * sum_half
-    theta_p = fd_derivative(theta, h, axis=1)
+    theta_p = fd_derivative(theta, h)
     second = 1j * (theta_p[1:] + theta_p[:-1]) * sum_half**2
     inner = slice(4, -4) if sheet.grid.count >= 9 else slice(2, -2)
     # np.minimum/np.maximum, unlike min/max, keep a NaN in either position

@@ -1,5 +1,7 @@
 """Exception types shared across the curve/flow modules."""
 
+from contextlib import contextmanager
+
 
 class CurveError(ValueError):
     """Base class for invalid curve/grid/flow inputs."""
@@ -41,3 +43,14 @@ class BlowupError(RuntimeError):
     def __init__(self, message, index=None):
         super().__init__(message)
         self.index = index
+
+
+@contextmanager
+def labeled(label: str):
+    """Prefix ``label: `` to a CurveError or BlowupError raised inside; the same
+    object is re-raised, so its type and attributes (``BlowupError.index``) survive."""
+    try:
+        yield
+    except (CurveError, BlowupError) as exc:
+        exc.args = (f"{label}: {exc}",) + exc.args[1:]
+        raise

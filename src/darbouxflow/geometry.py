@@ -40,8 +40,8 @@ class SGrid:
     def __post_init__(self):
         if not (math.isfinite(self.h) and self.h > 0):
             raise CurveError(f"grid step must be a finite positive real, got {self.h!r}")
-        if self.count < 1:
-            raise CurveError(f"grid needs at least one node, got count={self.count}")
+        if not isinstance(self.count, (int, np.integer)) or self.count < 1:
+            raise CurveError(f"grid needs a whole count of at least one node, got {self.count}")
         if not (math.isfinite(self.s0) and math.isfinite(self.s1)):
             raise CurveError("grid endpoints must be finite")
 
@@ -80,13 +80,13 @@ _FD_EDGE_HEAD = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, 
 _FD_EDGE_TAIL = np.array([[-1.0, 6.0, -18.0, 10.0, 3.0], [3.0, -16.0, 36.0, -48.0, 25.0]])
 
 
-def fd_derivative(values: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
-    """4th-order finite-difference d/ds along ``axis`` of uniformly sampled data.
+def fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
+    """4th-order finite-difference d/ds along the last axis of uniformly sampled data.
 
     Central 5-point stencil inside, one-sided 4th-order stencils on the two
     boundary bands; exact for polynomials of degree <= 4.
     """
-    v = np.moveaxis(np.asarray(values), axis, -1)
+    v = np.asarray(values)
     n = v.shape[-1]
     if n < 5:
         raise GridTooShortError(f"need at least 5 nodes for the 4th-order stencil, got {n}")
@@ -95,7 +95,7 @@ def fd_derivative(values: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
     out[..., 0:2] = v[..., 0:5] @ _FD_EDGE_HEAD.T
     out[..., -2:] = v[..., -5:] @ _FD_EDGE_TAIL.T
     out /= 12.0 * h
-    return np.moveaxis(out, -1, axis)
+    return out
 
 
 @cache
@@ -154,8 +154,11 @@ def _resolve_m(m, grid: SGrid) -> np.ndarray:
     in one pass; the node samples only word the error."""
     count = 2 * grid.count - 1
     if callable(m):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            m = np.asarray(m(grid.refined_values()), dtype=float).reshape(-1) + np.zeros(count)
+        try:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                m = np.asarray(m(grid.refined_values()), dtype=float).reshape(-1) + np.zeros(count)
+        except (ZeroDivisionError, OverflowError):
+            raise CurveError("polarization must be finite") from None
     arr = np.asarray(m, dtype=float)
     if arr.ndim == 0:
         lo = hi = float(arr)
@@ -303,8 +306,8 @@ class DiscretePolarizedCurve:
 def ngon_vertices(n: int, radius: float = 1.0) -> np.ndarray:
     """Closed regular n-gon on the circle of the given radius: n+1 vertices,
     the last repeating the first so all n edges are present."""
-    if n < 3:
-        raise CurveError(f"an ngon needs at least 3 sides, got {n}")
+    if not isinstance(n, (int, np.integer)) or n < 3:
+        raise CurveError(f"an ngon needs a whole number of sides, at least 3, got {n}")
     if not radius > 0:
         raise CurveError(f"ngon radius must be positive, got {radius!r}")
     k = np.arange(n + 1)
@@ -351,5 +354,5 @@ class Sheet:
         finite differences of the values."""
         if self.tangents is not None:
             return self.tangents
-        return fd_derivative(self.values, self.grid.h, axis=1)
+        return fd_derivative(self.values, self.grid.h)
 

@@ -202,7 +202,7 @@ def mkdv_residual(theta: np.ndarray, a, grid: SGrid) -> float:
         a_arr = a_arr[:, None]
     if np.any(a_arr <= 0):
         raise CurveError("edge lengths must be positive")
-    lhs = fd_derivative(0.5 * (theta[1:] + theta[:-1]), grid.h, axis=1)
+    lhs = fd_derivative(0.5 * (theta[1:] + theta[:-1]), grid.h)
     rhs = (2.0 / a_arr) * np.sin(0.5 * (theta[1:] - theta[:-1]))
     inner = np.abs(lhs - rhs)[:, 2:-2]
     return float(inner.max()) if inner.size else 0.0
@@ -226,6 +226,6 @@ def frame_compatibility_check(result: MotionResult) -> float:
     kappa = psi[1:] - psi[:-1]
     c, s = np.cos(kappa), np.sin(kappa)
     diff = alpha[1:] - alpha[:-1]
-    e1 = fd_derivative(c, h, axis=1) - diff * s
-    e2 = fd_derivative(s, h, axis=1) + diff * c
+    e1 = fd_derivative(c, h) - diff * s
+    e2 = fd_derivative(s, h) + diff * c
     return float(np.maximum(np.abs(e1).max(), np.abs(e2).max()))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .darboux import _transform_row
-from .errors import BlowupError, CurveError
+from .errors import CurveError, labeled
 from .geometry import DiscretePolarizedCurve, PolarizedCurve, Sheet
 
 #: How closely the seeded curve must pass through its base vertex.
@@ -79,13 +79,8 @@ def infinitesimal_darboux(spec: FlowSpec) -> Sheet:
     edges = [(n, n + 1) for n in range(spec.n0, n_rows - 1)]
     edges += [(n, n - 1) for n in range(spec.n0, 0, -1)]
     for n, k in edges:
-        try:
+        with labeled(f"edge ({n}, {k})"):
             rows[k] = propagate_edge(rows[n], spec.base.mu[min(n, k)], spec.base.vertices[k])
-        except (CurveError, BlowupError) as exc:
-            # Keep the exception itself, so attributes such as
-            # BlowupError.index survive the added edge label.
-            exc.args = (f"edge ({n}, {k}): {exc}",) + exc.args[1:]
-            raise
     return Sheet(grid, np.vstack([row.points for row in rows]),
                  tangents=np.vstack([row.derivatives for row in rows]))
 

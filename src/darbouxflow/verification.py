@@ -294,7 +294,7 @@ def _check_hexagon(art: Artifacts):
     n = np.arange(res.sheet.rows)[:, None]
     oracle = np.exp(1j * (math.pi * n / 3.0 + s[None, :]))
     # edge lengths are exact by construction, the differenced speed is not
-    speed = np.abs(fd_derivative(res.sheet.values, grid.h, axis=1))
+    speed = np.abs(fd_derivative(res.sheet.values, grid.h))
     return [("vs rigid rotation", float(np.abs(res.sheet.values - oracle).max()),
              "<", ".shape", 1e-8),
             ("vertex speed", float(np.abs(speed - 1.0).max()), "<", ".edges", 1e-8),

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from darbouxflow import cli, verification
+from darbouxflow import cli, config, verification
 from darbouxflow.cli import main
 from darbouxflow.config import COMMANDS, ConfigError, load_scenario
 from darbouxflow.errors import (BlowupError, CoincidentPointsError, CurveError,
@@ -251,8 +251,10 @@ def test_bad_step_and_bad_tolerance_are_usage_errors(tmp_path, capsys):
      "[parameters] initial_point: expected (x, y) with numeric entries"),
     ("flow", FLOW_INI.replace("0+0j, 2+0j, 4+0j, 6+0j", "0+0j"), [],
      "[curve] values: need at least two comma-separated vertices"),
-    ("flow", FLOW_INI.replace("0+0j, 2+0j", "0+0j, 0+0j"), [],
-     "[curve] values: consecutive vertices 0 and 1 coincide"),
+    ("flow", FLOW_INI.replace("mu = arclength", "mu = 0.25, -0.25, 0.25"), [],
+     "[polarization] mu: polarization must be nonvanishing and of constant sign"),
+    ("flow", FLOW_INI.replace("mu = arclength", "mu = 0"), [],
+     "[polarization] mu: polarization must be nonvanishing and of constant sign"),
     ("darboux", DARBOUX_INI.replace("[grid]", "[nogrid]"), [],
      "[grid] s0: this command needs a [grid] section"),
     ("darboux", DARBOUX_INI.replace("[grid]", "[nogrid]"), ["--h", "1e-2"],
@@ -272,8 +274,8 @@ def test_bad_step_and_bad_tolerance_are_usage_errors(tmp_path, capsys):
         "ngon-radius-nan", "circle-radius-nan", "flow-mu-nan", "flow-mu-list-inf",
         "grid-count-overflow", "motion-h-count-overflow", "figure1-h-count-overflow",
         "grid-reversed", "circle-radius-zero", "ngon-n-fraction", "n0-fraction",
-        "point-triple", "point-pair-text", "one-vertex", "coincident-vertices",
-        "darboux-no-grid", "h-no-grid", "motion-no-grid", "samples-no-file",
+        "point-triple", "point-pair-text", "one-vertex", "flow-mu-list-sign",
+        "flow-mu-zero", "darboux-no-grid", "h-no-grid", "motion-no-grid", "samples-no-file",
         "darboux-no-seed", "verify-key-zero", "ini-syntax"])
 def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, command, text, args, key):
     cfg = _write(tmp_path, text)
@@ -282,6 +284,31 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, command, text, ar
     assert captured.err.startswith("error:")
     assert key in captured.err
     assert captured.out == ""
+
+
+# x stays at 0.2 over six rows, so x' vanishes at the middle nodes
+STALLED_CSV = "n,s,x,y\n" + "".join(
+    f"0,{i * 0.1!r},{x!r},0\n" for i, x in enumerate((0, 0.1) + (0.2,) * 6 + (0.3, 0.4, 0.5)))
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("flow", FLOW_INI.replace("0+0j, 2+0j", "0+0j, 0+0j"),
+     "[curve] values: consecutive vertices 0 and 1 coincide"),
+    ("darboux", DARBOUX_INI.replace("kind = circle", "kind = samples\ncsv = {tmp}/stalled.csv")
+     .replace("h = 1e-2", "h = 0.1"), "[curve] csv: curve is not regular"),
+    ("darboux", DARBOUX_INI.replace("kind = circle", "kind = circle\nradius = 1e-10"),
+     "[curve] radius: curve is not regular"),
+], ids=["coincident-vertices", "stalled-samples", "tiny-radius"])
+def test_singular_input_found_while_loading_is_a_numerical_failure(tmp_path, capsys, command,
+                                                                  text, key):
+    # the type decides the exit code while loading too; the key still names the input
+    (tmp_path / "stalled.csv").write_text(STALLED_CSV)
+    cfg = _write(tmp_path, text.replace("{tmp}", str(tmp_path)))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"numerical failure: {key}")
+    assert captured.out == "" and not out.exists()
 
 
 def test_transform_past_the_pole_is_a_numerical_failure(tmp_path, capsys):
@@ -310,6 +337,39 @@ def test_exit_code_follows_the_failure_type(tmp_path, capsys, monkeypatch, error
     prefix = "numerical failure" if code == 2 else "error"
     assert captured.err == f"{prefix}: raised by the runner\n"
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("error, code", FAILURES, ids=[e.__name__ for e, _ in FAILURES])
+def test_exit_code_follows_the_failure_type_while_loading(tmp_path, capsys, monkeypatch,
+                                                         error, code):
+    # raised by each library call the loader makes: the type alone decides the
+    # exit code, and a library error gains the key its input came from
+    def fail(*args):
+        raise error("raised while loading")
+
+    s = [i * 1e-2 for i in range(101)]
+    (tmp_path / "line.csv").write_text("n,s,x,y\n" + "".join(f"0,{v!r},{v!r},0\n" for v in s))
+    samples = DARBOUX_INI.replace("kind = circle", f"kind = samples\ncsv = {tmp_path}/line.csv")
+    flow = FLOW_INI.replace("mu = arclength", "mu = 0.25")
+    prefix = "numerical failure" if code == 2 else "error"
+    gains_key = issubclass(error, (CurveError, BlowupError))
+    for target, name, command, text, key in (
+            (config.SGrid, "from_step", "motion", MOTION_INI, "[grid] s0/s1/h"),
+            (config, "_resolve_m", "darboux", DARBOUX_INI, "[polarization] m"),
+            (config.PolarizedCurve, "from_generator", "darboux", DARBOUX_INI, "[curve] radius"),
+            (config, "read_csv", "darboux", samples, "[curve] csv"),
+            (config.PolarizedCurve, "from_samples", "darboux", samples, "[curve] csv"),
+            (config, "ngon_vertices", "motion", MOTION_INI, "[curve] n"),
+            (config, "_validate_m", "flow", flow, "[polarization] mu"),
+            (config, "DiscretePolarizedCurve", "flow", flow, "[curve] values")):
+        out = tmp_path / "out"
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, fail)
+            assert main([command, "--config", _write(tmp_path, text), "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        label = f"{key}: " if gains_key else ""
+        assert captured.err == f"{prefix}: {label}raised while loading\n", name
+        assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("command, text, message", [
@@ -423,8 +483,9 @@ def test_arclength_mu_on_coincident_vertices_prints_only_the_error(tmp_path):
          "--out", str(tmp_path / "out")],
         env=dict(os.environ, PYTHONPATH=str(SCENARIO_DIR.parent / "src")),
         capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1
-    assert proc.stderr == "error: [curve] values: consecutive vertices 1 and 2 coincide\n"
+    assert proc.returncode == 2
+    assert proc.stderr == ("numerical failure: [curve] values: consecutive vertices 1 and 2 "
+                           "coincide\n")
     assert proc.stdout == ""
 
 

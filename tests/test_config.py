@@ -6,6 +6,7 @@ import pytest
 
 from darbouxflow import SGrid, Sheet, write_csv
 from darbouxflow.config import COMMANDS, ConfigError, load_scenario
+from darbouxflow.errors import CurveError
 
 
 def _write(tmp_path, text, name="scenario.ini"):
@@ -211,7 +212,7 @@ def test_samples_curve_must_be_evenly_spaced(tmp_path):
         "kind = circle\nradius = 1.0",
         f"kind = samples\ncsv = {tmp_path / 'c.csv'}\nrow = 0").replace(
         "s1 = 1\nh = 1e-2", "s1 = 0.8\nh = 0.2")
-    with pytest.raises(ConfigError, match="not evenly spaced"):
+    with pytest.raises(CurveError, match=r"^\[curve\] csv: .*not evenly spaced"):
         load_scenario(_write(tmp_path, text))
 
 
@@ -276,7 +277,7 @@ def test_missing_file_is_config_error():
 
 def test_bad_ngon_and_unknown_kind(tmp_path):
     text = MOTION_INI.replace("n = 6", "n = 2")
-    with pytest.raises(ConfigError):
+    with pytest.raises(CurveError, match=r"^\[curve\] n: "):
         load_scenario(_write(tmp_path, text))
     text = MOTION_INI.replace("kind = ngon\nn = 6", "kind = blob")
     with pytest.raises(ConfigError, match="blob"):

@@ -6,6 +6,7 @@ import pytest
 
 from darbouxflow.darboux import pair_table
 from darbouxflow.errors import CoincidentPointsError, CurveError, SingularTangentError
+from darbouxflow.expressions import parse_expression
 from darbouxflow.geometry import (
     DiscretePolarizedCurve,
     _lagrange_deriv_weights,
@@ -66,6 +67,13 @@ def test_grid_rejects_bad_step():
             SGrid(s0, h, count)
 
 
+def test_grid_node_count_must_be_whole():
+    # 2.5 nodes would give 4 stage points and an s1 that is not a node
+    with pytest.raises(CurveError, match="whole count"):
+        SGrid(0.0, 0.1, 2.5)
+    assert SGrid(0.0, 0.1, np.int64(3)).s1 == pytest.approx(0.2)
+
+
 # ------------------------------------------------------- plane helpers
 
 def test_dot_rotate_hand_values():
@@ -101,7 +109,7 @@ def test_fd_derivative_axis_argument():
     g = SGrid(0.0, 0.1, 11)
     s = g.values()
     stacked = np.vstack([s**2, 3 * s])
-    d = fd_derivative(stacked, g.h, axis=1)
+    d = fd_derivative(stacked, g.h)
     assert np.abs(d[0] - 2 * s).max() < 1e-11
     assert np.abs(d[1] - 3.0).max() < 1e-11
 
@@ -194,6 +202,14 @@ def test_polarization_must_not_change_sign_or_vanish():
             PolarizedCurve(g, pts, m)
 
 
+def test_polarization_that_divides_by_zero_is_not_finite():
+    # Python's own float division raises rather than giving inf
+    g = SGrid(0.0, 0.25, 5)
+    for m in (parse_expression("1/0 + s"), lambda s: 1 / 0):
+        with pytest.raises(CurveError, match="^polarization must be finite$"):
+            PolarizedCurve.from_generator(g, lambda s: s + 0j, lambda s: 1 + 0 * s, m)
+
+
 def test_node_length_polarization_is_refused():
     g = SGrid(0.0, 0.25, 5)
     with pytest.raises(CurveError, match=r"polarization samples have shape \(5,\), expected \(9,\)"):
@@ -265,6 +281,13 @@ def test_ngon_rejects_degenerate_input():
         ngon_vertices(2)
     with pytest.raises(CurveError):
         ngon_vertices(5, radius=0.0)
+
+
+def test_ngon_side_count_must_be_whole():
+    # 3.5 sides would give a polygon whose last vertex misses the first
+    with pytest.raises(CurveError, match="whole number of sides"):
+        ngon_vertices(3.5)
+    assert len(ngon_vertices(np.int64(4))) == 5
 
 
 # ----------------------------------------------------------------- sheets

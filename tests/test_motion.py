@@ -318,7 +318,7 @@ def test_rotating_square_curvature_matches_circumradius():
     grid = SGrid.from_step(0.0, 1.0, 1e-3)
     res = integrate_motion(ngon_vertices(4), -math.pi / 4, 0, grid)
     xp = res.sheet.row_derivatives
-    xpp = fd_derivative(xp, grid.h, axis=1)
+    xpp = fd_derivative(xp, grid.h)
     k = ((np.conj(xp) * xpp).imag / np.abs(xp) ** 3)[:, 4:-4]   # x'' = i k x'
     assert np.abs(np.abs(k) - 1.0).max() < 1e-8  # circumradius of ngon_vertices(4) is 1
 
