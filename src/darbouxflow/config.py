@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import labeled
+from .errors import ConfigError, labeled
 from .expressions import ExpressionError, parse_expression
 from .geometry import (DiscretePolarizedCurve, PolarizedCurve, SGrid, _resolve_m, _validate_m,
                        ngon_vertices)
@@ -55,11 +55,6 @@ from .output import read_csv
 __all__ = ["ConfigError", "Scenario", "load_scenario", "COMMANDS"]
 
 COMMANDS = ("darboux", "flow", "motion", "verify", "figure1")
-
-
-class ConfigError(ValueError):
-    """A problem in the file's text: a missing or unread key, a value that does not
-    parse or is out of range, an unknown command; the message names the key."""
 
 
 @dataclass
@@ -90,10 +85,13 @@ def _fail(section: str, key: str, message: str):
     raise ConfigError(f"[{section}] {key}: {message}")
 
 
-def _get(cp, section, key, default=None, required=False):
+def _get(cp, section, key, default=None, required=False, parse=None):
+    """``[section] key`` as stripped text, or ``parse(text, section, key)``; ``default``
+    when the key is absent."""
     cp.read_keys.add((section, key))
     if cp.has_option(section, key):
-        return cp.get(section, key).strip()
+        raw = cp.get(section, key).strip()
+        return raw if parse is None else parse(raw, section, key)
     if required:
         _fail(section, key, "missing required key")
     return default
@@ -110,23 +108,16 @@ def _finite(raw: str, section, key) -> float:
     return value
 
 
-def _get_float(cp, section, key, default=None, required=False):
-    raw = _get(cp, section, key, required=required)
-    return default if raw is None else _finite(raw, section, key)
-
-
 def _radius(cp, section) -> float:
     """``[section] radius`` of a circle or an ngon: finite and positive."""
-    radius = _get_float(cp, section, "radius", default=1.0)
+    radius = _get(cp, section, "radius", default=1.0, parse=_finite)
     if radius <= 0:
         _fail(section, "radius", f"must be positive, got {radius!r}")
     return radius
 
 
-def _get_int(cp, section, key, default=None, required=False):
-    raw = _get(cp, section, key, required=required)
-    if raw is None:
-        return default
+def _integer(raw: str, section, key) -> int:
+    """``raw`` as an int, else a ConfigError naming the key."""
     try:
         return int(raw)
     except ValueError:
@@ -165,9 +156,9 @@ def _parse_points(raw: str, section: str, key: str) -> np.ndarray:
 def _load_grid(cp) -> SGrid | None:
     if not cp.has_section("grid"):
         return None
-    s0 = _get_float(cp, "grid", "s0", required=True)
-    s1 = _get_float(cp, "grid", "s1", required=True)
-    h = _get_float(cp, "grid", "h", required=True)
+    s0 = _get(cp, "grid", "s0", required=True, parse=_finite)
+    s1 = _get(cp, "grid", "s1", required=True, parse=_finite)
+    h = _get(cp, "grid", "h", required=True, parse=_finite)
     with labeled("[grid] s0/s1/h"):
         return SGrid.from_step(s0, s1, h)
 
@@ -217,7 +208,7 @@ def _smooth_curve(cp, section: str, grid: SGrid, m) -> PolarizedCurve:
             _fail(section, "csv", f"no such file: {path}")
         with labeled(f"[{section}] csv"):
             svals, values = read_csv(path)
-        row = _get_int(cp, section, "row", default=0)
+        row = _get(cp, section, "row", default=0, parse=_integer)
         if not 0 <= row < len(values):
             _fail(section, "row", f"file has rows 0..{len(values) - 1}")
         if len(svals) != grid.count or abs(svals[0] - grid.s0) > 1e-12 or (
@@ -229,16 +220,16 @@ def _smooth_curve(cp, section: str, grid: SGrid, m) -> PolarizedCurve:
                            "(expected circle, line, or samples)")
 
 
-def _discrete_vertices(cp, section: str) -> np.ndarray:
+def _discrete_vertices(cp, section: str) -> tuple[np.ndarray, str]:
+    """The vertices a section describes, and the key that sets where they lie."""
     kind = _get(cp, section, "kind", required=True).lower()
     if kind == "ngon":
-        n = _get_int(cp, section, "n", required=True)
+        n = _get(cp, section, "n", required=True, parse=_integer)
         radius = _radius(cp, section)
         with labeled(f"[{section}] n"):
-            return ngon_vertices(n, radius)
+            return ngon_vertices(n, radius), "radius"
     if kind == "vertices":
-        return _parse_points(_get(cp, section, "values", required=True),
-                             section, "values")
+        return _get(cp, section, "values", required=True, parse=_parse_points), "values"
     _fail(section, "kind", f"unknown discrete curve kind {kind!r} "
                            "(expected ngon or vertices)")
 
@@ -264,9 +255,9 @@ def load_scenario(path, command: str | None = None,
     """Read and validate a scenario file.
 
     ``command`` (from the command line) wins over the file's [run] command;
-    ``h_override`` rebuilds the grid with a different step.  A key the
-    command does not read is refused, so a misplaced or misspelt setting
-    cannot be dropped silently.
+    ``h_override`` rebuilds the grid with a different step (SGrid.from_step
+    refuses a bad one).  A key the command does not read is refused, so a
+    misplaced or misspelt setting cannot be dropped silently.
     """
     cp = configparser.ConfigParser(interpolation=None,
                                    inline_comment_prefixes=(";",))
@@ -291,8 +282,6 @@ def load_scenario(path, command: str | None = None,
 
     grid = _load_grid(cp) if cmd != "verify" else None
     if h_override is not None:
-        if not (math.isfinite(h_override) and h_override > 0):
-            raise ConfigError(f"--h must be a finite positive number, got {h_override!r}")
         if grid is not None:
             grid = SGrid.from_step(grid.s0, grid.s1, h_override)
         elif cmd not in ("figure1", "verify"):
@@ -301,7 +290,7 @@ def load_scenario(path, command: str | None = None,
             raise ConfigError("--h given but the scenario has no [grid] section")
     if cmd == "figure1" and grid is None:
         # The figure's own span: one turn of its circle.
-        grid = SGrid.from_step(0.0, 2.0 * math.pi, h_override or 1e-3)
+        grid = SGrid.from_step(0.0, 2.0 * math.pi, 1e-3 if h_override is None else h_override)
 
     sc = Scenario(command=cmd, grid=grid)
     if cmd != "verify":
@@ -309,7 +298,7 @@ def load_scenario(path, command: str | None = None,
         sc.svg_path = _get(cp, "output", "svg")
     elif cp.has_section("verify"):
         for key, raw in cp.items("verify"):
-            value = _get_float(cp, "verify", key)
+            value = _get(cp, "verify", key, parse=_finite)
             if value <= 0:
                 _fail("verify", key, f"must be a finite positive number, got {raw!r}")
             sc.tolerances[key] = value
@@ -318,40 +307,32 @@ def load_scenario(path, command: str | None = None,
         m = _expression(cp, "polarization", "m", default="1")
     if cmd == "darboux":
         sc.source = _smooth_curve(cp, "curve", grid, m)
-        sc.mu = _get_float(cp, "polarization", "mu", required=True)
-        raw_pt = _get(cp, "parameters", "initial_point")
-        raw_off = _get(cp, "parameters", "offset_angle")
-        if raw_pt is not None and raw_off is not None:
-            _fail("parameters", "initial_point",
-                  "give initial_point or offset_angle, not both")
-        if raw_pt is not None:
-            sc.initial_point = _parse_point(raw_pt, "parameters", "initial_point")
-        elif raw_off is not None:
-            sc.offset_angle = _get_float(cp, "parameters", "offset_angle")
-        else:
-            _fail("parameters", "initial_point",
-                  "darboux needs initial_point or offset_angle")
+        sc.mu = _get(cp, "polarization", "mu", required=True, parse=_finite)
+        sc.initial_point = _get(cp, "parameters", "initial_point", parse=_parse_point)
+        sc.offset_angle = _get(cp, "parameters", "offset_angle", parse=_finite)
+        if sc.initial_point is None and sc.offset_angle is None:
+            _fail("parameters", "initial_point", "darboux needs initial_point or offset_angle")
+        if sc.initial_point is not None and sc.offset_angle is not None:
+            _fail("parameters", "initial_point", "give initial_point or offset_angle, not both")
     elif cmd == "flow":
-        vertices = _discrete_vertices(cp, "curve")
+        vertices, key = _discrete_vertices(cp, "curve")
         mu = _mu_edges(cp, vertices)
-        with labeled("[curve] values"):
+        with labeled(f"[curve] {key}"):
             sc.base = DiscretePolarizedCurve(vertices, mu)
-        sc.n0 = _get_int(cp, "parameters", "n0", default=0)
+        sc.n0 = _get(cp, "parameters", "n0", default=0, parse=_integer)
         if not cp.has_section("initial"):
             raise ConfigError("flow needs an [initial] section for the seeded row")
         sc.initial = _smooth_curve(cp, "initial", grid, m)
     elif cmd == "motion":
-        sc.vertices = _discrete_vertices(cp, "curve")
-        sc.n0 = _get_int(cp, "parameters", "n0", default=0)
+        sc.vertices, _ = _discrete_vertices(cp, "curve")
+        sc.n0 = _get(cp, "parameters", "n0", default=0, parse=_integer)
         if grid is None:
             raise ConfigError("motion needs a [grid] section")
         sc.w0 = _expression(cp, "parameters", "w0", grid)
     elif cmd == "figure1":
         # Optional overrides; defaults are supplied by the figure pipeline.
-        sc.mu = _get_float(cp, "polarization", "mu")
-        raw_pt = _get(cp, "parameters", "initial_point")
-        if raw_pt is not None:
-            sc.initial_point = _parse_point(raw_pt, "parameters", "initial_point")
+        sc.mu = _get(cp, "polarization", "mu", parse=_finite)
+        sc.initial_point = _get(cp, "parameters", "initial_point", parse=_parse_point)
     # A [DEFAULT] key shows up in every section; it counts as read if any
     # section reads it.
     defaults = cp.defaults()

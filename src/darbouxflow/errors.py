@@ -1,6 +1,11 @@
-"""Exception types shared across the curve/flow modules."""
+"""Exception types shared across the package: scenario text, curves and flows, blow-ups."""
 
 from contextlib import contextmanager
+
+
+class ConfigError(ValueError):
+    """A problem in the file's text: a missing or unread key, a value that does not
+    parse or is out of range, an unknown command; the message names the key."""
 
 
 class CurveError(ValueError):

@@ -16,12 +16,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import ConfigError
 from .darboux import (DarbouxParams, cross_ratio_defect, darboux_transform,
                       lambda_evolution_defects, lemma_defects, pair_table)
 from .equivalence import (frameless_identity_check, iso_darboux_check,
                           pipelines_agree)
-from .errors import BlowupError, CurveError
+from .errors import BlowupError, ConfigError, CurveError
 from .expressions import parse_expression
 from .geometry import (DiscretePolarizedCurve, PolarizedCurve, SGrid,
                        fd_derivative, ngon_vertices)
@@ -377,10 +376,12 @@ _CHECKS = {
 }
 
 
-def run_suite(h: float = 1e-3, tol_multiplier: float = 1.0, overrides=None,
+def run_suite(h: float | None = None, tol_multiplier: float = 1.0, overrides=None,
               artifacts: Artifacts | None = None):
-    """Run every check; returns one CheckResult per check, in the order of
-    the numbered list in README.md.  A named bound takes its [verify]
+    """Run every check on ``artifacts``, or on fresh Artifacts(h) (h = 1e-3 by
+    default); an ``h`` that is not the artifacts' own step is a ValueError.
+    Returns one CheckResult per check, in the order of the numbered list in
+    README.md.  A named bound takes its [verify]
     override, and ``tol_multiplier`` then loosens it: upper bounds are
     multiplied, lower bounds divided.  A CurveError or BlowupError raised
     while a check builds its artifacts fails that check with the error's
@@ -389,7 +390,9 @@ def run_suite(h: float = 1e-3, tol_multiplier: float = 1.0, overrides=None,
     if not (math.isfinite(tol_multiplier) and tol_multiplier > 0):
         raise ValueError(f"tolerance multiplier must be a finite positive number, "
                          f"got {tol_multiplier!r}")
-    art = artifacts if artifacts is not None else Artifacts(h)
+    if artifacts is not None and h is not None and h != artifacts.h:
+        raise ValueError(f"h = {h!r} is not the artifacts' step {artifacts.h!r}")
+    art = artifacts if artifacts is not None else Artifacts(1e-3 if h is None else h)
     overrides = overrides or {}
     used, results = set(), []
     for name, check in _CHECKS.items():

@@ -121,6 +121,13 @@ def test_pipelines_halving_ratios_hold_off_the_default_step():
         "heptagon halving ratio", "heptagon halving ratio"]
 
 
+def test_run_suite_refuses_a_step_its_artifacts_do_not_have(artifacts):
+    # the checks would run at the artifacts' step, not at the one asked for
+    assert len(run_suite(h=artifacts.h, artifacts=artifacts)) == len(CHECK_NAMES)
+    with pytest.raises(ValueError, match=r"^h = 0.01 is not the artifacts' step 0.001$"):
+        run_suite(h=1e-2, artifacts=artifacts)
+
+
 def test_position_sheet_satisfies_the_frameless_identity(acceptance_results):
     _check(acceptance_results, "frameless-identity")
 

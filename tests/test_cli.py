@@ -279,7 +279,8 @@ def test_bad_step_and_bad_tolerance_are_usage_errors(tmp_path, capsys):
         "darboux-no-seed", "verify-key-zero", "ini-syntax"])
 def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, command, text, args, key):
     cfg = _write(tmp_path, text)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")] + args) == 1
+    out = [] if command == "verify" else ["--out", str(tmp_path / "out")]
+    assert main([command, "--config", cfg] + out + args) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert key in captured.err
@@ -298,7 +299,11 @@ STALLED_CSV = "n,s,x,y\n" + "".join(
      .replace("h = 1e-2", "h = 0.1"), "[curve] csv: curve is not regular"),
     ("darboux", DARBOUX_INI.replace("kind = circle", "kind = circle\nradius = 1e-10"),
      "[curve] radius: curve is not regular"),
-], ids=["coincident-vertices", "stalled-samples", "tiny-radius"])
+    # an ngon's vertices come from its radius, so its errors name that key
+    ("flow", FLOW_INI.replace("kind = vertices\nvalues = 0+0j, 2+0j, 4+0j, 6+0j",
+                              "kind = ngon\nn = 6\nradius = 1e-12"),
+     "[curve] radius: consecutive vertices 3 and 4 coincide"),
+], ids=["coincident-vertices", "stalled-samples", "tiny-radius", "tiny-ngon"])
 def test_singular_input_found_while_loading_is_a_numerical_failure(tmp_path, capsys, command,
                                                                   text, key):
     # the type decides the exit code while loading too; the key still names the input
@@ -408,12 +413,36 @@ def test_bad_input_found_while_running_is_a_usage_error(tmp_path, capsys, comman
     (["darboux", "--config", "x.ini", "--h", "abc"], "argument --h: invalid float value: 'abc'"),
     (["spiral", "--config", "x.ini"], "argument command: invalid choice: 'spiral'"),
     (["verify", "--config", "x.ini", "--bogus"], "unrecognized arguments: --bogus"),
-], ids=["no-command", "no-config", "h-not-a-number", "unknown-command", "unknown-option"])
+    # only verify reads --tol and only the others write to --out
+    (["darboux", "--config", "x.ini", "--tol", "5"], "unrecognized arguments: --tol 5"),
+    (["flow", "--config", "x.ini", "--tol", "1"], "unrecognized arguments: --tol 1"),
+    (["motion", "--config", "x.ini", "--tol", "1"], "unrecognized arguments: --tol 1"),
+    (["figure1", "--config", "x.ini", "--tol", "1"], "unrecognized arguments: --tol 1"),
+    (["verify", "--config", "x.ini", "--out", "d"], "unrecognized arguments: --out d"),
+    (["darboux", "--config", "x.ini", "--h", "0"],
+     "argument --h: must be a finite positive number, got '0'"),
+    (["motion", "--config", "x.ini", "--h", "inf"],
+     "argument --h: must be a finite positive number, got 'inf'"),
+    (["verify", "--config", "x.ini", "--h", "-1"],
+     "argument --h: must be a finite positive number, got '-1'"),
+    (["verify", "--config", "x.ini", "--tol", "nan"],
+     "argument --tol: must be a finite positive number, got 'nan'"),
+    (["verify", "--config", "x.ini", "--tol", "0"],
+     "argument --tol: must be a finite positive number, got '0'"),
+], ids=["no-command", "no-config", "h-not-a-number", "unknown-command", "unknown-option",
+        "darboux-tol", "flow-tol", "motion-tol", "figure1-tol", "verify-out", "h-zero",
+        "h-inf", "verify-h-negative", "tol-nan", "tol-zero"])
 def test_argparse_errors_are_usage_errors(capsys, args, message):
     assert main(args) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {message}")
     assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_every_command_has_a_runner():
+    # the parser is built from the runner table; config checks a file's
+    # [run] command against COMMANDS for library callers
+    assert tuple(cli._RUNNERS) == COMMANDS
 
 
 @pytest.mark.parametrize("args", [["-h"], ["darboux", "-h"]], ids=["top", "command"])

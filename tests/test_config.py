@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from darbouxflow import SGrid, Sheet, write_csv
+from darbouxflow import SGrid, Sheet, errors, write_csv
 from darbouxflow.config import COMMANDS, ConfigError, load_scenario
 from darbouxflow.errors import CurveError
 
@@ -227,7 +227,9 @@ def test_command_line_overrides_and_conflicts(tmp_path):
 def test_h_override_rebuilds_grid(tmp_path):
     sc = load_scenario(_write(tmp_path, DARBOUX_INI), h_override=1e-3)
     assert sc.grid.count == 1001
-    with pytest.raises(ConfigError, match="--h"):
+    # a bad step from a library caller is the grid's own error (the command
+    # line refuses it while parsing)
+    with pytest.raises(CurveError, match="grid step"):
         load_scenario(_write(tmp_path, DARBOUX_INI), h_override=-1.0)
 
 
@@ -268,6 +270,10 @@ def test_unknown_command_rejected(tmp_path):
     with pytest.raises(ConfigError, match="command"):
         load_scenario(_write(tmp_path, "[run]\ncommand = dance\n"))
     assert "verify" in COMMANDS
+
+
+def test_config_error_is_one_of_the_shared_error_types():
+    assert ConfigError is errors.ConfigError and issubclass(ConfigError, ValueError)
 
 
 def test_missing_file_is_config_error():
