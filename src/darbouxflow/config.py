@@ -30,7 +30,9 @@ Curve kinds: ``circle`` (radius), ``line`` (x(s) = s), ``ngon`` (n, radius —
 closed, so n+1 vertices), ``vertices`` (comma-separated complex values or
 (x, y) pairs), ``samples`` (csv = a previously emitted n,s,x,y file, row =
 which n to use for a smooth curve).  m and w0 accept closed-form expressions
-in s; mu is a number, a comma-separated per-edge list, or ``arclength``.  A
+in s, each evaluated once, on the grid's RK4 stage abscissas
+``grid.refined_values()``: a motion's ``Scenario.w0`` holds those values.
+mu is a number, a comma-separated per-edge list, or ``arclength``.  A
 value the library refuses raises the library's own error (exit code by type),
 prefixed with the ``[section] key`` it came from; ConfigError covers the text.
 """
@@ -48,8 +50,8 @@ import numpy as np
 
 from .errors import ConfigError, labeled
 from .expressions import ExpressionError, parse_expression
-from .geometry import (DiscretePolarizedCurve, PolarizedCurve, SGrid, _resolve_m, _validate_m,
-                       ngon_vertices)
+from .geometry import (DiscretePolarizedCurve, PolarizedCurve, SGrid, _on_stages, _polygon,
+                       _resolve_m, ngon_vertices)
 from .output import read_csv
 
 __all__ = ["ConfigError", "Scenario", "load_scenario", "COMMANDS"]
@@ -74,9 +76,9 @@ class Scenario:
     base: DiscretePolarizedCurve | None = None
     initial: PolarizedCurve | None = None
     n0: int = 0
-    # motion
+    # motion; w0 on grid.refined_values()
     vertices: np.ndarray | None = None
-    w0: object = None
+    w0: np.ndarray | None = None
     # verify
     tolerances: dict = field(default_factory=dict)
 
@@ -163,27 +165,13 @@ def _load_grid(cp) -> SGrid | None:
         return SGrid.from_step(s0, s1, h)
 
 
-def _expression(cp, section: str, key: str, grid: SGrid | None = None, default=None):
-    """``[section] key``: a constant as its value, else an Expression of s,
-    refused under the key if a pole or overflow shows at ``grid``'s stages."""
-    raw = _get(cp, section, key, default=default, required=default is None)
+def _expression(raw: str, section, key):
+    """``raw`` as an Expression of s, else a ConfigError naming the key; it
+    is evaluated on the grid's RK4 stages where it is resolved."""
     try:
-        expr = parse_expression(raw)
+        return parse_expression(raw)
     except ExpressionError as exc:
         _fail(section, key, str(exc))
-    if not expr.is_constant and grid is None:
-        return expr
-    s = 0.0 if expr.is_constant else grid.refined_values()
-    try:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            values = expr(s)
-    except ZeroDivisionError:
-        values = np.full(np.shape(s), math.inf)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        where = f" at s = {float(s[np.argmax(bad)])!r}" if np.ndim(s) else ""
-        _fail(section, key, f"{raw!r} is not finite{where}")
-    return values if expr.is_constant else expr
 
 
 def _smooth_curve(cp, section: str, grid: SGrid, m) -> PolarizedCurve:
@@ -220,33 +208,35 @@ def _smooth_curve(cp, section: str, grid: SGrid, m) -> PolarizedCurve:
                            "(expected circle, line, or samples)")
 
 
-def _discrete_vertices(cp, section: str) -> tuple[np.ndarray, str]:
-    """The vertices a section describes, and the key that sets where they lie."""
+def _discrete_vertices(cp, section: str) -> np.ndarray:
+    """The checked vertices a section describes; an error in them names the
+    key that sets where they lie."""
     kind = _get(cp, section, "kind", required=True).lower()
     if kind == "ngon":
         n = _get(cp, section, "n", required=True, parse=_integer)
         radius = _radius(cp, section)
         with labeled(f"[{section}] n"):
-            return ngon_vertices(n, radius), "radius"
-    if kind == "vertices":
-        return _get(cp, section, "values", required=True, parse=_parse_points), "values"
-    _fail(section, "kind", f"unknown discrete curve kind {kind!r} "
-                           "(expected ngon or vertices)")
+            vertices = ngon_vertices(n, radius)
+        key = "radius"
+    elif kind == "vertices":
+        vertices = _get(cp, section, "values", required=True, parse=_parse_points)
+        key = "values"
+    else:
+        _fail(section, "kind", f"unknown discrete curve kind {kind!r} "
+                               "(expected ngon or vertices)")
+    with labeled(f"[{section}] {key}"):
+        return _polygon(vertices)
 
 
 def _mu_edges(cp, vertices: np.ndarray):
     """Per-edge mu for a discrete base: scalar, list, or 'arclength'."""
     raw = _get(cp, "polarization", "mu", required=True)
     if raw.lower() == "arclength":
-        # A zero edge gives inf; DiscretePolarizedCurve then names its vertices.
-        with np.errstate(divide="ignore"):
-            return 1.0 / np.abs(np.diff(vertices)) ** 2
+        return 1.0 / np.abs(np.diff(vertices)) ** 2
     vals = np.array([_finite(p, "polarization", "mu") for p in raw.split(",") if p.strip()])
     if len(vals) not in (1, len(vertices) - 1):
         _fail("polarization", "mu", f"need one value per edge "
                                     f"({len(vertices) - 1}), got {len(vals)}")
-    with labeled("[polarization] mu"):
-        _validate_m(vals)
     return float(vals[0]) if len(vals) == 1 else vals
 
 
@@ -304,7 +294,7 @@ def load_scenario(path, command: str | None = None,
             sc.tolerances[key] = value
 
     if cmd in ("darboux", "flow"):
-        m = _expression(cp, "polarization", "m", default="1")
+        m = _get(cp, "polarization", "m", default=1.0, parse=_expression)
     if cmd == "darboux":
         sc.source = _smooth_curve(cp, "curve", grid, m)
         sc.mu = _get(cp, "polarization", "mu", required=True, parse=_finite)
@@ -315,20 +305,21 @@ def load_scenario(path, command: str | None = None,
         if sc.initial_point is not None and sc.offset_angle is not None:
             _fail("parameters", "initial_point", "give initial_point or offset_angle, not both")
     elif cmd == "flow":
-        vertices, key = _discrete_vertices(cp, "curve")
-        mu = _mu_edges(cp, vertices)
-        with labeled(f"[curve] {key}"):
-            sc.base = DiscretePolarizedCurve(vertices, mu)
+        vertices = _discrete_vertices(cp, "curve")
+        with labeled("[polarization] mu"):
+            sc.base = DiscretePolarizedCurve(vertices, _mu_edges(cp, vertices))
         sc.n0 = _get(cp, "parameters", "n0", default=0, parse=_integer)
         if not cp.has_section("initial"):
             raise ConfigError("flow needs an [initial] section for the seeded row")
         sc.initial = _smooth_curve(cp, "initial", grid, m)
     elif cmd == "motion":
-        sc.vertices, _ = _discrete_vertices(cp, "curve")
+        sc.vertices = _discrete_vertices(cp, "curve")
         sc.n0 = _get(cp, "parameters", "n0", default=0, parse=_integer)
         if grid is None:
             raise ConfigError("motion needs a [grid] section")
-        sc.w0 = _expression(cp, "parameters", "w0", grid)
+        w0 = _get(cp, "parameters", "w0", required=True, parse=_expression)
+        with labeled("[parameters] w0"):
+            sc.w0 = _on_stages(w0, grid, repr(w0.text))
     elif cmd == "figure1":
         # Optional overrides; defaults are supplied by the figure pipeline.
         sc.mu = _get(cp, "polarization", "mu", parse=_finite)

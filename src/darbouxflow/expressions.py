@@ -4,6 +4,8 @@ A subset of Python's grammar: decimal numbers such as 2, .5 or 2e-3 (not 01),
 s, pi, e, + - * / with the usual precedence, unary + and -, parentheses, and
 sin, cos and exp of one argument.  ``ast`` parses the text and a whitelist
 compiles the tree into one closure per node; nothing runs as Python code.
+The library calls an Expression once, with the whole array of a grid's RK4
+stage abscissas; a call with one float returns a float.
 """
 
 from __future__ import annotations
@@ -39,10 +41,9 @@ class ExpressionError(ValueError):
 class Expression:
     """A compiled expression; call with a float or array to evaluate."""
 
-    def __init__(self, text: str, fn, constant: bool):
+    def __init__(self, text: str, fn):
         self.text = text
         self._fn = fn
-        self.is_constant = constant
 
     def __call__(self, s):
         out = self._fn(s)
@@ -89,5 +90,4 @@ def parse_expression(text: str) -> Expression:
         raise ExpressionError(f"{message} at column {exc.offset} of {source!r}") from None
     except RecursionError:
         raise ExpressionError("expression is nested too deeply") from None
-    constant = not any(isinstance(n, ast.Name) and n.id == "s" for n in ast.walk(tree))
-    return Expression(text.strip(), fn, constant)
+    return Expression(text.strip(), fn)

@@ -141,6 +141,30 @@ def _midpoint_interp(samples: np.ndarray, derivative: bool = False) -> np.ndarra
     return mids
 
 
+def _on_stages(f, grid: SGrid, name: str, dtype=float) -> np.ndarray:
+    """``f`` on the RK4 stage abscissas ``grid.refined_values()``: a constant,
+    a callable, called once with the whole array, or samples there.  A value
+    that is not finite is a CurveError naming the first stage s where it is;
+    a call that divides by zero or overflows fails at every stage, so at s0."""
+    s = grid.refined_values()
+    if callable(f):
+        try:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                f = f(s)
+        except (ZeroDivisionError, OverflowError):
+            f = math.nan
+    values = np.asarray(f, dtype=dtype)
+    if values.ndim == 0:
+        values = np.full(len(s), values)
+    elif values.shape != s.shape:
+        raise CurveError(f"{name} samples have shape {values.shape}, expected "
+                         f"{s.shape} on the refined grid")
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise CurveError(f"{name} is not finite at s = {float(s[np.argmax(bad)])!r}")
+    return values
+
+
 def _validate_m(m: np.ndarray):
     if not np.all(np.isfinite(m)):
         raise CurveError("polarization must be finite")
@@ -149,41 +173,38 @@ def _validate_m(m: np.ndarray):
 
 
 def _resolve_m(m, grid: SGrid) -> np.ndarray:
-    """The polarization on ``grid.refined_values()``, checked: a constant, a
-    callable (evaluated there once) or samples there.  An array is checked
-    in one pass; the node samples only word the error."""
-    count = 2 * grid.count - 1
-    if callable(m):
-        try:
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                m = np.asarray(m(grid.refined_values()), dtype=float).reshape(-1) + np.zeros(count)
-        except (ZeroDivisionError, OverflowError):
-            raise CurveError("polarization must be finite") from None
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim == 0:
-        lo = hi = float(arr)
-        arr = np.full(count, lo)
-    elif arr.shape != (count,):
-        raise CurveError(f"polarization samples have shape {arr.shape}, expected "
-                         f"({count},) on the refined grid")
-    else:
-        lo, hi = arr.min(), arr.max()
-    if not (0.0 < lo and hi < math.inf or -math.inf < lo and hi < 0.0):
+    """The polarization on ``grid.refined_values()`` (see ``_on_stages``),
+    nonvanishing and of one sign; the node samples only word the error."""
+    arr = _on_stages(m, grid, "polarization")
+    if not (arr.min() > 0.0 or arr.max() < 0.0):
         # The RK4 midpoints must pass the node check too, or the Riccati
         # coefficient mu/m is infinite or flips sign mid-step.
         _validate_m(arr[::2])
-        try:
-            _validate_m(arr)
-        except CurveError as exc:
-            raise CurveError(f"{exc} between grid nodes") from None
+        raise CurveError("polarization must be nonvanishing and of constant sign "
+                         "between grid nodes")
     return arr
+
+
+def _polygon(vertices) -> np.ndarray:
+    """``vertices`` as a nonempty 1-D complex array of finite plane points,
+    consecutive ones more than EPS_REG apart."""
+    v = np.asarray(vertices, dtype=complex)
+    if v.ndim != 1 or len(v) < 1:
+        raise CurveError("vertices must be a nonempty 1-D sequence of plane points")
+    if not np.all(np.isfinite(v)):
+        raise CurveError("vertices must be finite")
+    gaps = np.abs(np.diff(v))
+    if len(gaps) and gaps.min() <= EPS_REG:
+        n = int(np.argmin(gaps))
+        raise CoincidentPointsError(f"consecutive vertices {n} and {n + 1} coincide")
+    return v
 
 
 @dataclass(frozen=True, eq=False)
 class PolarizedCurve:
     """Smooth plane curve x(s) with polarization ds^2/m, sampled on a grid.
 
-    ``m`` is a constant, a callable, which is evaluated once on the refined
+    ``m`` is a constant, a callable, which is called once with the refined
     grid (``grid.refined_values()``: the nodes and the RK4 midpoints), or
     samples on that refined grid; node-length samples are refused.  Every
     value must be finite, nonzero and of one sign, so m is checked between
@@ -193,8 +214,9 @@ class PolarizedCurve:
     from 4th-order finite differences of the points.
 
     The Riccati stages need x, x' and m on the refined grid.  Curves from
-    ``from_generator`` keep the exact x and x' there; for other curves they
-    are interpolated from the nodes with local Lagrange windows.
+    ``from_generator`` keep the exact x and x' there, checked finite at
+    every stage as m is; for other curves they are interpolated from the
+    nodes with local Lagrange windows.
     """
 
     grid: SGrid
@@ -238,10 +260,9 @@ class PolarizedCurve:
 
     @classmethod
     def from_generator(cls, grid: SGrid, x, xp, m=1.0):
-        """Curve from x(s) and x'(s), each evaluated once on the refined grid."""
-        r = grid.refined_values()
-        xs = np.asarray(x(r), dtype=complex) + np.zeros(len(r), dtype=complex)
-        xps = np.asarray(xp(r), dtype=complex) + np.zeros(len(r), dtype=complex)
+        """Curve from x(s) and x'(s), each called once with the refined grid."""
+        xs = _on_stages(x, grid, "x", complex)
+        xps = _on_stages(xp, grid, "x'", complex)
         curve = cls(grid, xs[::2], m, xps[::2])
         object.__setattr__(curve, "_refined_x", (xs, xps))
         return curve
@@ -283,16 +304,8 @@ class DiscretePolarizedCurve:
     mu: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=complex)
+        v = _polygon(self.vertices)
         object.__setattr__(self, "vertices", v)
-        if v.ndim != 1 or len(v) < 1:
-            raise CurveError("vertices must be a nonempty 1-D sequence of plane points")
-        if not np.all(np.isfinite(v)):
-            raise CurveError("vertices must be finite")
-        edges = np.diff(v)
-        if len(edges) and np.abs(edges).min() <= EPS_REG:
-            n = int(np.argmin(np.abs(edges)))
-            raise CoincidentPointsError(f"consecutive vertices {n} and {n + 1} coincide")
         mu = np.asarray(self.mu, dtype=float)
         if mu.ndim == 0:
             mu = np.full(max(len(v) - 1, 0), float(mu))

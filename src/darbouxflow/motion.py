@@ -23,8 +23,8 @@ from math import sin
 
 import numpy as np
 
-from .errors import BlowupError, CoincidentPointsError, CurveError, NonRegularError
-from .geometry import EPS_REG, SGrid, Sheet, fd_derivative
+from .errors import BlowupError, CurveError, NonRegularError
+from .geometry import EPS_REG, SGrid, Sheet, _on_stages, _polygon, fd_derivative
 
 #: Largest per-step angle change the recorder accepts before declaring the
 #: step size too coarse to track branches.
@@ -48,45 +48,29 @@ def integrate_motion(vertices, w0, n0: int, grid: SGrid) -> MotionResult:
     """RK4-step the edge angles and x_0 of a polygon under the isoperimetric
     motion, then build the vertices by one cumulative sum of the edges.
 
-    ``w0`` may be a constant or a function of s, called once at each RK4
-    stage abscissa (``grid.refined_values()``, where the Riccati solve
-    evaluates m).  Every stage walks theta outward from theta_{n0} =
-    psi_{n0} + w0 by theta_n + theta_{n+1} = 2 psi_n, which is the
-    w-recursion.  The step runs over Python floats one edge at a time
-    through all four stages, as stage j of an edge needs only stage j of the
-    edges nearer n0, with Kahan-compensated updates.  A vertex that is not
-    finite raises CurveError, and so does a w0 that is not finite, or whose
-    call divides by zero or overflows, at the first such s; edges folding
-    back on each other at a grid node raise NonRegularError, and an angle
-    jump of MAX_ANGLE_JUMP in one step BlowupError.
+    ``w0`` is a constant, samples on the RK4 stage abscissas
+    ``grid.refined_values()`` (where the Riccati solve takes m), or a
+    function of s, called once with that whole array, so it must accept
+    one.  Every stage walks theta outward from theta_{n0} = psi_{n0} + w0
+    by theta_n + theta_{n+1} = 2 psi_n, which is the w-recursion.  The step
+    runs over Python floats one edge at a time through all four stages, as
+    stage j of an edge needs only stage j of the edges nearer n0, with
+    Kahan-compensated updates.  The vertices pass DiscretePolarizedCurve's
+    check: one that is not finite raises CurveError, consecutive ones that
+    coincide CoincidentPointsError.  A w0 that is not finite raises
+    CurveError at the first such s (at s0 if its call divides by zero or
+    overflows); edges folding back on each other at a grid node raise
+    NonRegularError, and an angle jump of MAX_ANGLE_JUMP in one step
+    BlowupError.
     """
-    v0 = np.asarray(vertices, dtype=complex)
-    if v0.ndim != 1 or len(v0) < 2:
-        raise CurveError("a motion needs a 1-D sequence of at least two vertices")
-    if not np.isfinite(v0).all():
-        raise CurveError("vertices must be finite")
+    v0 = _polygon(vertices)
+    if len(v0) < 2:
+        raise CurveError("a motion needs at least two vertices")
     if not 0 <= n0 < len(v0) - 1:
         raise CurveError(f"seed edge {n0} outside 0..{len(v0) - 2}")
     edges = np.diff(v0)
     a = np.abs(edges)
-    if a.min() <= EPS_REG:
-        n = int(np.argmin(a))
-        raise CoincidentPointsError(f"edge ({n}, {n + 1}) has length {a.min():.3e}")
-    stages = grid.refined_values().tolist()
-    if callable(w0):
-        # Scalar calls, as a callable applied to a whole array can round differently.
-        w = []
-        try:
-            for s in stages:
-                w.append(w0(s))
-        except (ZeroDivisionError, OverflowError):
-            w.append(math.nan)
-    else:
-        w = [w0] * len(stages)
-    w = np.array(w, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(w))
-    if bad.size:
-        raise CurveError(f"w0 is not finite at s = {stages[bad[0]]!r}")
+    w = _on_stages(w0, grid, "w0")
 
     # The state runs in walk order, edges n0..E-1 then n0-1..0.  Walking
     # towards vertex 0, w_n = psi_n - theta_{n+1}, so those rates flip sign.

@@ -20,7 +20,7 @@ from .darboux import (DarbouxParams, cross_ratio_defect, darboux_transform,
                       lambda_evolution_defects, lemma_defects, pair_table)
 from .equivalence import (frameless_identity_check, iso_darboux_check,
                           pipelines_agree)
-from .errors import BlowupError, ConfigError, CurveError
+from .errors import BlowupError, ConfigError, CurveError, GridTooShortError
 from .expressions import parse_expression
 from .geometry import (DiscretePolarizedCurve, PolarizedCurve, SGrid,
                        fd_derivative, ngon_vertices)
@@ -114,10 +114,19 @@ def _heptagon_motion(h: float):
 
 
 class Artifacts:
-    """Shared lazily-built inputs for the checks, at base step ``h``."""
+    """Shared lazily-built inputs for the checks, at base step ``h``.  A step
+    no artifact can be built at is refused here, before any check runs."""
 
     def __init__(self, h: float = 1e-3):
         self.h = float(h)
+        # The grids span [0, 0.4] (nonunit_flow) up to [0, 2 pi] at h/2
+        # (circle_transform_half); SGrid.from_step refuses a node count that
+        # overflows, and the 4th-order stencils need 5 nodes.
+        SGrid.from_step(0.0, 2.0 * math.pi, self.h / 2.0)
+        count = SGrid.from_step(0.0, 0.4, self.h).count
+        if count < 5:
+            raise GridTooShortError(f"step h = {self.h!r} is too coarse: the shortest check "
+                                    f"grid, [0, 0.4], gets {count} of the 5 nodes it needs")
 
     # -- smooth pairs -----------------------------------------------------
     @cached_property

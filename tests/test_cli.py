@@ -6,6 +6,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from darbouxflow import cli, config, verification
@@ -14,6 +15,7 @@ from darbouxflow.config import COMMANDS, ConfigError, load_scenario
 from darbouxflow.errors import (BlowupError, CoincidentPointsError, CurveError,
                                 GridTooShortError, NonRegularError,
                                 NotArclengthPolarizedError, SingularTangentError)
+from darbouxflow.expressions import Expression
 from darbouxflow.output import read_csv
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -303,7 +305,9 @@ STALLED_CSV = "n,s,x,y\n" + "".join(
     ("flow", FLOW_INI.replace("kind = vertices\nvalues = 0+0j, 2+0j, 4+0j, 6+0j",
                               "kind = ngon\nn = 6\nradius = 1e-12"),
      "[curve] radius: consecutive vertices 3 and 4 coincide"),
-], ids=["coincident-vertices", "stalled-samples", "tiny-radius", "tiny-ngon"])
+    ("motion", MOTION_INI.replace("n = 6", "n = 6\nradius = 1e-12"),
+     "[curve] radius: consecutive vertices 3 and 4 coincide"),
+], ids=["coincident-vertices", "stalled-samples", "tiny-radius", "tiny-ngon", "tiny-ngon-motion"])
 def test_singular_input_found_while_loading_is_a_numerical_failure(tmp_path, capsys, command,
                                                                   text, key):
     # the type decides the exit code while loading too; the key still names the input
@@ -365,8 +369,10 @@ def test_exit_code_follows_the_failure_type_while_loading(tmp_path, capsys, monk
             (config, "read_csv", "darboux", samples, "[curve] csv"),
             (config.PolarizedCurve, "from_samples", "darboux", samples, "[curve] csv"),
             (config, "ngon_vertices", "motion", MOTION_INI, "[curve] n"),
-            (config, "_validate_m", "flow", flow, "[polarization] mu"),
-            (config, "DiscretePolarizedCurve", "flow", flow, "[curve] values")):
+            (config, "_polygon", "motion", MOTION_INI, "[curve] radius"),
+            (config, "_polygon", "flow", flow, "[curve] values"),
+            (config, "_on_stages", "motion", MOTION_INI, "[parameters] w0"),
+            (config, "DiscretePolarizedCurve", "flow", flow, "[polarization] mu")):
         out = tmp_path / "out"
         with monkeypatch.context() as patch:
             patch.setattr(target, name, fail)
@@ -545,6 +551,45 @@ def test_verify_with_impossible_tolerance_fails(tmp_path, capsys, session_artifa
     assert "/12 checks passed" in out
 
 
+@pytest.mark.parametrize("h, message", [
+    ("1e-320", "grid node count overflows: (s1 - s0)/h = inf"),
+    ("3", "step h = 3.0 is too coarse: the shortest check grid, [0, 0.4], gets 1 of the 5 "
+          "nodes it needs"),
+    ("0.2", "step h = 0.2 is too coarse"),
+    ("0.12", "step h = 0.12 is too coarse"),
+])
+def test_verify_refuses_a_step_no_artifact_can_be_built_at(tmp_path, capsys, h, message):
+    cfg = _write(tmp_path, "[run]\ncommand = verify\n")
+    assert main(["verify", "--config", cfg, "--h", h]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_verify_builds_every_artifact_at_the_coarsest_step_it_takes(tmp_path, capsys):
+    # h = 0.1 leaves [0, 0.4] its 5 nodes: the checks run, and fail on their bounds
+    cfg = _write(tmp_path, "[run]\ncommand = verify\n")
+    assert main(["verify", "--config", cfg, "--h", "0.1"]) == 3
+    out = capsys.readouterr().out
+    assert out.endswith("/12 checks passed\n") and "Error" not in out
+
+
+def test_motion_scenario_evaluates_its_w0_once(tmp_path, monkeypatch):
+    # once, on the stage abscissas, while loading; the motion reads those values
+    sizes = []
+    call = Expression.__call__
+
+    def counted(self, s):
+        sizes.append(np.size(s))
+        return call(self, s)
+
+    monkeypatch.setattr(Expression, "__call__", counted)
+    text = MOTION_INI.replace("w0 = -pi/6", "w0 = -pi/6 + 0.1*sin(s)")
+    assert main(["motion", "--config", _write(tmp_path, text),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert sizes == [2 * 251 - 1]
+
+
 def test_a_failing_artifact_fails_its_checks_and_the_others_still_run(
         tmp_path, capsys, monkeypatch):
     def blow_up(vertices, w0, n0, grid):
@@ -641,15 +686,16 @@ def test_polarization_pole_prints_only_the_error(tmp_path):
         env=dict(os.environ, PYTHONPATH=str(checkout / "src")),
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
-    assert proc.stderr == "error: [polarization] m: polarization must be finite\n"
+    assert proc.stderr == "error: [polarization] m: polarization is not finite at s = 0.5\n"
     assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("w0, where", [
     ("1/(s-0.25)", " at s = 0.25"),
-    # a pole at a step midpoint, where the loader and the motion both look
+    # a pole at a step midpoint, where the loader looks
     ("1/(s-0.0095)", " at s = 0.0095"),
-    ("1/0", ""), ("exp(1000)", ""), ("1/0 + s", " at s = 0.0")])
+    # a constant fails at every stage, so at s0
+    ("1/0", " at s = 0.0"), ("exp(1000)", " at s = 0.0"), ("1/0 + s", " at s = 0.0")])
 def test_non_finite_w0_is_a_usage_error(tmp_path, capsys, recwarn, w0, where):
     text = (SCENARIO_DIR / "motion_hexagon.ini").read_text().replace(
         "w0 = -pi/6 ", f"w0 = {w0} ")

@@ -168,18 +168,18 @@ h = 1e-3
 
 
 def test_motion_scenario_constant_w0(tmp_path):
+    # w0 is held on the RK4 stage abscissas, the nodes and the step midpoints
     sc = load_scenario(_write(tmp_path, MOTION_INI))
     assert sc.command == "motion"
-    assert isinstance(sc.w0, float)
-    assert sc.w0 == pytest.approx(-math.pi / 6)
+    assert sc.w0.shape == (2 * sc.grid.count - 1,)
+    assert np.all(sc.w0 == -math.pi / 6)
     assert len(sc.vertices) == 7
 
 
-def test_motion_expression_w0_stays_callable(tmp_path):
+def test_motion_expression_w0_is_resolved_on_the_stages(tmp_path):
     text = MOTION_INI.replace("w0 = -pi/6", "w0 = 0.2*sin(s)")
     sc = load_scenario(_write(tmp_path, text))
-    assert callable(sc.w0)
-    assert sc.w0(math.pi / 2) == pytest.approx(0.2)
+    assert np.array_equal(sc.w0, 0.2 * np.sin(sc.grid.refined_values()))
 
 
 def test_samples_curve_round_trip(tmp_path):

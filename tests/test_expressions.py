@@ -31,10 +31,13 @@ def test_expression_values(text, s, want):
     assert got == pytest.approx(want, abs=1e-15)
 
 
-def test_constant_flag():
-    assert parse_expression("2 + 3*4").is_constant
-    assert parse_expression("cos(pi)").is_constant
-    assert not parse_expression("1 + 0*s").is_constant  # syntactic, not algebraic
+@pytest.mark.parametrize("text", ["-0.15 + 0.1*sin(3*s)", "1 + 0.5*sin(s)",
+                                  "exp(-s)*cos(2*s)/(1 + s*s)", "2 - s/3", "pi"])
+def test_one_array_call_matches_scalar_calls(text):
+    # the library calls an expression once with all stage abscissas
+    expr = parse_expression(text)
+    s = np.linspace(-3.0, 7.0, 4001)
+    assert np.array_equal(expr(s), [expr(float(x)) for x in s])
 
 
 def test_array_evaluation_broadcasts():

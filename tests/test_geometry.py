@@ -144,6 +144,34 @@ def test_analytic_tangent_is_evaluated_once_per_grid():
     assert sizes == [2001]
 
 
+def test_x_xp_and_m_are_each_called_once_with_the_stage_abscissas():
+    calls = {"x": [], "xp": [], "m": []}
+
+    def counted(name, f):
+        return lambda s: calls[name].append(s) or f(s)
+
+    g = SGrid.from_step(0.0, 0.5, 1e-2)
+    c = PolarizedCurve.from_generator(g, counted("x", lambda s: np.exp(1j * s)),
+                                      counted("xp", lambda s: 1j * np.exp(1j * s)),
+                                      counted("m", lambda s: 1.0 + 0.5 * np.sin(s)))
+    c._stage_data
+    for name, seen in calls.items():
+        assert len(seen) == 1, name
+        assert np.array_equal(seen[0], g.refined_values()), name
+        assert seen[0].size == 2 * g.count - 1
+
+
+def test_generator_tangent_not_finite_at_a_midpoint_is_refused(recwarn):
+    # x' = 0/0 only at the first RK4 midpoint; the nodes alone look regular
+    g = SGrid.from_step(0.0, 0.1, 1e-3)
+    with pytest.raises(CurveError, match=r"^x' is not finite at s = 0\.0005$"):
+        PolarizedCurve.from_generator(g, lambda s: s + 0j,
+                                      lambda s: (s - 0.0005) / (s - 0.0005) + 0j)
+    with pytest.raises(CurveError, match=r"^x is not finite at s = 0\.0015$"):
+        PolarizedCurve.from_generator(g, lambda s: 1 / (s - 0.0015) + 0j, lambda s: 1 + 0j * s)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_lagrange_weights_are_shared_read_only():
     # computed once per (window, t) for every sampled curve, so no caller
     # may write into them; the quintic oracle checks the shared values
@@ -184,20 +212,21 @@ def test_curve_rejects_nonfinite_points():
 def test_polarization_must_not_change_sign_or_vanish():
     # m sampled on the refined grid: even entries at the nodes, odd ones at
     # the RK4 midpoints.  A bad node gives the node message, a bad midpoint
-    # alone the "between grid nodes" one.
+    # alone the "between grid nodes" one; a value that is not finite names
+    # its s.
     g = SGrid(0.0, 0.25, 5)
     pts = g.values() + 0j
     sign = "polarization must be nonvanishing and of constant sign"
     for index, value, message in ((4, 0.0, sign), (4, -1.0, sign),
-                                  (0, np.nan, "polarization must be finite"),
+                                  (0, np.nan, "polarization is not finite at s = 0.0"),
                                   (3, 0.0, sign + " between grid nodes"),
                                   (7, -1.0, sign + " between grid nodes"),
-                                  (1, np.inf, "polarization must be finite between grid nodes")):
+                                  (1, np.inf, "polarization is not finite at s = 0.125")):
         m = np.ones(9)
         m[index] = value
         with pytest.raises(CurveError, match=f"^{message}$"):
             PolarizedCurve(g, pts, m)
-    for m, message in ((0.0, sign), (np.nan, "polarization must be finite")):
+    for m, message in ((0.0, sign), (np.nan, "polarization is not finite at s = 0.0")):
         with pytest.raises(CurveError, match=f"^{message}$"):
             PolarizedCurve(g, pts, m)
 
@@ -206,7 +235,7 @@ def test_polarization_that_divides_by_zero_is_not_finite():
     # Python's own float division raises rather than giving inf
     g = SGrid(0.0, 0.25, 5)
     for m in (parse_expression("1/0 + s"), lambda s: 1 / 0):
-        with pytest.raises(CurveError, match="^polarization must be finite$"):
+        with pytest.raises(CurveError, match="^polarization is not finite at s = 0.0$"):
             PolarizedCurve.from_generator(g, lambda s: s + 0j, lambda s: 1 + 0 * s, m)
 
 

@@ -34,7 +34,7 @@ def _reference_theta(vertices, w0, n0):
     a = np.abs(edges)
     if a.min() <= EPS_REG:
         n = int(np.argmin(a))
-        raise CoincidentPointsError(f"edge ({n}, {n + 1}) has length {a.min():.3e}")
+        raise CoincidentPointsError(f"consecutive vertices {n} and {n + 1} coincide")
     t = edges / a
     kappa = np.angle(t[1:] / t[:-1])
     bad = math.pi - np.abs(kappa) <= EPS_REG
@@ -209,8 +209,8 @@ def test_motion_matches_the_numpy_stage_reference():
                               (ngon_vertices(4), 0.0, 0, 0.5),
                               (ngon_vertices(5), -math.pi / 5.0, 0, 1.0),
                               (heptagon, parse_expression(HEPTAGON_W0), HEPTAGON_N0, 0.5),
-                              (ngon_vertices(5), lambda s: 0.2 * math.sin(s), 0, 0.5),
-                              (ngon_vertices(6), lambda s: -math.pi / 6 + 0.1 * math.sin(s), 2,
+                              (ngon_vertices(5), lambda s: 0.2 * np.sin(s), 0, 0.5),
+                              (ngon_vertices(6), lambda s: -math.pi / 6 + 0.1 * np.sin(s), 2,
                                1.0)]:
         grid = SGrid.from_step(0.0, length, 1e-3)
         got = integrate_motion(v, w0, n0, grid).sheet.values
@@ -325,33 +325,47 @@ def test_rotating_square_curvature_matches_circumradius():
 
 def test_motion_accepts_callable_w0():
     grid = SGrid.from_step(0.0, 0.5, 1e-3)
-    res = integrate_motion(ngon_vertices(5), lambda s: 0.2 * math.sin(s), 0, grid)
+    res = integrate_motion(ngon_vertices(5), lambda s: 0.2 * np.sin(s), 0, grid)
     spread = res.a.max(axis=1) - res.a.min(axis=1)
     assert spread.max() < 1e-14
 
 
 def test_callable_w0_is_called_once_per_stage_abscissa():
-    # 2N - 1 calls on an N-node grid: the nodes and the step midpoints, with
-    # the node values reused for the recorded theta
+    # one call with the 2N - 1 stage abscissas of an N-node grid: the nodes
+    # and the step midpoints, with the node values reused for the recorded theta
     grid = SGrid.from_step(-0.37, 0.13, 1e-2)
     calls = []
 
     def w0(s):
         calls.append(s)
-        return 0.2 * math.sin(s)
+        return 0.2 * np.sin(s)
 
     res = integrate_motion(ngon_vertices(5), w0, 0, grid)
-    assert len(calls) == 2 * grid.count - 1
-    assert calls == grid.refined_values().tolist()
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], grid.refined_values())
     # the seed edge's recorded w is w0 at the nodes
     _, w = _psi_w(res.theta)
     assert np.abs(w[0] - 0.2 * np.sin(grid.values())).max() < 1e-12
 
 
+def test_w0_stage_samples_match_the_callable():
+    # samples on the stage abscissas are what the callable is turned into
+    grid = SGrid.from_step(0.0, 0.5, 1e-3)
+    verts = polyline_vertices(HEPTAGON_TURNS, HEPTAGON_LENGTHS)
+    w0 = parse_expression(HEPTAGON_W0)
+    called = integrate_motion(verts, w0, HEPTAGON_N0, grid)
+    sampled = integrate_motion(verts, w0(grid.refined_values()), HEPTAGON_N0, grid)
+    assert np.array_equal(sampled.sheet.values, called.sheet.values)
+    assert np.array_equal(sampled.theta, called.theta)
+    with pytest.raises(CurveError, match=r"^w0 samples have shape \(501,\), expected "
+                                         r"\(1001,\) on the refined grid$"):
+        integrate_motion(verts, w0(grid.values()), HEPTAGON_N0, grid)
+
+
 @pytest.mark.parametrize("w0, where", [
-    (lambda s: math.inf if s > 0.2 else -math.pi / 6, "0.2005"),
-    (lambda s: 1 / (s - 0.25), "0.25"),      # ZeroDivisionError at a node
-    (lambda s: math.exp(4000 * s), "0.1775"),  # OverflowError at a midpoint
+    (lambda s: np.where(s > 0.2, np.inf, -np.pi / 6), "0.2005"),
+    (lambda s: 1 / (s - 0.25), "0.25"),      # a pole at a node
+    (lambda s: np.exp(4000 * s), "0.1775"),  # overflow at a midpoint
     (math.nan, "0.0"),
 ], ids=["inf-past-0.2", "pole", "overflow", "nan-constant"])
 def test_non_finite_w0_is_bad_input(w0, where):
@@ -391,7 +405,7 @@ def test_motion_theta_unwraps_like_the_row_by_row_loop():
     # the recorded theta against nearest-branch unwrapping one row at a time,
     # on a hexagon that turns more than once
     grid = SGrid.from_step(0.0, 8.0, 1e-2)
-    w0 = lambda s: -math.pi / 6 + 0.1 * math.sin(s)
+    w0 = lambda s: -math.pi / 6 + 0.1 * np.sin(s)
     res = integrate_motion(ngon_vertices(6), w0, 1, grid)
     raw = np.array([_reference_theta(row, w0(s), 1)
                     for row, s in zip(res.sheet.values.T, grid.values())])
