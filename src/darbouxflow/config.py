@@ -166,8 +166,8 @@ def _load_grid(cp) -> SGrid | None:
 
 
 def _expression(raw: str, section, key):
-    """``raw`` as an Expression of s, else a ConfigError naming the key; it
-    is evaluated on the grid's RK4 stages where it is resolved."""
+    """``raw`` as a function of s, else a ConfigError naming the key; it is
+    evaluated on the grid's RK4 stages where it is resolved."""
     try:
         return parse_expression(raw)
     except ExpressionError as exc:
@@ -176,8 +176,6 @@ def _expression(raw: str, section, key):
 
 def _smooth_curve(cp, section: str, grid: SGrid, m) -> PolarizedCurve:
     """Build the smooth curve a section describes on ``grid`` with polarization m."""
-    if grid is None:
-        _fail("grid", "s0", "this command needs a [grid] section")
     with labeled("[polarization] m"):
         m = _resolve_m(m, grid)
     kind = _get(cp, section, "kind", required=True).lower()
@@ -195,12 +193,12 @@ def _smooth_curve(cp, section: str, grid: SGrid, m) -> PolarizedCurve:
         if not os.path.exists(path):
             _fail(section, "csv", f"no such file: {path}")
         with labeled(f"[{section}] csv"):
-            svals, values = read_csv(path)
+            csv_grid, values = read_csv(path)
         row = _get(cp, section, "row", default=0, parse=_integer)
         if not 0 <= row < len(values):
             _fail(section, "row", f"file has rows 0..{len(values) - 1}")
-        if len(svals) != grid.count or abs(svals[0] - grid.s0) > 1e-12 or (
-                len(svals) > 1 and abs(svals[-1] - grid.s1) > 1e-9):
+        if csv_grid.count != grid.count or abs(csv_grid.s0 - grid.s0) > 1e-12 or (
+                abs(csv_grid.s1 - grid.s1) > 1e-9):
             _fail(section, "csv", "sample grid does not match the [grid] section")
         with labeled(f"[{section}] csv"):
             return PolarizedCurve.from_samples(grid, values[row], m)
@@ -271,13 +269,11 @@ def load_scenario(path, command: str | None = None,
                           f"line says {command!r}")
 
     grid = _load_grid(cp) if cmd != "verify" else None
-    if h_override is not None:
-        if grid is not None:
-            grid = SGrid.from_step(grid.s0, grid.s1, h_override)
-        elif cmd not in ("figure1", "verify"):
-            # figure1 and verify supply their own spans, so a bare --h is
-            # fine there; everything else needs [grid] to know the span.
-            raise ConfigError("--h given but the scenario has no [grid] section")
+    if grid is None and cmd not in ("figure1", "verify"):
+        # figure1 and verify supply their own spans; the others need [grid].
+        raise ConfigError(f"{cmd} needs a [grid] section")
+    if h_override is not None and grid is not None:
+        grid = SGrid.from_step(grid.s0, grid.s1, h_override)
     if cmd == "figure1" and grid is None:
         # The figure's own span: one turn of its circle.
         grid = SGrid.from_step(0.0, 2.0 * math.pi, 1e-3 if h_override is None else h_override)
@@ -315,11 +311,9 @@ def load_scenario(path, command: str | None = None,
     elif cmd == "motion":
         sc.vertices = _discrete_vertices(cp, "curve")
         sc.n0 = _get(cp, "parameters", "n0", default=0, parse=_integer)
-        if grid is None:
-            raise ConfigError("motion needs a [grid] section")
-        w0 = _get(cp, "parameters", "w0", required=True, parse=_expression)
+        raw = _get(cp, "parameters", "w0", required=True)
         with labeled("[parameters] w0"):
-            sc.w0 = _on_stages(w0, grid, repr(w0.text))
+            sc.w0 = _on_stages(_expression(raw, "parameters", "w0"), grid, repr(raw))
     elif cmd == "figure1":
         # Optional overrides; defaults are supplied by the figure pipeline.
         sc.mu = _get(cp, "polarization", "mu", parse=_finite)

@@ -93,12 +93,13 @@ def riccati_solve(source: PolarizedCurve, mu: float, y0: complex) -> np.ndarray:
     return vals
 
 
-def _transform_row(curve: PolarizedCurve, mu: float, initial_point: complex) -> PolarizedCurve:
+def _transform_row(curve: PolarizedCurve, params: DarbouxParams) -> PolarizedCurve:
     """The body of darboux_transform, shared with flow edges
-    (semidiscrete.propagate_edge), which validate mu themselves."""
-    if abs(initial_point - curve.points[0]) <= EPS_REG:
+    (semidiscrete.propagate_edge)."""
+    mu, y0 = params.mu, params.initial_point
+    if abs(y0 - curve.points[0]) <= EPS_REG:
         raise CoincidentPointsError("initial point coincides with the curve start")
-    vals = riccati_solve(curve, mu, initial_point)
+    vals = riccati_solve(curve, mu, y0)
     sep = np.abs(vals - curve.points)
     if sep.min() <= EPS_REG:
         i = int(np.argmin(sep))
@@ -118,7 +119,7 @@ def darboux_transform(curve: PolarizedCurve, params: DarbouxParams) -> Polarized
     The result shares the grid and polarization of ``curve``; a collision
     between the pair anywhere on the grid raises CoincidentPointsError.
     """
-    return _transform_row(curve, params.mu, params.initial_point)
+    return _transform_row(curve, params)
 
 
 def arclength_darboux(curve: PolarizedCurve, mu: float, offset_angle: float) -> PolarizedCurve:

@@ -4,8 +4,9 @@ A subset of Python's grammar: decimal numbers such as 2, .5 or 2e-3 (not 01),
 s, pi, e, + - * / with the usual precedence, unary + and -, parentheses, and
 sin, cos and exp of one argument.  ``ast`` parses the text and a whitelist
 compiles the tree into one closure per node; nothing runs as Python code.
-The library calls an Expression once, with the whole array of a grid's RK4
-stage abscissas; a call with one float returns a float.
+A parsed expression is a plain function of s: the library calls it once,
+with the whole array of a grid's RK4 stage abscissas, and
+``geometry._on_stages`` broadcasts a constant's number and checks the values.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import warnings
 
 import numpy as np
 
-__all__ = ["ExpressionError", "Expression", "parse_expression"]
+__all__ = ["ExpressionError", "parse_expression"]
 
 _NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 # The grammar's alphabet; the tree would not show a comment or a call's trailing comma.
@@ -36,20 +37,6 @@ _OPERATORS = {
 
 class ExpressionError(ValueError):
     """Raised for syntax errors, with the offending column in the text."""
-
-
-class Expression:
-    """A compiled expression; call with a float or array to evaluate."""
-
-    def __init__(self, text: str, fn):
-        self.text = text
-        self._fn = fn
-
-    def __call__(self, s):
-        out = self._fn(s)
-        if np.isscalar(s) or np.ndim(s) == 0:
-            return float(out)
-        return np.broadcast_to(np.asarray(out, dtype=float), np.shape(s)).copy()
 
 
 def _compile(node, source: str):
@@ -72,8 +59,8 @@ def _compile(node, source: str):
                           f"at column {node.col_offset + 1} of {source!r}")
 
 
-def parse_expression(text: str) -> Expression:
-    """Compile ``text`` into an Expression of the variable s."""
+def parse_expression(text: str):
+    """Compile ``text`` into a function of the variable s."""
     source = re.sub(r"\s", " ", text).strip()  # a newline would end a Python expression
     if not source:
         raise ExpressionError("empty expression")
@@ -84,10 +71,9 @@ def parse_expression(text: str) -> Expression:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # "1if" warns "invalid decimal literal"
             tree = ast.parse(source, mode="eval")
-        fn = _compile(tree.body, source)
+        return _compile(tree.body, source)
     except SyntaxError as exc:
         message = exc.msg.split(";")[0]  # without Python's octal hint for 01
         raise ExpressionError(f"{message} at column {exc.offset} of {source!r}") from None
     except RecursionError:
         raise ExpressionError("expression is nested too deeply") from None
-    return Expression(text.strip(), fn)

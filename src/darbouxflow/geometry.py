@@ -42,6 +42,9 @@ class SGrid:
             raise CurveError(f"grid step must be a finite positive real, got {self.h!r}")
         if not isinstance(self.count, (int, np.integer)) or self.count < 1:
             raise CurveError(f"grid needs a whole count of at least one node, got {self.count}")
+        if (2 * int(self.count) - 1) * 16 > np.iinfo(np.intp).max:
+            # numpy could not size the complex RK4 stage arrays
+            raise CurveError("grid node count is too large to allocate")
         if not (math.isfinite(self.s0) and math.isfinite(self.s1)):
             raise CurveError("grid endpoints must be finite")
 
@@ -208,10 +211,11 @@ class PolarizedCurve:
     grid (``grid.refined_values()``: the nodes and the RK4 midpoints), or
     samples on that refined grid; node-length samples are refused.  Every
     value must be finite, nonzero and of one sign, so m is checked between
-    the nodes too; afterwards ``m`` holds the node samples.  ``xp_samples``
-    holds per-node tangents when a construction supplies them (an analytic
-    generator, or a transform's pair equation); otherwise derivatives come
-    from 4th-order finite differences of the points.
+    the nodes too; afterwards ``m`` holds the node samples.  ``derivatives``
+    holds x' at every node: the tangents a construction supplies (an
+    analytic generator, or a transform's pair equation), else 4th-order
+    finite differences of the points, taken once by the constructor, which
+    refuses a curve of fewer than 5 nodes without given tangents.
 
     The Riccati stages need x, x' and m on the refined grid.  Curves from
     ``from_generator`` keep the exact x and x' there, checked finite at
@@ -222,7 +226,7 @@ class PolarizedCurve:
     grid: SGrid
     points: np.ndarray
     m: object
-    xp_samples: np.ndarray | None = None
+    derivatives: np.ndarray | None = None
 
     # Exact refined-grid x and x', or None where _stage_data interpolates.
     _refined_x = None
@@ -238,25 +242,22 @@ class PolarizedCurve:
         refined = _resolve_m(self.m, grid)
         object.__setattr__(self, "_refined_m", refined)
         object.__setattr__(self, "m", refined[::2])
-        xp = None
-        if self.xp_samples is not None:
-            xp = np.asarray(self.xp_samples, dtype=complex)
-            object.__setattr__(self, "xp_samples", xp)
+        if self.derivatives is None:
+            xp = fd_derivative(pts, grid.h)
+        else:
+            xp = np.asarray(self.derivatives, dtype=complex)
             if xp.shape != pts.shape:
                 raise CurveError(
                     f"tangent samples have shape {xp.shape}, expected {pts.shape}")
             if not np.all(np.isfinite(xp)):
                 raise CurveError("curve tangents must be finite")
-        elif grid.count >= 5:
-            xp = fd_derivative(pts, grid.h)
-        if xp is not None:
-            self.__dict__["derivatives"] = xp
-            speeds = np.abs(xp)
-            if speeds.min() <= EPS_REG:
-                i = int(np.argmin(speeds))
-                raise SingularTangentError(
-                    f"curve is not regular: |x'| = {speeds.min():.3e} at node {i}"
-                )
+        object.__setattr__(self, "derivatives", xp)
+        speeds = np.abs(xp)
+        if speeds.min() <= EPS_REG:
+            i = int(np.argmin(speeds))
+            raise SingularTangentError(
+                f"curve is not regular: |x'| = {speeds.min():.3e} at node {i}"
+            )
 
     @classmethod
     def from_generator(cls, grid: SGrid, x, xp, m=1.0):
@@ -271,12 +272,6 @@ class PolarizedCurve:
     def from_samples(cls, grid: SGrid, points, m=1.0):
         """Curve from node samples; x and x' reach the midpoints by interpolation."""
         return cls(grid, points, m)
-
-    @cached_property
-    def derivatives(self) -> np.ndarray:
-        """x'(s_i) at every node: the given tangent samples (stored by the
-        constructor), else finite differences."""
-        return fd_derivative(self.points, self.grid.h)
 
     @cached_property
     def _stage_data(self):

@@ -40,7 +40,7 @@ def write_csv(path, sheet: Sheet) -> None:
 
 
 def read_csv(path):
-    """Parse an n,s,x,y file back into (s values, complex value array by row).
+    """Parse an n,s,x,y file back into (SGrid, complex value array by row).
 
     n must be an integer.  Rows must form a complete rectangular sheet:
     every n present on the same increasing, evenly spaced s grid, each in
@@ -74,30 +74,30 @@ def read_csv(path):
     if (counts != count).any():
         raise CurveError(f"{path}: rows have differing grid lengths")
     ss = table[:, 1].reshape(len(labels), count)
-    svals = ss[0].copy()
+    svals = ss[0]
     steps = np.diff(svals)
     if (steps <= 0).any():
         raise CurveError(f"{path}: s values must increase")
-    if len(svals) > 2:
-        h = (svals[-1] - svals[0]) / (len(svals) - 1)
+    # A one-row file has no step; it reads as a one-node grid of step 1.
+    h = float(svals[-1] - svals[0]) / (count - 1) if count > 1 else 1.0
+    if count > 2:
         off = np.abs(steps - h) > SPACING_RTOL * h
         if off.any():
             i = int(np.argmax(off))
             raise CurveError(
                 f"{path}: s values are not evenly spaced: row n={int(labels[0])}, "
                 f"s={float(svals[i + 1])!r} follows a step of {float(steps[i])!r}, "
-                f"expected {float(h)!r}")
+                f"expected {h!r}")
     moved = (ss != svals).any(axis=1)
     if moved.any():
         raise CurveError(f"{path}: row {int(labels[np.argmax(moved)])} uses a different s grid")
-    return svals, table[:, 2:].copy().view(complex).reshape(len(labels), count)
+    return (SGrid(float(svals[0]), h, count),
+            table[:, 2:].copy().view(complex).reshape(len(labels), count))
 
 
 def sheet_from_csv(path) -> Sheet:
     """Reconstruct a Sheet from a file produced by write_csv."""
-    svals, values = read_csv(path)
-    h = (float(svals[-1]) - float(svals[0])) / (len(svals) - 1) if len(svals) > 1 else 1.0
-    return Sheet(SGrid(float(svals[0]), h, len(svals)), values)
+    return Sheet(*read_csv(path))
 
 
 def svg_text(curves, colors=None, markers=()) -> str:

@@ -7,12 +7,11 @@ cross ratio pinned at mu/m for all s.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .darboux import _transform_row
+from .darboux import DarbouxParams, _transform_row
 from .errors import CurveError, labeled
 from .geometry import DiscretePolarizedCurve, PolarizedCurve, Sheet
 
@@ -65,9 +64,7 @@ def propagate_edge(source: PolarizedCurve, mu_edge: float, initial_point: comple
     The edge relation is symmetric in the pair, so the neighbor n+1 and the
     neighbor n-1 solve the same equation.
     """
-    if not (math.isfinite(mu_edge) and mu_edge != 0.0):
-        raise CurveError(f"edge parameter mu must be a nonzero finite real, got {mu_edge!r}")
-    return _transform_row(source, mu_edge, initial_point)
+    return _transform_row(source, DarbouxParams(mu_edge, initial_point))
 
 
 def infinitesimal_darboux(spec: FlowSpec) -> Sheet:

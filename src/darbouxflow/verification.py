@@ -120,8 +120,8 @@ class Artifacts:
     def __init__(self, h: float = 1e-3):
         self.h = float(h)
         # The grids span [0, 0.4] (nonunit_flow) up to [0, 2 pi] at h/2
-        # (circle_transform_half); SGrid.from_step refuses a node count that
-        # overflows, and the 4th-order stencils need 5 nodes.
+        # (circle_transform_half); SGrid refuses a node count that overflows
+        # or that numpy cannot size, and the 4th-order stencils need 5 nodes.
         SGrid.from_step(0.0, 2.0 * math.pi, self.h / 2.0)
         count = SGrid.from_step(0.0, 0.4, self.h).count
         if count < 5:

@@ -15,7 +15,6 @@ from darbouxflow.config import COMMANDS, ConfigError, load_scenario
 from darbouxflow.errors import (BlowupError, CoincidentPointsError, CurveError,
                                 GridTooShortError, NonRegularError,
                                 NotArclengthPolarizedError, SingularTangentError)
-from darbouxflow.expressions import Expression
 from darbouxflow.output import read_csv
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -131,9 +130,9 @@ def test_darboux_writes_named_outputs(tmp_path, capsys):
     printed = capsys.readouterr().out.splitlines()
     assert printed == [str(out / "pair.csv"), str(out / "pair.svg")]
 
-    svals, values = read_csv(out / "pair.csv")
+    grid, values = read_csv(out / "pair.csv")
     assert values.shape == (2, 101)
-    assert svals[0] == 0.0 and abs(svals[-1] - 1.0) < 1e-12
+    assert grid.s0 == 0.0 and abs(grid.s1 - 1.0) < 1e-12
     # Rows: the unit circle and its transform, both on |x| ~ 1 scales.
     assert abs(values[0, 0] - 1.0) < 1e-15
 
@@ -150,7 +149,7 @@ def test_flow_uses_default_filename(tmp_path, capsys):
     out = tmp_path / "flowout"
     assert main(["flow", "--config", cfg, "--out", str(out)]) == 0
     assert capsys.readouterr().out.strip() == str(out / "flow.csv")
-    svals, values = read_csv(out / "flow.csv")
+    _, values = read_csv(out / "flow.csv")
     assert values.shape == (4, 101)
 
 
@@ -159,7 +158,7 @@ def test_motion_writes_vertex_paths(tmp_path, capsys):
     out = tmp_path / "motionout"
     assert main(["motion", "--config", cfg, "--out", str(out)]) == 0
     capsys.readouterr()
-    svals, values = read_csv(out / "motion.csv")
+    _, values = read_csv(out / "motion.csv")
     assert values.shape == (7, 251)  # closed hexagon: 7 vertex trajectories
 
 
@@ -236,6 +235,8 @@ def test_bad_step_and_bad_tolerance_are_usage_errors(tmp_path, capsys):
     ("motion", MOTION_INI.replace("s0 = 0", "s0 = -1e308").replace("s1 = 0.25", "s1 = 1e308")
      .replace("h = 1e-3", "h = 1e307"), [], "[grid] s0/s1/h: grid node count overflows"),
     ("motion", MOTION_INI, ["--h", "1e-320"], "error: grid node count overflows"),
+    # a finite node count whose stage arrays numpy cannot size
+    ("motion", MOTION_INI, ["--h", "1e-300"], "error: grid node count is too large to allocate"),
     ("figure1", "[run]\ncommand = figure1\n", ["--h", "1e-320"],
      "error: grid node count overflows"),
     # endpoints reversed by less than half a step round to no intervals at all
@@ -258,11 +259,12 @@ def test_bad_step_and_bad_tolerance_are_usage_errors(tmp_path, capsys):
     ("flow", FLOW_INI.replace("mu = arclength", "mu = 0"), [],
      "[polarization] mu: polarization must be nonvanishing and of constant sign"),
     ("darboux", DARBOUX_INI.replace("[grid]", "[nogrid]"), [],
-     "[grid] s0: this command needs a [grid] section"),
+     "error: darboux needs a [grid] section"),
     ("darboux", DARBOUX_INI.replace("[grid]", "[nogrid]"), ["--h", "1e-2"],
-     "error: --h given but the scenario has no [grid] section"),
+     "error: darboux needs a [grid] section"),
     ("motion", MOTION_INI.replace("[grid]", "[nogrid]"), [],
      "error: motion needs a [grid] section"),
+    ("flow", FLOW_INI.replace("[grid]", "[nogrid]"), [], "error: flow needs a [grid] section"),
     ("darboux", DARBOUX_INI.replace("kind = circle", "kind = samples\ncsv = nope.csv"), [],
      "[curve] csv: no such file: nope.csv"),
     ("darboux", DARBOUX_INI.replace("initial_point = -1+0j\n", ""), [],
@@ -274,10 +276,12 @@ def test_bad_step_and_bad_tolerance_are_usage_errors(tmp_path, capsys):
 ], ids=["grid-h", "grid-s0", "darboux-h", "verify-h", "tol", "verify-key", "offset-text",
         "offset-nan", "mu-nan", "mu-inf", "point-nan", "point-pair-inf", "ngon-radius-inf",
         "ngon-radius-nan", "circle-radius-nan", "flow-mu-nan", "flow-mu-list-inf",
-        "grid-count-overflow", "motion-h-count-overflow", "figure1-h-count-overflow",
+        "grid-count-overflow", "motion-h-count-overflow", "motion-h-count-too-large",
+        "figure1-h-count-overflow",
         "grid-reversed", "circle-radius-zero", "ngon-n-fraction", "n0-fraction",
         "point-triple", "point-pair-text", "one-vertex", "flow-mu-list-sign",
-        "flow-mu-zero", "darboux-no-grid", "h-no-grid", "motion-no-grid", "samples-no-file",
+        "flow-mu-zero", "darboux-no-grid", "h-no-grid", "motion-no-grid", "flow-no-grid",
+        "samples-no-file",
         "darboux-no-seed", "verify-key-zero", "ini-syntax"])
 def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, command, text, args, key):
     cfg = _write(tmp_path, text)
@@ -390,18 +394,19 @@ def test_exit_code_follows_the_failure_type_while_loading(tmp_path, capsys, monk
         "initial_point = -1+0j", "offset_angle = 0"), "curve is not arc-length polarized"),
     ("motion", MOTION_INI.replace("[parameters]\n", "[parameters]\nn0 = 9\n"),
      "seed edge 9 outside 0..5"),
-    ("darboux", DARBOUX_INI.replace("kind = circle", "kind = samples\ncsv = {tmp}/three.csv")
-     .replace("h = 1e-2", "h = 0.5"), "need at least 5 samples to interpolate midpoints"),
     ("flow", (SCENARIO_DIR / "flow_line.ini").read_text().replace(
         "[initial]", "[parameters]\nn0 = 1\n\n[initial]"),
      "initial curve misses base vertex 1"),
     # refused while loading, but they need the csv this test writes
+    ("darboux", DARBOUX_INI.replace("kind = circle", "kind = samples\ncsv = {tmp}/three.csv")
+     .replace("h = 1e-2", "h = 0.5"),
+     "[curve] csv: need at least 5 nodes for the 4th-order stencil, got 3"),
     ("darboux", DARBOUX_INI.replace("kind = circle", "kind = samples\ncsv = {tmp}/three.csv\n"
                                     "row = 1"), "[curve] row: file has rows 0..0"),
     ("darboux", DARBOUX_INI.replace("kind = circle", "kind = samples\ncsv = {tmp}/three.csv\n"
                                     "row = x"), "[curve] row: not an integer: 'x'"),
-], ids=["mu-zero", "not-arclength-polarized", "seed-edge-outside", "grid-too-short",
-        "initial-misses-vertex", "samples-row-outside", "samples-row-text"])
+], ids=["mu-zero", "not-arclength-polarized", "seed-edge-outside", "initial-misses-vertex",
+        "grid-too-short", "samples-row-outside", "samples-row-text"])
 def test_bad_input_found_while_running_is_a_usage_error(tmp_path, capsys, command, text,
                                                        message):
     (tmp_path / "three.csv").write_text("n,s,x,y\n0,0,0,0\n0,0.5,0.5,0\n0,1,1,0\n")
@@ -553,6 +558,7 @@ def test_verify_with_impossible_tolerance_fails(tmp_path, capsys, session_artifa
 
 @pytest.mark.parametrize("h, message", [
     ("1e-320", "grid node count overflows: (s1 - s0)/h = inf"),
+    ("1e-300", "grid node count is too large to allocate"),
     ("3", "step h = 3.0 is too coarse: the shortest check grid, [0, 0.4], gets 1 of the 5 "
           "nodes it needs"),
     ("0.2", "step h = 0.2 is too coarse"),
@@ -577,13 +583,13 @@ def test_verify_builds_every_artifact_at_the_coarsest_step_it_takes(tmp_path, ca
 def test_motion_scenario_evaluates_its_w0_once(tmp_path, monkeypatch):
     # once, on the stage abscissas, while loading; the motion reads those values
     sizes = []
-    call = Expression.__call__
+    parse = config.parse_expression
 
-    def counted(self, s):
-        sizes.append(np.size(s))
-        return call(self, s)
+    def counting_parse(text):
+        fn = parse(text)
+        return lambda s: sizes.append(np.size(s)) or fn(s)
 
-    monkeypatch.setattr(Expression, "__call__", counted)
+    monkeypatch.setattr(config, "parse_expression", counting_parse)
     text = MOTION_INI.replace("w0 = -pi/6", "w0 = -pi/6 + 0.1*sin(s)")
     assert main(["motion", "--config", _write(tmp_path, text),
                  "--out", str(tmp_path / "out")]) == 0

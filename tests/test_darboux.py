@@ -107,8 +107,8 @@ def test_lemma_and_lambda_residuals_on_line_pair():
 def _one_node_pair(x, xp, xh, xhp):
     """A pair on a one-node grid, with the tangents given as samples."""
     g = SGrid(0.0, 1.0, 1)
-    return (PolarizedCurve(g, [x], 1.0, xp_samples=[xp]),
-            PolarizedCurve(g, [xh], 1.0, xp_samples=[xhp]))
+    return (PolarizedCurve(g, [x], 1.0, derivatives=[xp]),
+            PolarizedCurve(g, [xh], 1.0, derivatives=[xhp]))
 
 
 def test_pair_table_hand_values():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from darbouxflow.expressions import Expression, ExpressionError, parse_expression
+from darbouxflow.expressions import ExpressionError, parse_expression
+from darbouxflow.geometry import SGrid, _on_stages
 
 
 @pytest.mark.parametrize("text,s,want", [
@@ -36,8 +37,9 @@ def test_expression_values(text, s, want):
 def test_one_array_call_matches_scalar_calls(text):
     # the library calls an expression once with all stage abscissas
     expr = parse_expression(text)
-    s = np.linspace(-3.0, 7.0, 4001)
-    assert np.array_equal(expr(s), [expr(float(x)) for x in s])
+    grid = SGrid.from_step(-3.0, 7.0, 5e-3)
+    s = grid.refined_values()
+    assert np.array_equal(_on_stages(expr, grid, text), [expr(float(x)) for x in s])
 
 
 def test_array_evaluation_broadcasts():
@@ -49,8 +51,10 @@ def test_array_evaluation_broadcasts():
 
 
 def test_constant_expression_on_array_input():
-    out = parse_expression("pi")(np.zeros(4))
-    assert out == pytest.approx(np.full(4, math.pi))
+    # a constant's function returns one number; _on_stages fills every stage
+    grid = SGrid(0.0, 0.25, 5)
+    out = _on_stages(parse_expression("pi"), grid, "pi")
+    assert np.array_equal(out, np.full(9, math.pi))
 
 
 @pytest.mark.parametrize("bad", [

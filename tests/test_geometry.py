@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from darbouxflow.darboux import pair_table
-from darbouxflow.errors import CoincidentPointsError, CurveError, SingularTangentError
+from darbouxflow import geometry
+from darbouxflow.darboux import DarbouxParams, darboux_transform, pair_table
+from darbouxflow.errors import (CoincidentPointsError, CurveError, GridTooShortError,
+                                SingularTangentError)
 from darbouxflow.expressions import parse_expression
 from darbouxflow.geometry import (
     DiscretePolarizedCurve,
@@ -65,6 +67,17 @@ def test_grid_rejects_bad_step():
                                   (math.nan, 0.1, 3, "endpoints"), (1e308, 1e308, 3, "endpoints")):
         with pytest.raises(CurveError, match=message):
             SGrid(s0, h, count)
+
+
+def test_grid_refuses_a_node_count_numpy_cannot_size():
+    # 2*count - 1 complex stages of 16 bytes each must fit numpy's intp;
+    # building a grid allocates nothing, so the limit itself is safe to test
+    limit = (np.iinfo(np.intp).max // 16 + 1) // 2
+    assert SGrid(0.0, 1e-300, limit).count == limit
+    for grid in (lambda: SGrid(0.0, 1e-300, limit + 1),
+                 lambda: SGrid.from_step(0.0, 2 * math.pi, 1e-300)):
+        with pytest.raises(CurveError, match="^grid node count is too large to allocate$"):
+            grid()
 
 
 def test_grid_node_count_must_be_whole():
@@ -195,6 +208,34 @@ def test_sampled_curve_falls_back_to_fd():
     assert np.abs(c.derivatives - (1 + 2j * s)).max() < 1e-9
 
 
+def test_short_sampled_curve_is_refused_when_built():
+    # its tangents come from the 5-point stencil, taken by the constructor
+    g = SGrid(0.0, 0.5, 3)
+    with pytest.raises(GridTooShortError,
+                       match="^need at least 5 nodes for the 4th-order stencil, got 3$"):
+        PolarizedCurve.from_samples(g, g.values() + 0j)
+
+
+def test_fd_derivative_runs_once_per_sampled_curve(monkeypatch):
+    # a generator curve and a transform row carry their tangents; a sampled
+    # curve differences its points once, when it is built
+    sizes = []
+
+    def counted(values, h):
+        sizes.append(np.size(values))
+        return fd_derivative(values, h)
+
+    monkeypatch.setattr(geometry, "fd_derivative", counted)
+    g = SGrid.from_step(0.0, 1.0, 1e-2)
+    sampled = PolarizedCurve.from_samples(g, np.exp(1j * g.values()))
+    assert sizes == [101]
+    circle = _circle(g)
+    for curve in (sampled, circle):
+        t = darboux_transform(curve, DarbouxParams(0.25, -1.0 + 0j))
+        t.derivatives, curve.derivatives, curve.arclength_deviation()
+    assert sizes == [101]
+
+
 def test_curve_point_shape_mismatch():
     g = SGrid(0.0, 0.25, 5)
     with pytest.raises(CurveError):
@@ -257,8 +298,8 @@ def test_tangent_samples_are_used_verbatim():
     g = SGrid(0.0, 0.1, 7)
     s = g.values()
     xp = np.full(7, 2.0 + 0j)
-    c = PolarizedCurve(g, 2 * s + 0j, 1.0, xp_samples=xp)
-    assert c.derivatives is c.xp_samples
+    c = PolarizedCurve(g, 2 * s + 0j, 1.0, derivatives=xp)
+    assert c.derivatives is xp
     assert np.all(c.derivatives == 2.0)
 
 
@@ -266,11 +307,11 @@ def test_tangent_samples_validation():
     g = SGrid(0.0, 0.1, 7)
     s = g.values()
     with pytest.raises(CurveError):
-        PolarizedCurve(g, s + 0j, 1.0, xp_samples=np.ones(6, dtype=complex))
+        PolarizedCurve(g, s + 0j, 1.0, derivatives=np.ones(6, dtype=complex))
     bad = np.ones(7, dtype=complex)
     bad[0] = np.inf
     with pytest.raises(CurveError):
-        PolarizedCurve(g, s + 0j, 1.0, xp_samples=bad)
+        PolarizedCurve(g, s + 0j, 1.0, derivatives=bad)
 
 
 def test_arclength_deviation():
@@ -349,7 +390,7 @@ def test_sheet_fd_rows_when_no_tangents():
 # ------------------------------------------------------------ cross ratio
 
 def _one_node(x, xp):
-    return PolarizedCurve(SGrid(0.0, 1.0, 1), [x], 1.0, xp_samples=[xp])
+    return PolarizedCurve(SGrid(0.0, 1.0, 1), [x], 1.0, derivatives=[xp])
 
 
 def test_tangential_cross_ratio_hand_value():

@@ -21,7 +21,7 @@ import darbouxflow
 import spans
 import workloads
 
-from darbouxflow import darboux, geometry, motion
+from darbouxflow import darboux, geometry, motion, semidiscrete
 
 tracer = spans.Tracer()
 grid = geometry.SGrid.from_step(0.0, 1.0, 1e-2)
@@ -29,8 +29,12 @@ grid = geometry.SGrid.from_step(0.0, 1.0, 1e-2)
 def job():
     curve = geometry.PolarizedCurve.from_generator(
         grid, lambda s: np.exp(1j * s), lambda s: 1j * np.exp(1j * s))
+    # a two-edge flow seeded by a sampled line through vertex 0
+    seed = geometry.PolarizedCurve.from_samples(grid, grid.values() + 0j)
+    base = geometry.DiscretePolarizedCurve(np.array([0, 2, 4], dtype=complex), 0.25)
     return (darboux.darboux_transform(curve, darboux.DarbouxParams(0.25, -1.0 + 0j)),
-            motion.integrate_motion(geometry.ngon_vertices(6), -math.pi / 6.0, 0, grid))
+            motion.integrate_motion(geometry.ngon_vertices(6), -math.pi / 6.0, 0, grid),
+            semidiscrete.infinitesimal_darboux(semidiscrete.FlowSpec(base, 1.0, 0, seed)))
 
 tracer.run_job(0, job)
 print(json.dumps({"names": sorted({span[spans.NAME] for span in tracer.spans}),
@@ -46,8 +50,12 @@ def test_tracer_binds_every_traced_name():
     report = json.loads(proc.stdout)
     assert {"job", "geometry.PolarizedCurve", "geometry._stage_data",
             "darboux.darboux_transform", "darboux.riccati_solve",
-            "motion.integrate_motion"} <= set(report["names"])
+            "motion.integrate_motion", "semidiscrete.infinitesimal_darboux",
+            "semidiscrete.propagate_edge"} <= set(report["names"])
     metrics = report["metrics"]
-    assert metrics["darboux.steps"] == report["steps"]
+    # one transform and the flow's two edges, each a Riccati solve over the grid
+    assert metrics["darboux.steps"] == 3 * report["steps"]
+    assert metrics["semidiscrete.edge_steps"] == 2 * report["steps"]
+    assert metrics["semidiscrete.us_per_edge_step"] > 0
     assert metrics["motion.integrate_s"] > 0
     assert metrics["motion.stages"] == 4 * report["steps"]

@@ -120,9 +120,10 @@ def test_flow_rows_do_not_evaluate_m_again():
 def test_propagate_edge_guards():
     grid = SGrid.from_step(0.0, 1.0, 1e-2)
     row = _line(grid)
-    with pytest.raises(CurveError):
+    # the rule and its message are DarbouxParams', as for darboux_transform
+    with pytest.raises(CurveError, match="^mu must be a nonzero finite real, got 0.0$"):
         propagate_edge(row, 0.0, 2.0 + 0j)
-    with pytest.raises(CurveError):
+    with pytest.raises(CurveError, match="^mu must be a nonzero finite real, got nan$"):
         propagate_edge(row, float("nan"), 2.0 + 0j)
     with pytest.raises(CoincidentPointsError):
         propagate_edge(row, 0.25, 0j)
