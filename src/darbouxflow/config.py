@@ -226,16 +226,16 @@ def _discrete_vertices(cp, section: str) -> np.ndarray:
         return _polygon(vertices)
 
 
-def _mu_edges(cp, vertices: np.ndarray):
-    """Per-edge mu for a discrete base: scalar, list, or 'arclength'."""
+def _discrete_base(cp, vertices: np.ndarray) -> DiscretePolarizedCurve:
+    """The flow's base, its per-edge mu a scalar, a list, or 'arclength'."""
     raw = _get(cp, "polarization", "mu", required=True)
     if raw.lower() == "arclength":
-        return 1.0 / np.abs(np.diff(vertices)) ** 2
+        return DiscretePolarizedCurve.arclength(vertices)
     vals = np.array([_finite(p, "polarization", "mu") for p in raw.split(",") if p.strip()])
     if len(vals) not in (1, len(vertices) - 1):
         _fail("polarization", "mu", f"need one value per edge "
                                     f"({len(vertices) - 1}), got {len(vals)}")
-    return float(vals[0]) if len(vals) == 1 else vals
+    return DiscretePolarizedCurve(vertices, float(vals[0]) if len(vals) == 1 else vals)
 
 
 def load_scenario(path, command: str | None = None,
@@ -303,7 +303,7 @@ def load_scenario(path, command: str | None = None,
     elif cmd == "flow":
         vertices = _discrete_vertices(cp, "curve")
         with labeled("[polarization] mu"):
-            sc.base = DiscretePolarizedCurve(vertices, _mu_edges(cp, vertices))
+            sc.base = _discrete_base(cp, vertices)
         sc.n0 = _get(cp, "parameters", "n0", default=0, parse=_integer)
         if not cp.has_section("initial"):
             raise ConfigError("flow needs an [initial] section for the seeded row")

@@ -154,20 +154,26 @@ class PairTable:
     rhat: np.ndarray
     lam: np.ndarray
 
+    @classmethod
+    def from_arrays(cls, x, xp, xh, xhp) -> "PairTable":
+        """The table of one pair along a grid, or of a sheet's edges (n, n+1)
+        one per row; a collision raises CoincidentPointsError at its node."""
+        d = xh - x
+        lam = np.abs(d) ** 2
+        if lam.size and lam.min() <= EPS_REG**2:
+            *edge, i = np.unravel_index(np.argmin(lam), lam.shape)
+            where = f"edge ({edge[0]}, {edge[0] + 1})" if edge else "pair"
+            raise CoincidentPointsError(f"{where} collides at node {i}")
+        return cls(cr=xp * xhp / (d * d), r=2.0 * dot(d, xp) / lam,
+                   rhat=2.0 * dot(-d, xhp) / lam, lam=lam)
+
 
 def pair_table(base: PolarizedCurve, transform: PolarizedCurve) -> PairTable:
     """Pointwise pair diagnostics along two curves sharing a grid."""
     if transform.grid != base.grid:
         raise CurveError("pair curves must share one grid")
-    xp, xhp = base.derivatives, transform.derivatives
-    d = transform.points - base.points
-    lam = np.abs(d) ** 2
-    if lam.min() <= EPS_REG**2:
-        raise CoincidentPointsError(
-            f"pair collides at node {int(np.argmin(lam))}"
-        )
-    return PairTable(cr=xp * xhp / (d * d), r=2.0 * dot(d, xp) / lam,
-                     rhat=2.0 * dot(-d, xhp) / lam, lam=lam)
+    return PairTable.from_arrays(base.points, base.derivatives,
+                                 transform.points, transform.derivatives)
 
 
 def cross_ratio_defect(base: PolarizedCurve, transform: PolarizedCurve, mu: float) -> float:

@@ -9,30 +9,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import DiscretePolarizedCurve, PolarizedCurve, Sheet, fd_derivative
+from .geometry import PolarizedCurve, fd_derivative
 from .motion import MotionResult
 from .semidiscrete import FlowSpec, infinitesimal_darboux, sheet_cross_ratio_defect
 
 
-def iso_darboux_check(sheet: Sheet):
+def iso_darboux_check(motion: MotionResult):
     """Edge cross ratios of a motion sheet against the arc-length parameters.
 
     Returns (max |cr - 1/a_n^2|, max |Im cr|) with cr evaluated from the
-    sheet's row derivatives and a_n the edge lengths of the first column.
+    sheet's row derivatives and 1/a_n^2 the polarization of ``motion.base``.
     """
-    a = np.abs(np.diff(sheet.values[:, 0]))
-    return sheet_cross_ratio_defect(sheet, 1.0 / a**2)
+    return sheet_cross_ratio_defect(motion.sheet, motion.base.mu)
 
 
-def frameless_identity_check(sheet: Sheet, theta: np.ndarray, mu) -> float:
+def frameless_identity_check(motion: MotionResult) -> float:
     """Max defect of the frame-free derivation of the semi-discrete system.
 
     (x_n' x_{n+1}')' is compared against its two closed forms
     2 sqrt(mu) (e^{i theta_{n+1}} - e^{i theta_n}) e^{i theta_n/2} e^{i theta_{n+1}/2}
     (sqrt(mu) > 0, matched up to one overall sign) and
     i (theta_{n+1}' + theta_n') e^{i theta_n} e^{i theta_{n+1}}, all
-    derivatives by finite differences.  The scalar mKdV equation these imply
-    is ``motion.mkdv_residual``.
+    derivatives by finite differences and mu read from ``motion.base``.  The
+    scalar mKdV equation these imply is ``motion.mkdv_residual``.
 
     The direct term differentiates row derivatives that are themselves finite
     differences, so the defect is taken where every ingredient uses a central
@@ -40,14 +39,13 @@ def frameless_identity_check(sheet: Sheet, theta: np.ndarray, mu) -> float:
     (Differencing across the one-sided to central changeover costs an order
     of accuracy and would dominate.)  Raises GridTooShortError under 5 nodes.
     """
-    h = sheet.grid.h
-    theta = np.asarray(theta, dtype=float)
-    mu_arr = np.asarray(mu, dtype=float).reshape(-1, 1)
+    sheet, theta, h = motion.sheet, motion.theta, motion.sheet.grid.h
     xp = sheet.row_derivatives
     product = xp[:-1] * xp[1:]
     direct = fd_derivative(product, h)
     sum_half = np.exp(0.5j * (theta[1:] + theta[:-1]))
-    first = 2.0 * np.sqrt(mu_arr) * (np.exp(1j * theta[1:]) - np.exp(1j * theta[:-1])) * sum_half
+    first = (2.0 * np.sqrt(motion.base.mu)[:, None]
+             * (np.exp(1j * theta[1:]) - np.exp(1j * theta[:-1])) * sum_half)
     theta_p = fd_derivative(theta, h)
     second = 1j * (theta_p[1:] + theta_p[:-1]) * sum_half**2
     inner = slice(4, -4) if sheet.grid.count >= 9 else slice(2, -2)
@@ -62,12 +60,10 @@ def pipelines_agree(motion: MotionResult) -> float:
     """Sup distance between an isoperimetric motion's sheet and the Darboux
     flow it is equivalent to.
 
-    The flow gives the motion's start polygon its arc-length polarization
-    mu_n = 1/a_n(0)^2 with m = 1, seeds row 0 with the motion's row 0, and
-    propagates every other row through the Riccati edge equation.
+    The flow runs on ``motion.base`` (mu_n = 1/a_n(0)^2) with m = 1, seeds
+    row 0 with the motion's row 0, and propagates every other row through
+    the Riccati edge equation.
     """
-    vertices = motion.sheet.values[:, 0]
-    base = DiscretePolarizedCurve(vertices, 1.0 / motion.a[:, 0]**2)
     initial = PolarizedCurve.from_samples(motion.sheet.grid, motion.sheet.values[0], 1.0)
-    flow_sheet = infinitesimal_darboux(FlowSpec(base, 1.0, 0, initial))
+    flow_sheet = infinitesimal_darboux(FlowSpec(motion.base, 1.0, 0, initial))
     return float(np.abs(motion.sheet.values - flow_sheet.values).max())

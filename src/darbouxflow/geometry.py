@@ -310,6 +310,13 @@ class DiscretePolarizedCurve:
         if len(mu):
             _validate_m(mu)
 
+    @classmethod
+    def arclength(cls, vertices) -> "DiscretePolarizedCurve":
+        """The polygon with its arc-length polarization mu_n = 1/a_n^2,
+        a_n = |x_{n+1} - x_n|."""
+        v = _polygon(vertices)
+        return cls(v, 1.0 / np.abs(np.diff(v)) ** 2)
+
 
 def ngon_vertices(n: int, radius: float = 1.0) -> np.ndarray:
     """Closed regular n-gon on the circle of the given radius: n+1 vertices,

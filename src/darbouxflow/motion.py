@@ -24,7 +24,8 @@ from math import sin
 import numpy as np
 
 from .errors import BlowupError, CurveError, NonRegularError
-from .geometry import EPS_REG, SGrid, Sheet, _on_stages, _polygon, fd_derivative
+from .geometry import (EPS_REG, DiscretePolarizedCurve, SGrid, Sheet, _on_stages, _polygon,
+                       fd_derivative)
 
 #: Largest per-step angle change the recorder accepts before declaring the
 #: step size too coarse to track branches.
@@ -39,9 +40,10 @@ class MotionResult:
     theta: np.ndarray
 
     @cached_property
-    def a(self) -> np.ndarray:
-        """Edge lengths a_n(s_i), measured on the positions."""
-        return np.abs(np.diff(self.sheet.values, axis=0))
+    def base(self) -> DiscretePolarizedCurve:
+        """The start polygon with its arc-length polarization mu_n = 1/a_n^2:
+        the base of the Darboux flow the motion is equivalent to."""
+        return DiscretePolarizedCurve.arclength(self.sheet.values[:, 0])
 
 
 def integrate_motion(vertices, w0, n0: int, grid: SGrid) -> MotionResult:
@@ -173,39 +175,35 @@ def tangential_angles(sheet: Sheet, reference: np.ndarray) -> np.ndarray:
     return th + 2.0 * math.pi * np.round((ref[:, :1] - th[:, :1]) / (2.0 * math.pi))
 
 
-def mkdv_residual(theta: np.ndarray, a, grid: SGrid) -> float:
+def mkdv_residual(motion: MotionResult) -> float:
     """Max residual of the semi-discrete potential mKdV equation.
 
     |d/ds[(theta_{n+1}+theta_n)/2] - (2/a_n) sin((theta_{n+1}-theta_n)/2)| over
     every edge and interior grid node (central-stencil region), with the s
-    derivative taken by 4th-order finite differences.
+    derivative taken by 4th-order finite differences and a_n the edge
+    lengths of ``motion.base``.
     """
-    theta = np.asarray(theta, dtype=float)
-    a_arr = np.asarray(a, dtype=float)
-    if a_arr.ndim == 1:
-        a_arr = a_arr[:, None]
-    if np.any(a_arr <= 0):
-        raise CurveError("edge lengths must be positive")
-    lhs = fd_derivative(0.5 * (theta[1:] + theta[:-1]), grid.h)
-    rhs = (2.0 / a_arr) * np.sin(0.5 * (theta[1:] - theta[:-1]))
-    inner = np.abs(lhs - rhs)[:, 2:-2]
-    return float(inner.max()) if inner.size else 0.0
+    theta, a = motion.theta, np.abs(np.diff(motion.base.vertices))[:, None]
+    lhs = fd_derivative(0.5 * (theta[1:] + theta[:-1]), motion.sheet.grid.h)
+    rhs = (2.0 / a) * np.sin(0.5 * (theta[1:] - theta[:-1]))
+    return float(np.abs(lhs - rhs)[:, 2:-2].max(initial=0.0))
 
 
-def frame_compatibility_check(result: MotionResult) -> float:
+def frame_compatibility_check(motion: MotionResult) -> float:
     """Max residual of the frame compatibility law L_n' = L_n M_{n+1} - M_n L_n.
 
     L_n = R(kappa_{n+1}) and M_n = (2 sin w_n / a_n) [[0, 1], [-1, 0]] are built
-    at every node from the recorded angles; L is finite-differenced in s.  The
-    defect is vacuously 0 without an interior vertex.  The scalar law
-    psi_n' + (2/a_n) sin w_n = 0 is ``mkdv_residual``.
+    at every node from the recorded angles and the edge lengths a_n of
+    ``motion.base``; L is finite-differenced in s.  The defect is vacuously 0
+    without an interior vertex.  The scalar law psi_n' + (2/a_n) sin w_n = 0
+    is ``mkdv_residual``.
     """
-    theta, a = result.theta, result.a
+    theta, a = motion.theta, np.abs(np.diff(motion.base.vertices))[:, None]
     psi = 0.5 * (theta[1:] + theta[:-1])
     w = -0.5 * (theta[1:] - theta[:-1])
     if len(psi) < 2:
         return 0.0
-    h = result.sheet.grid.h
+    h = motion.sheet.grid.h
     alpha = 2.0 * np.sin(w) / a
     kappa = psi[1:] - psi[:-1]
     c, s = np.cos(kappa), np.sin(kappa)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .darboux import DarbouxParams, _transform_row
+from .darboux import DarbouxParams, PairTable, _transform_row
 from .errors import CurveError, labeled
 from .geometry import DiscretePolarizedCurve, PolarizedCurve, Sheet
 
@@ -82,42 +82,36 @@ def infinitesimal_darboux(spec: FlowSpec) -> Sheet:
                  tangents=np.vstack([row.derivatives for row in rows]))
 
 
-@dataclass(frozen=True, eq=False)
-class ArclengthFlowReport:
-    """Arc-length diagnostics of a sheet: per-column discrete deviations and
-    their max, plus the max smooth-speed deviation of the rows."""
-
-    discrete_deviation: float
-    smooth_deviation: float
-    column_deviations: np.ndarray
+def _edge_table(sheet: Sheet) -> PairTable:
+    """The pair table of every edge (n, n+1) of a sheet, one row per edge."""
+    xp = sheet.row_derivatives
+    return PairTable.from_arrays(sheet.values[:-1], xp[:-1], sheet.values[1:], xp[1:])
 
 
-def arclength_flow_check(sheet: Sheet, mu) -> ArclengthFlowReport:
+def arclength_flow_check(sheet: Sheet, mu):
     """Check both halves of the arc-length correspondence on a sheet with m = 1.
 
     (a) each column n -> |x_n(s_i) - x_{n+1}(s_i)|^2 should equal 1/mu_n;
     (b) each row should have |x_n'(s_i)|^2 = 1. Columns stay discretely
     arc-length polarized exactly when the rows are smoothly arc-length
     polarized, so the two deviations are small (or large) together.
+
+    Returns (column_deviations, smooth_deviation): max_n |1/mu_n - lam_n| at
+    every node (0 without an edge), and max |1 - |x_n'|^2|.
     """
     mu_arr = np.asarray(mu, dtype=float).reshape(-1, 1)
-    gaps2 = np.abs(np.diff(sheet.values, axis=0)) ** 2
-    col_dev = np.abs(1.0 / mu_arr - gaps2).max(axis=0) if len(mu_arr) else np.zeros(sheet.grid.count)
-    speed2 = np.abs(sheet.row_derivatives) ** 2
-    smooth = float(np.abs(1.0 - speed2).max())
-    return ArclengthFlowReport(float(col_dev.max()), smooth, col_dev)
+    columns = np.abs(1.0 / mu_arr - _edge_table(sheet).lam).max(axis=0, initial=0.0)
+    smooth = float(np.abs(1.0 - np.abs(sheet.row_derivatives) ** 2).max())
+    return columns, smooth
 
 
 def sheet_cross_ratio_defect(sheet: Sheet, mu):
     """Edge cross-ratio diagnostics of a sheet with m = 1 against per-edge
     parameters mu.
 
-    Returns (max_n,i |cr - mu_n|, max_n,i |Im cr|).
+    Returns (max_n,i |cr - mu_n|, max_n,i |Im cr|), both 0 without an edge.
     """
+    cr = _edge_table(sheet).cr
     mu_arr = np.asarray(mu, dtype=float).reshape(-1, 1)
-    d = sheet.values[:-1] - sheet.values[1:]
-    cr = sheet.row_derivatives[:-1] * sheet.row_derivatives[1:] / (d * d)
-    return (
-        float(np.abs(cr - mu_arr).max()),
-        float(np.abs(cr.imag).max()),
-    )
+    return (float(np.abs(cr - mu_arr).max(initial=0.0)),
+            float(np.abs(cr.imag).max(initial=0.0)))

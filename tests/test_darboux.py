@@ -5,6 +5,7 @@ u' = 1 - mu u^2 for u = x - xh, so u = (1/sqrt(mu)) tanh(sqrt(mu) s + c)
 is an exact oracle; the unit circle with mu = 1/4 and a diametral seed maps
 to the antipodal circle -e^{is}.
 """
+import cmath
 import math
 
 import numpy as np
@@ -27,9 +28,11 @@ from darbouxflow.errors import (
     CurveError,
     NotArclengthPolarizedError,
 )
+from darbouxflow.expressions import parse_expression
 from darbouxflow.geometry import PolarizedCurve, SGrid
 from darbouxflow.ode import rk4_path
 from darbouxflow.semidiscrete import propagate_edge
+from darbouxflow.verification import FIGURE_M2, FIGURE_MU, FIGURE_POINT, figure_family
 
 
 def _line(grid, m=1.0):
@@ -260,3 +263,93 @@ def test_riccati_blowup_index_matches_reference(recwarn):
         indices.append(info.value.index)
     assert indices == [565, 565, 565]
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+# -- the circle in closed form --------------------------------------------
+# On x = e^{is} with m = 1, write xh = e^{is} z.  The pair equation becomes
+# z' = -i (mu z^2 - (2 mu - 1) z + mu), whose roots z+- are constant, so
+# (z - z+)/(z - z-) = E(s) runs on a rotating exponential; at mu = 1/4 the
+# roots merge at -1 and 1/(z + 1) = 1/(z0 + 1) + i s/4.
+HALVINGS = (2e-3, 1e-3, 5e-4)
+
+
+def _circle_closed_form(s, mu, z0):
+    if mu == 0.25:
+        return np.exp(1j * s) * (-1.0 + 1.0 / (1.0 / (z0 + 1.0) + 0.25j * s))
+    root = cmath.sqrt(1.0 - 4.0 * mu)
+    zp, zm = (2.0 * mu - 1.0 + root) / (2.0 * mu), (2.0 * mu - 1.0 - root) / (2.0 * mu)
+    e = (z0 - zp) / (z0 - zm) * np.exp(-1j * mu * (zp - zm) * s)
+    return np.exp(1j * s) * (zp - e * zm) / (1.0 - e)
+
+
+def _circle_errors(mu, z0):
+    errors = []
+    for h in HALVINGS:
+        grid = SGrid.from_step(0.0, 2.0 * math.pi, h)
+        t = darboux_transform(_circle(grid), DarbouxParams(mu, z0))
+        errors.append(float(np.abs(t.points - _circle_closed_form(grid.values(), mu, z0)).max()))
+    return errors
+
+
+@pytest.mark.parametrize("mu, z0, bound", [
+    (0.25, -1.2 + 0j, 1e-12),          # the mismatched pair: the double root
+    (0.6, -0.5 + 0.2j, 1e-12),
+    (-0.4, 2.0 + 1.0j, 1e-8),
+    (2.0, 0.2 - 0.3j, 1e-12),
+])
+def test_circle_transform_matches_its_closed_form_at_fourth_order(mu, z0, bound):
+    errors = _circle_errors(mu, z0)
+    assert errors[1] < bound
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 10.0 <= coarse / fine <= 20.0
+
+
+def test_circle_transform_on_round_off_matches_its_closed_form():
+    # (0.1, 0.3+0.5i) is solved to round-off at every step, so no ratio
+    assert max(_circle_errors(0.1, 0.3 + 0.5j)) < 1e-14
+
+
+# -- reciprocity: x is the Darboux transform of xh ------------------------
+def _figure_round_trip_errors():
+    """|x - transform of t2 back, seeded at x(0)| on the figure's circle
+    carrying m = FIGURE_M2, at each step of HALVINGS.  The reverse solve
+    takes t2's stored tangents and the polarization's function of s."""
+    m2 = parse_expression(FIGURE_M2)
+    errors = []
+    for h in HALVINGS:
+        grid = SGrid.from_step(0.0, 2.0 * math.pi, h)
+        t2 = figure_family(grid, FIGURE_MU, FIGURE_POINT)[2]
+        back = darboux_transform(PolarizedCurve(grid, t2.points, m2, t2.derivatives),
+                                 DarbouxParams(FIGURE_MU, 1.0 + 0j))
+        errors.append(float(np.abs(back.points - np.exp(1j * grid.values())).max()))
+    return errors
+
+
+def _assert_round_trip(errors):
+    assert errors[1] < 1e-12
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 10.0 <= coarse / fine <= 20.0
+
+
+def test_figure_t2_transforms_back_to_the_circle():
+    _assert_round_trip(_figure_round_trip_errors())
+
+
+def test_round_trip_fails_when_the_midpoint_m_is_read_at_the_node(monkeypatch):
+    # The Riccati stages are handed the node value of m at every RK4
+    # midpoint, which keeps every other check within its bound: the round
+    # trip drops to first order.
+    stage_data = PolarizedCurve._stage_data.func
+
+    def node_m_at_midpoints(curve):
+        xs, xps, ms = stage_data(curve)
+        ms = ms.copy()
+        ms[1::2] = ms[0:-1:2]
+        return xs, xps, ms
+
+    monkeypatch.setattr(PolarizedCurve, "_stage_data", property(node_m_at_midpoints))
+    errors = _figure_round_trip_errors()
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 1.8 <= coarse / fine <= 2.2
+    with pytest.raises(AssertionError):
+        _assert_round_trip(errors)

@@ -1,7 +1,6 @@
 """Both constructions of the sheet — motion and edge-wise flow — must agree."""
 import math
 
-import numpy as np
 import pytest
 
 from darbouxflow.equivalence import (
@@ -11,7 +10,7 @@ from darbouxflow.equivalence import (
 )
 from darbouxflow.errors import GridTooShortError
 from darbouxflow.geometry import SGrid, Sheet, ngon_vertices
-from darbouxflow.motion import integrate_motion, mkdv_residual, tangential_angles
+from darbouxflow.motion import MotionResult, integrate_motion, mkdv_residual, tangential_angles
 
 
 def test_hexagon_pipelines_agree():
@@ -47,7 +46,7 @@ def test_pipelines_compare_the_given_motion():
 def test_iso_darboux_cross_ratios_real_and_matched():
     grid = SGrid.from_step(0.0, 1.0, 1e-3)
     res = integrate_motion(ngon_vertices(5), 0.25, 0, grid)
-    defect, im_part = iso_darboux_check(res.sheet)
+    defect, im_part = iso_darboux_check(res)
     assert defect < 1e-9
     assert im_part < 1e-11
 
@@ -55,8 +54,7 @@ def test_iso_darboux_cross_ratios_real_and_matched():
 def test_frameless_identity_on_motion_sheet():
     grid = SGrid.from_step(0.0, 1.0, 1e-3)
     res = integrate_motion(ngon_vertices(6), -math.pi / 6, 0, grid)
-    a0 = np.abs(np.diff(ngon_vertices(6)))
-    assert frameless_identity_check(res.sheet, res.theta, 1.0 / a0**2) < 1e-7
+    assert frameless_identity_check(res) < 1e-7
 
 
 def test_frameless_identity_fd_fallback():
@@ -65,19 +63,17 @@ def test_frameless_identity_fd_fallback():
     res = integrate_motion(ngon_vertices(6), -math.pi / 6, 0, grid)
     bare = Sheet(grid, res.sheet.values.copy())
     theta = tangential_angles(bare, reference=res.theta)
-    a0 = np.abs(np.diff(ngon_vertices(6)))
-    assert frameless_identity_check(bare, theta, 1.0 / a0**2) < 1e-5
+    assert frameless_identity_check(MotionResult(bare, theta)) < 1e-5
 
 
 def test_frameless_identity_needs_five_nodes_and_reads_six_inside_the_stencil():
     # under 5 nodes there is no 4th-order stencil, for this check or the
     # mKdV residual; with 6 the defect is read two columns in from each end
     v = ngon_vertices(6)
-    mu = 1.0 / np.abs(np.diff(v))**2
     short = integrate_motion(v, -math.pi / 6, 0, SGrid(0.0, 1e-2, 4))
     with pytest.raises(GridTooShortError):
-        frameless_identity_check(short.sheet, short.theta, mu)
+        frameless_identity_check(short)
     with pytest.raises(GridTooShortError):
-        mkdv_residual(short.theta, short.a, short.sheet.grid)
+        mkdv_residual(short)
     six = integrate_motion(v, -math.pi / 6, 0, SGrid(0.0, 1e-2, 6))
-    assert frameless_identity_check(six.sheet, six.theta, mu) < 1e-7
+    assert frameless_identity_check(six) < 1e-7

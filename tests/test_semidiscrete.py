@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from darbouxflow.errors import BlowupError, CoincidentPointsError, CurveError
-from darbouxflow.geometry import DiscretePolarizedCurve, PolarizedCurve, SGrid
+from darbouxflow.geometry import DiscretePolarizedCurve, PolarizedCurve, SGrid, Sheet
 from darbouxflow.semidiscrete import (
     FlowSpec,
     arclength_flow_check,
@@ -59,22 +59,21 @@ def test_flow_cross_ratio_is_exact_by_construction():
 def test_unit_speed_seed_preserves_arclength_polarization():
     grid = SGrid.from_step(0.0, 1.0, 1e-3)
     sheet = infinitesimal_darboux(FlowSpec(_base(), 1.0, 0, _line(grid)))
-    report = arclength_flow_check(sheet, _base().mu)
-    assert report.discrete_deviation < 1e-10
-    assert report.smooth_deviation < 1e-10
-    assert np.abs(report.column_deviations).max() < 1e-10
+    columns, smooth = arclength_flow_check(sheet, _base().mu)
+    assert columns.shape == (grid.count,)
+    assert columns.max() < 1e-10
+    assert smooth < 1e-10
 
 
 def test_nonunit_seed_breaks_arclength_and_grows():
     grid = SGrid.from_step(0.0, 0.4, 1e-3)
     sheet = infinitesimal_darboux(FlowSpec(_base(), 1.0, 0, _line(grid, speed=2.0)))
-    report = arclength_flow_check(sheet, _base().mu)
+    dev, smooth = arclength_flow_check(sheet, _base().mu)
     # |1 - |x0'|^2| = |1 - 4| on the seeded row, independent of s; the
     # reported maximum covers all rows and only grows from there
     row0_dev = np.abs(1.0 - np.abs(sheet.row_derivatives[0]) ** 2)
     assert row0_dev.max() == pytest.approx(3.0)
-    assert report.smooth_deviation >= 3.0
-    dev = np.abs(report.column_deviations)
+    assert smooth >= 3.0
     assert dev[0] < 1e-12          # the seed column is untouched
     assert dev[-1] > 1e-3          # and the defect grows away from s0
     assert dev[-1] > dev[len(dev) // 2] > dev[1]
@@ -159,3 +158,25 @@ def test_flow_spec_rejects_bad_seed_row():
     grid = SGrid.from_step(0.0, 1.0, 1e-2)
     with pytest.raises(CurveError):
         FlowSpec(_base(), 1.0, 7, _line(grid))
+
+
+def test_a_sheet_without_edges_reads_a_vacuous_zero():
+    # a one-vertex base gives a one-row flow: no edge, so no defect
+    grid = SGrid.from_step(0.0, 1.0, 1e-2)
+    base = DiscretePolarizedCurve(np.array([0j]), 0.25)
+    sheet = infinitesimal_darboux(FlowSpec(base, 1.0, 0, _line(grid)))
+    assert sheet.rows == 1
+    assert sheet_cross_ratio_defect(sheet, base.mu) == (0.0, 0.0)
+    columns, smooth = arclength_flow_check(sheet, base.mu)
+    assert np.array_equal(columns, np.zeros(grid.count))
+    assert smooth == 0.0
+
+
+def test_sheet_edge_collision_names_the_edge_and_the_node():
+    grid = SGrid.from_step(0.0, 1.0, 0.1)
+    rows = grid.values() + np.array([[0.0], [1j], [2j]])
+    rows[2, 6] = rows[1, 6]
+    sheet = Sheet(grid, rows, tangents=np.ones_like(rows))
+    for check in (sheet_cross_ratio_defect, arclength_flow_check):
+        with pytest.raises(CoincidentPointsError, match=r"^edge \(1, 2\) collides at node 6$"):
+            check(sheet, 1.0)
