@@ -17,9 +17,8 @@ from .errors import (
     CoincidentPointsError,
     CurveError,
     NotArclengthPolarizedError,
-    SingularTangentError,
 )
-from .geometry import EPS_REG, PolarizedCurve, dot, fd_derivative
+from .geometry import EPS_REG, PolarizedCurve, _at_stage, _regular, dot, fd_derivative
 
 #: Tolerance on |1/m - |x'|^2| below which a curve counts as arc-length polarized.
 ARC_TOL = 1e-8
@@ -48,18 +47,14 @@ def riccati_solve(source: PolarizedCurve, mu: float, y0: complex) -> np.ndarray:
     the stage coefficients, so it runs in built-in complex arithmetic with
     no call per stage; the operations and their order are those of
     ``ode.rk4_path`` with the right-hand side a d^2, d = x - y, including
-    the Kahan-compensated update.  Raises BlowupError at the first
-    non-finite node.
+    the Kahan-compensated update.  SingularTangentError names the first
+    stage s where |x'| <= EPS_REG, BlowupError the first non-finite node.
     """
     grid = source.grid
     if grid.count == 1:
         return np.array([y0], dtype=complex)
     xs, xps, ms = source._stage_data
-    speeds = np.abs(xps)
-    if speeds.min() <= EPS_REG:
-        raise SingularTangentError(
-            f"source tangent vanishes on the refined grid (|x'| = {speeds.min():.3e})"
-        )
+    _regular(xps, _at_stage(grid))
     a = ((mu / ms) / xps).tolist()
     x = xs.tolist()
     h = np.diff(grid.values())

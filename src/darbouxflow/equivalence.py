@@ -26,29 +26,31 @@ def iso_darboux_check(motion: MotionResult):
 def frameless_identity_check(motion: MotionResult) -> float:
     """Max defect of the frame-free derivation of the semi-discrete system.
 
-    (x_n' x_{n+1}')' is compared against its two closed forms
+    (x_n' x_{n+1}')', with the unit tangents x_n' = e^{i theta_n} read from
+    ``motion.theta``, is compared against its two closed forms
     2 sqrt(mu) (e^{i theta_{n+1}} - e^{i theta_n}) e^{i theta_n/2} e^{i theta_{n+1}/2}
     (sqrt(mu) > 0, matched up to one overall sign) and
     i (theta_{n+1}' + theta_n') e^{i theta_n} e^{i theta_{n+1}}, all
     derivatives by finite differences and mu read from ``motion.base``.  The
     scalar mKdV equation these imply is ``motion.mkdv_residual``.
 
-    The direct term differentiates row derivatives that are themselves finite
-    differences, so the defect is taken where every ingredient uses a central
-    stencil: four columns in from each end, two on grids of 5 to 8 nodes.
+    theta may itself come from finite differences of positions
+    (``motion.tangential_angles``), so the defect is taken where every
+    ingredient uses a central stencil: four columns in from each end, two
+    on grids of 5 to 8 nodes.
     (Differencing across the one-sided to central changeover costs an order
     of accuracy and would dominate.)  Raises GridTooShortError under 5 nodes.
     """
-    sheet, theta, h = motion.sheet, motion.theta, motion.sheet.grid.h
-    xp = sheet.row_derivatives
+    theta, grid = motion.theta, motion.sheet.grid
+    xp = np.exp(1j * theta)
     product = xp[:-1] * xp[1:]
-    direct = fd_derivative(product, h)
+    direct = fd_derivative(product, grid.h)
     sum_half = np.exp(0.5j * (theta[1:] + theta[:-1]))
     first = (2.0 * np.sqrt(motion.base.mu)[:, None]
-             * (np.exp(1j * theta[1:]) - np.exp(1j * theta[:-1])) * sum_half)
-    theta_p = fd_derivative(theta, h)
+             * (xp[1:] - xp[:-1]) * sum_half)
+    theta_p = fd_derivative(theta, grid.h)
     second = 1j * (theta_p[1:] + theta_p[:-1]) * sum_half**2
-    inner = slice(4, -4) if sheet.grid.count >= 9 else slice(2, -2)
+    inner = slice(4, -4) if grid.count >= 9 else slice(2, -2)
     # np.minimum/np.maximum, unlike min/max, keep a NaN in either position
     d_first = np.minimum(np.abs(first - direct)[:, inner].max(),
                          np.abs(-first - direct)[:, inner].max())

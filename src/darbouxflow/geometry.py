@@ -144,11 +144,49 @@ def _midpoint_interp(samples: np.ndarray, derivative: bool = False) -> np.ndarra
     return mids
 
 
+def _at_stage(grid: SGrid, step: int = 1):
+    """The ``where`` of RK4 stage k (``step`` 1) or node k (``step`` 2): ``s = <s>``."""
+    return lambda k: f"s = {float(grid.s0 + 0.5 * grid.h * (step * k))!r}"
+
+
+def _finite_at(values: np.ndarray, name: str, where, shape=None, note="") -> np.ndarray:
+    """``values`` if it has ``shape`` (when given) and is finite throughout, else a
+    CurveError naming the shape or ``<name> is not finite at <where(*index)>``
+    of the first entry that is not; ``where`` runs only to word a refusal."""
+    if shape is not None and values.shape != shape:
+        raise CurveError(f"{name} samples have shape {values.shape}, expected {shape}{note}")
+    finite = np.isfinite(values)
+    if not finite.all():
+        index = np.unravel_index(np.argmin(finite), values.shape)
+        raise CurveError(f"{name} is not finite at {where(*index)}")
+    return values
+
+
+def _one_signed(values: np.ndarray, where) -> np.ndarray:
+    """Finite polarization ``values`` if none vanishes and all share one sign, else
+    a CurveError naming ``where(k)`` of the first that vanishes or differs in sign."""
+    if values.size and not (values.min() > 0.0 or values.max() < 0.0):
+        k = int(np.argmax(np.sign(values) * np.sign(values[0]) <= 0.0))
+        what = "vanishes" if values[k] == 0.0 else "changes sign"
+        raise CurveError(f"polarization {what} at {where(k)}")
+    return values
+
+
+def _regular(xp: np.ndarray, where):
+    """SingularTangentError unless every tangent in ``xp`` is longer than
+    EPS_REG, naming |x'| and ``where(k)`` of the shortest."""
+    speeds = np.abs(xp)
+    if speeds.min() <= EPS_REG:
+        k = int(np.argmin(speeds))
+        raise SingularTangentError(f"curve is not regular: |x'| = {speeds[k]:.3e} at {where(k)}")
+
+
 def _on_stages(f, grid: SGrid, name: str, dtype=float) -> np.ndarray:
     """``f`` on the RK4 stage abscissas ``grid.refined_values()``: a constant,
     a callable, called once with the whole array, or samples there.  A value
-    that is not finite is a CurveError naming the first stage s where it is;
-    a call that divides by zero or overflows fails at every stage, so at s0."""
+    that is not finite is a CurveError ``<name> is not finite at s = <s>``
+    naming the first such stage; a call that divides by zero or overflows
+    fails at every stage, so at s0."""
     s = grid.refined_values()
     if callable(f):
         try:
@@ -157,35 +195,15 @@ def _on_stages(f, grid: SGrid, name: str, dtype=float) -> np.ndarray:
         except (ZeroDivisionError, OverflowError):
             f = math.nan
     values = np.asarray(f, dtype=dtype)
-    if values.ndim == 0:
-        values = np.full(len(s), values)
-    elif values.shape != s.shape:
-        raise CurveError(f"{name} samples have shape {values.shape}, expected "
-                         f"{s.shape} on the refined grid")
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise CurveError(f"{name} is not finite at s = {float(s[np.argmax(bad)])!r}")
-    return values
-
-
-def _validate_m(m: np.ndarray):
-    if not np.all(np.isfinite(m)):
-        raise CurveError("polarization must be finite")
-    if np.any(m == 0.0) or (m.max() > 0 > m.min()):
-        raise CurveError("polarization must be nonvanishing and of constant sign")
+    values = np.full(len(s), values) if values.ndim == 0 else values
+    return _finite_at(values, name, _at_stage(grid), s.shape, " on the refined grid")
 
 
 def _resolve_m(m, grid: SGrid) -> np.ndarray:
-    """The polarization on ``grid.refined_values()`` (see ``_on_stages``),
-    nonvanishing and of one sign; the node samples only word the error."""
-    arr = _on_stages(m, grid, "polarization")
-    if not (arr.min() > 0.0 or arr.max() < 0.0):
-        # The RK4 midpoints must pass the node check too, or the Riccati
-        # coefficient mu/m is infinite or flips sign mid-step.
-        _validate_m(arr[::2])
-        raise CurveError("polarization must be nonvanishing and of constant sign "
-                         "between grid nodes")
-    return arr
+    """The polarization on ``grid.refined_values()`` (see ``_on_stages``), refused
+    at the first stage s, node or midpoint, where it vanishes or changes sign
+    (the Riccati coefficient mu/m would be infinite or flip sign mid-step)."""
+    return _one_signed(_on_stages(m, grid, "polarization"), _at_stage(grid))
 
 
 def _polygon(vertices) -> np.ndarray:
@@ -194,8 +212,7 @@ def _polygon(vertices) -> np.ndarray:
     v = np.asarray(vertices, dtype=complex)
     if v.ndim != 1 or len(v) < 1:
         raise CurveError("vertices must be a nonempty 1-D sequence of plane points")
-    if not np.all(np.isfinite(v)):
-        raise CurveError("vertices must be finite")
+    _finite_at(v, "x", lambda n: f"vertex {n}")
     gaps = np.abs(np.diff(v))
     if len(gaps) and gaps.min() <= EPS_REG:
         n = int(np.argmin(gaps))
@@ -210,12 +227,14 @@ class PolarizedCurve:
     ``m`` is a constant, a callable, which is called once with the refined
     grid (``grid.refined_values()``: the nodes and the RK4 midpoints), or
     samples on that refined grid; node-length samples are refused.  Every
-    value must be finite, nonzero and of one sign, so m is checked between
-    the nodes too; afterwards ``m`` holds the node samples.  ``derivatives``
-    holds x' at every node: the tangents a construction supplies (an
-    analytic generator, or a transform's pair equation), else 4th-order
-    finite differences of the points, taken once by the constructor, which
-    refuses a curve of fewer than 5 nodes without given tangents.
+    value must be finite, nonzero and of one sign, midpoints included;
+    afterwards ``m`` holds the node samples.  ``derivatives`` holds x' at
+    every node: the tangents a construction supplies (an analytic
+    generator, or a transform's pair equation), else 4th-order finite
+    differences of the points, taken once by the constructor, which refuses
+    a curve of fewer than 5 nodes without given tangents.  Points and
+    tangents must be finite and |x'| > EPS_REG (else SingularTangentError);
+    each refusal names the first s where its rule fails.
 
     The Riccati stages need x, x' and m on the refined grid.  Curves from
     ``from_generator`` keep the exact x and x' there, checked finite at
@@ -233,31 +252,18 @@ class PolarizedCurve:
 
     def __post_init__(self):
         grid = self.grid
-        pts = np.asarray(self.points, dtype=complex)
+        at_node = _at_stage(grid, 2)
+        pts = _finite_at(np.asarray(self.points, dtype=complex), "x", at_node, (grid.count,))
         object.__setattr__(self, "points", pts)
-        if pts.shape != (grid.count,):
-            raise CurveError(f"points have shape {pts.shape}, expected ({grid.count},)")
-        if not np.all(np.isfinite(pts)):
-            raise CurveError("curve points must be finite")
         refined = _resolve_m(self.m, grid)
         object.__setattr__(self, "_refined_m", refined)
         object.__setattr__(self, "m", refined[::2])
         if self.derivatives is None:
             xp = fd_derivative(pts, grid.h)
         else:
-            xp = np.asarray(self.derivatives, dtype=complex)
-            if xp.shape != pts.shape:
-                raise CurveError(
-                    f"tangent samples have shape {xp.shape}, expected {pts.shape}")
-            if not np.all(np.isfinite(xp)):
-                raise CurveError("curve tangents must be finite")
+            xp = _finite_at(np.asarray(self.derivatives, dtype=complex), "x'", at_node, pts.shape)
         object.__setattr__(self, "derivatives", xp)
-        speeds = np.abs(xp)
-        if speeds.min() <= EPS_REG:
-            i = int(np.argmin(speeds))
-            raise SingularTangentError(
-                f"curve is not regular: |x'| = {speeds.min():.3e} at node {i}"
-            )
+        _regular(xp, at_node)
 
     @classmethod
     def from_generator(cls, grid: SGrid, x, xp, m=1.0):
@@ -293,7 +299,10 @@ class PolarizedCurve:
 
 @dataclass(frozen=True, eq=False)
 class DiscretePolarizedCurve:
-    """Discrete plane curve: vertices x_n with one polarization weight mu per edge."""
+    """Discrete plane curve: vertices x_n with one polarization weight mu per edge.
+
+    Vertices and mu must be finite and mu nonvanishing and of one sign; a
+    refusal names the first vertex or edge (n, n+1) that fails."""
 
     vertices: np.ndarray
     mu: np.ndarray
@@ -302,20 +311,18 @@ class DiscretePolarizedCurve:
         v = _polygon(self.vertices)
         object.__setattr__(self, "vertices", v)
         mu = np.asarray(self.mu, dtype=float)
-        if mu.ndim == 0:
-            mu = np.full(max(len(v) - 1, 0), float(mu))
-        object.__setattr__(self, "mu", mu)
-        if mu.shape != (len(v) - 1,):
-            raise CurveError(f"mu has shape {mu.shape}, expected ({len(v) - 1},)")
-        if len(mu):
-            _validate_m(mu)
+        mu = np.full(len(v) - 1, mu) if mu.ndim == 0 else mu
+        edge = lambda n: f"edge ({n}, {n + 1})"
+        object.__setattr__(self, "mu", _one_signed(_finite_at(mu, "mu", edge, (len(v) - 1,)), edge))
 
     @classmethod
     def arclength(cls, vertices) -> "DiscretePolarizedCurve":
         """The polygon with its arc-length polarization mu_n = 1/a_n^2,
         a_n = |x_{n+1} - x_n|."""
         v = _polygon(vertices)
-        return cls(v, 1.0 / np.abs(np.diff(v)) ** 2)
+        # An edge too long to square reads mu = 0, which is refused by name.
+        with np.errstate(over="ignore"):
+            return cls(v, 1.0 / np.abs(np.diff(v)) ** 2)
 
 
 def ngon_vertices(n: int, radius: float = 1.0) -> np.ndarray:
@@ -335,6 +342,7 @@ class Sheet:
 
     ``tangents`` holds d/ds of every row when the builder knows them exactly
     (flows and motions do); sheets rebuilt from bare samples leave it None.
+    Both must be finite; a refusal names the first row and s that is not.
     """
 
     grid: SGrid
@@ -345,19 +353,14 @@ class Sheet:
         v = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", v)
         if v.ndim != 2 or v.shape[1] != self.grid.count or v.shape[0] < 1:
-            raise CurveError(
-                f"sheet values have shape {v.shape}, expected (rows, {self.grid.count})"
-            )
-        if not np.all(np.isfinite(v)):
-            raise CurveError("sheet values must be finite")
+            raise CurveError(f"sheet values have shape {v.shape}, "
+                             f"expected (rows, {self.grid.count})")
+        at_node = _at_stage(self.grid, 2)
+        where = lambda n, i: f"row {n}, {at_node(i)}"
+        _finite_at(v, "x", where)
         if self.tangents is not None:
-            t = np.asarray(self.tangents, dtype=complex)
+            t = _finite_at(np.asarray(self.tangents, dtype=complex), "x'", where, v.shape)
             object.__setattr__(self, "tangents", t)
-            if t.shape != v.shape:
-                raise CurveError(
-                    f"sheet tangents have shape {t.shape}, expected {v.shape}")
-            if not np.all(np.isfinite(t)):
-                raise CurveError("sheet tangents must be finite")
 
     @property
     def rows(self) -> int:

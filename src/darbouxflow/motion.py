@@ -57,13 +57,12 @@ def integrate_motion(vertices, w0, n0: int, grid: SGrid) -> MotionResult:
     by theta_n + theta_{n+1} = 2 psi_n, which is the w-recursion.  The step
     runs over Python floats one edge at a time through all four stages, as
     stage j of an edge needs only stage j of the edges nearer n0, with
-    Kahan-compensated updates.  The vertices pass DiscretePolarizedCurve's
-    check: one that is not finite raises CurveError, consecutive ones that
-    coincide CoincidentPointsError.  A w0 that is not finite raises
-    CurveError at the first such s (at s0 if its call divides by zero or
-    overflows); edges folding back on each other at a grid node raise
-    NonRegularError, and an angle jump of MAX_ANGLE_JUMP in one step
-    BlowupError.
+    Kahan-compensated updates.  A vertex that is not finite raises
+    CurveError naming it, consecutive ones that coincide
+    CoincidentPointsError, and a w0 that is not finite CurveError at the
+    first such s (at s0 if its call divides by zero or overflows); edges
+    folding back on each other at a grid node raise NonRegularError, and
+    an angle jump of MAX_ANGLE_JUMP in one step BlowupError.
     """
     v0 = _polygon(vertices)
     if len(v0) < 2:

@@ -255,9 +255,9 @@ def test_bad_step_and_bad_tolerance_are_usage_errors(tmp_path, capsys):
     ("flow", FLOW_INI.replace("0+0j, 2+0j, 4+0j, 6+0j", "0+0j"), [],
      "[curve] values: need at least two comma-separated vertices"),
     ("flow", FLOW_INI.replace("mu = arclength", "mu = 0.25, -0.25, 0.25"), [],
-     "[polarization] mu: polarization must be nonvanishing and of constant sign"),
+     "error: [polarization] mu: polarization changes sign at edge (1, 2)\n"),
     ("flow", FLOW_INI.replace("mu = arclength", "mu = 0"), [],
-     "[polarization] mu: polarization must be nonvanishing and of constant sign"),
+     "error: [polarization] mu: polarization vanishes at edge (0, 1)\n"),
     ("darboux", DARBOUX_INI.replace("[grid]", "[nogrid]"), [],
      "error: darboux needs a [grid] section"),
     ("darboux", DARBOUX_INI.replace("[grid]", "[nogrid]"), ["--h", "1e-2"],
@@ -480,7 +480,7 @@ def test_polarization_vanishing_between_nodes_is_a_usage_error(tmp_path, capsys)
         assert main(["darboux", "--config", cfg, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert "between grid nodes" in err
+        assert err == "error: [polarization] m: polarization vanishes at s = 0.0005\n"
 
 
 def test_unevenly_spaced_samples_are_a_usage_error(tmp_path, capsys):
@@ -515,17 +515,23 @@ def test_non_finite_samples_field_is_a_usage_error(tmp_path, capsys):
     assert captured.out == ""
 
 
-def test_arclength_mu_on_coincident_vertices_prints_only_the_error(tmp_path):
-    # numpy's divide-by-zero warning on the zero edge must not reach stderr
-    text = FLOW_INI.replace("0+0j, 2+0j, 4+0j, 6+0j", "0+0j, 2+0j, 2+0j, 6+0j")
+@pytest.mark.parametrize("values, code, stderr", [
+    ("0+0j, 2+0j, 2+0j, 6+0j", 2,
+     "numerical failure: [curve] values: consecutive vertices 1 and 2 coincide\n"),
+    # 1/a^2 of an edge too long to square reads 0, refused by name without
+    # numpy's overflow warning
+    ("0+0j, 1e200+0j, 2e200+0j", 1,
+     "error: [polarization] mu: polarization vanishes at edge (0, 1)\n"),
+], ids=["coincident", "edge-too-long-to-square"])
+def test_arclength_mu_prints_only_the_error(tmp_path, values, code, stderr):
+    text = FLOW_INI.replace("0+0j, 2+0j, 4+0j, 6+0j", values)
     proc = subprocess.run(
         [sys.executable, "-m", "darbouxflow", "flow", "--config", _write(tmp_path, text),
          "--out", str(tmp_path / "out")],
         env=dict(os.environ, PYTHONPATH=str(SCENARIO_DIR.parent / "src")),
         capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2
-    assert proc.stderr == ("numerical failure: [curve] values: consecutive vertices 1 and 2 "
-                           "coincide\n")
+    assert proc.returncode == code
+    assert proc.stderr == stderr
     assert proc.stdout == ""
 
 
@@ -674,8 +680,7 @@ def test_polarization_errors_are_reported_under_their_key(tmp_path, capsys):
         assert main([command, "--config", _write(tmp_path, text),
                      "--out", str(tmp_path / "out")]) == 1
         captured = capsys.readouterr()
-        assert captured.err == ("error: [polarization] m: polarization must be "
-                                "nonvanishing and of constant sign\n")
+        assert captured.err == "error: [polarization] m: polarization vanishes at s = 0.0\n"
         assert captured.out == ""
     text = DARBOUX_INI.replace("kind = circle", "kind = spiral")
     assert main(["darboux", "--config", _write(tmp_path, text)]) == 1

@@ -57,8 +57,8 @@ def test_frameless_identity_on_motion_sheet():
     assert frameless_identity_check(res) < 1e-7
 
 
-def test_frameless_identity_fd_fallback():
-    # rebuilding the sheet from bare values forces the finite-difference path
+def test_frameless_identity_on_angles_recovered_from_positions():
+    # theta read back from the positions alone, through finite differences
     grid = SGrid.from_step(0.0, 1.0, 1e-3)
     res = integrate_motion(ngon_vertices(6), -math.pi / 6, 0, grid)
     bare = Sheet(grid, res.sheet.values.copy())

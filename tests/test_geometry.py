@@ -1,11 +1,12 @@
 """Grids, curves, sheets, and the small complex-plane helpers."""
 import math
+import re
 
 import numpy as np
 import pytest
 
 from darbouxflow import geometry
-from darbouxflow.darboux import DarbouxParams, darboux_transform, pair_table
+from darbouxflow.darboux import DarbouxParams, darboux_transform, pair_table, riccati_solve
 from darbouxflow.errors import (CoincidentPointsError, CurveError, GridTooShortError,
                                 SingularTangentError)
 from darbouxflow.expressions import parse_expression
@@ -252,22 +253,22 @@ def test_curve_rejects_nonfinite_points():
 
 def test_polarization_must_not_change_sign_or_vanish():
     # m sampled on the refined grid: even entries at the nodes, odd ones at
-    # the RK4 midpoints.  A bad node gives the node message, a bad midpoint
-    # alone the "between grid nodes" one; a value that is not finite names
-    # its s.
+    # the RK4 midpoints.  Each refusal names the s of the first bad stage,
+    # node or midpoint alike.
     g = SGrid(0.0, 0.25, 5)
     pts = g.values() + 0j
-    sign = "polarization must be nonvanishing and of constant sign"
-    for index, value, message in ((4, 0.0, sign), (4, -1.0, sign),
+    for index, value, message in ((4, 0.0, "polarization vanishes at s = 0.5"),
+                                  (4, -1.0, "polarization changes sign at s = 0.5"),
                                   (0, np.nan, "polarization is not finite at s = 0.0"),
-                                  (3, 0.0, sign + " between grid nodes"),
-                                  (7, -1.0, sign + " between grid nodes"),
+                                  (3, 0.0, "polarization vanishes at s = 0.375"),
+                                  (7, -1.0, "polarization changes sign at s = 0.875"),
                                   (1, np.inf, "polarization is not finite at s = 0.125")):
         m = np.ones(9)
         m[index] = value
         with pytest.raises(CurveError, match=f"^{message}$"):
             PolarizedCurve(g, pts, m)
-    for m, message in ((0.0, sign), (np.nan, "polarization is not finite at s = 0.0")):
+    for m, message in ((0.0, "polarization vanishes at s = 0.0"),
+                       (np.nan, "polarization is not finite at s = 0.0")):
         with pytest.raises(CurveError, match=f"^{message}$"):
             PolarizedCurve(g, pts, m)
 
@@ -312,6 +313,62 @@ def test_tangent_samples_validation():
     bad[0] = np.inf
     with pytest.raises(CurveError):
         PolarizedCurve(g, s + 0j, 1.0, derivatives=bad)
+
+
+def _with(values, index, bad):
+    out = np.array(values)
+    out[index] = bad
+    return out
+
+
+G5 = SGrid(0.0, 0.25, 5)
+LINE5 = G5.values() + 0j
+
+
+@pytest.mark.parametrize("build, error, message", [
+    # finite samples
+    (lambda: PolarizedCurve(G5, _with(LINE5, 2, np.nan), 1.0),
+     CurveError, "x is not finite at s = 0.5"),
+    (lambda: PolarizedCurve(G5, LINE5, 1.0, _with(np.ones(5), 1, np.inf)),
+     CurveError, "x' is not finite at s = 0.25"),
+    (lambda: Sheet(G5, _with(np.zeros((3, 5)), (1, 2), np.nan)),
+     CurveError, "x is not finite at row 1, s = 0.5"),
+    (lambda: Sheet(G5, np.zeros((3, 5)), _with(np.ones((3, 5)), (2, 4), np.inf)),
+     CurveError, "x' is not finite at row 2, s = 1.0"),
+    (lambda: DiscretePolarizedCurve(_with(ngon_vertices(4), 3, np.nan), 1.0),
+     CurveError, "x is not finite at vertex 3"),
+    (lambda: DiscretePolarizedCurve(ngon_vertices(4), [1.0, np.nan, 1.0, 1.0]),
+     CurveError, "mu is not finite at edge (1, 2)"),
+    # one-signed polarization: m at the RK4 stages, mu on the edges
+    (lambda: PolarizedCurve.from_generator(G5, lambda s: s + 0j, lambda s: 1 + 0j * s,
+                                           lambda s: (s - 0.125) ** 2),
+     CurveError, "polarization vanishes at s = 0.125"),
+    (lambda: PolarizedCurve(G5, LINE5, lambda s: 0.3 - s),
+     CurveError, "polarization changes sign at s = 0.375"),
+    (lambda: DiscretePolarizedCurve(ngon_vertices(4), [1.0, -1.0, 1.0, 1.0]),
+     CurveError, "polarization changes sign at edge (1, 2)"),
+    (lambda: DiscretePolarizedCurve(ngon_vertices(4), [-1.0, -1.0, -1.0, 0.0]),
+     CurveError, "polarization vanishes at edge (3, 4)"),
+    # regular tangent: at the nodes, and at the stages riccati_solve reads
+    (lambda: PolarizedCurve(G5, LINE5, 1.0, _with(np.ones(5), 3, 0.0)),
+     SingularTangentError, "curve is not regular: |x'| = 0.000e+00 at s = 0.75"),
+    (lambda: riccati_solve(PolarizedCurve.from_generator(
+        G5, lambda s: 0.5 * (s - 0.125) ** 2 + 0j, lambda s: s - 0.125 + 0j), 0.25, 5 + 0j),
+     SingularTangentError, "curve is not regular: |x'| = 0.000e+00 at s = 0.125"),
+], ids=["node-x", "node-xp", "sheet-row-1", "sheet-tangent-row-2", "vertex", "mu",
+        "m-midpoint-zero", "m-sign", "mu-sign", "mu-zero", "node-tangent", "stage-tangent"])
+def test_each_input_rule_names_where_it_fails(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        build()
+    assert type(info.value) is error
+
+
+def test_arclength_polarization_of_an_edge_too_long_to_square_is_refused_by_name():
+    # a^2 overflows to inf, so 1/a^2 reads 0 without numpy's warning
+    with pytest.raises(CurveError, match=r"^polarization vanishes at edge \(0, 1\)$"):
+        DiscretePolarizedCurve.arclength([0.0, 1e200, 2e200])
+    v = np.array([0.0, 3.0, 3.0 + 4.0j])
+    assert np.array_equal(DiscretePolarizedCurve.arclength(v).mu, [1 / 9, 1 / 16])
 
 
 def test_arclength_deviation():

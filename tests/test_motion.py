@@ -242,7 +242,7 @@ def test_motion_and_the_numpy_stage_reference_differ_at_fourth_order(case):
 def test_non_finite_vertex_is_bad_input(recwarn, bad):
     v = SQUARE.copy()
     v[2] = bad
-    with pytest.raises(CurveError, match="^vertices must be finite$"):
+    with pytest.raises(CurveError, match="^x is not finite at vertex 2$"):
         integrate_motion(v, 0.0, 0, SGrid.from_step(0.0, 0.1, 1e-2))
     assert not recwarn
 
