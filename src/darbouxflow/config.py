@@ -194,13 +194,12 @@ def _smooth_curve(cp, section: str, grid: SGrid, m) -> PolarizedCurve:
             _fail(section, "csv", f"no such file: {path}")
         with labeled(f"[{section}] csv"):
             csv_grid, values = read_csv(path)
-        row = _get(cp, section, "row", default=0, parse=_integer)
-        if not 0 <= row < len(values):
-            _fail(section, "row", f"file has rows 0..{len(values) - 1}")
-        if csv_grid.count != grid.count or abs(csv_grid.s0 - grid.s0) > 1e-12 or (
-                abs(csv_grid.s1 - grid.s1) > 1e-9):
-            _fail(section, "csv", "sample grid does not match the [grid] section")
-        with labeled(f"[{section}] csv"):
+            row = _get(cp, section, "row", default=0, parse=_integer)
+            if not 0 <= row < len(values):
+                _fail(section, "row", f"file has rows 0..{len(values) - 1}")
+            if csv_grid.count != grid.count or abs(csv_grid.s0 - grid.s0) > 1e-12 or (
+                    abs(csv_grid.s1 - grid.s1) > 1e-9):
+                _fail(section, "csv", "sample grid does not match the [grid] section")
             return PolarizedCurve.from_samples(grid, values[row], m)
     _fail(section, "kind", f"unknown smooth curve kind {kind!r} "
                            "(expected circle, line, or samples)")

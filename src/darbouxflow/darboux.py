@@ -18,7 +18,7 @@ from .errors import (
     CurveError,
     NotArclengthPolarizedError,
 )
-from .geometry import EPS_REG, PolarizedCurve, _at_stage, _regular, dot, fd_derivative
+from .geometry import EPS_REG, PolarizedCurve, _at_stage, _finite_at, _regular, dot, fd_derivative
 
 #: Tolerance on |1/m - |x'|^2| below which a curve counts as arc-length polarized.
 ARC_TOL = 1e-8
@@ -102,7 +102,9 @@ def _transform_row(curve: PolarizedCurve, params: DarbouxParams) -> PolarizedCur
     # The pair equation gives the transform's tangent pointwise from the two
     # position rows, so store it instead of re-differencing the samples.
     d = vals - curve.points
-    xhp = (mu / curve.m) * d * d / curve.derivatives
+    with np.errstate(over="ignore", invalid="ignore"):
+        xhp = (mu / curve.m) * d * d / curve.derivatives
+    _finite_at(xhp, "the transform's tangent xh'", _at_stage(curve.grid, 2))
     # The row shares the source's refined m, so m is never evaluated again
     # down a flow.
     return PolarizedCurve(curve.grid, vals, curve._refined_m, xhp)

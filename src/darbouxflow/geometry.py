@@ -258,10 +258,11 @@ class PolarizedCurve:
         refined = _resolve_m(self.m, grid)
         object.__setattr__(self, "_refined_m", refined)
         object.__setattr__(self, "m", refined[::2])
-        if self.derivatives is None:
-            xp = fd_derivative(pts, grid.h)
-        else:
-            xp = _finite_at(np.asarray(self.derivatives, dtype=complex), "x'", at_node, pts.shape)
+        xp = self.derivatives
+        if xp is None:  # differences that overflow leave a tangent refused below
+            with np.errstate(over="ignore", invalid="ignore"):
+                xp = fd_derivative(pts, grid.h)
+        xp = _finite_at(np.asarray(xp, dtype=complex), "x'", at_node, pts.shape)
         object.__setattr__(self, "derivatives", xp)
         _regular(xp, at_node)
 
@@ -293,8 +294,9 @@ class PolarizedCurve:
         return xs, xps, self._refined_m
 
     def arclength_deviation(self) -> float:
-        """max_i |1/m(s_i) - |x'(s_i)|^2| — zero iff arc-length polarized."""
-        return float(np.abs(1.0 / self.m - np.abs(self.derivatives) ** 2).max())
+        """max_i |1/m(s_i) - |x'(s_i)|^2| — zero iff arc-length polarized, inf if |x'|^2 overflows."""
+        with np.errstate(over="ignore"):
+            return float(np.abs(1.0 / self.m - np.abs(self.derivatives) ** 2).max())
 
 
 @dataclass(frozen=True, eq=False)

@@ -102,31 +102,26 @@ def _line(grid: SGrid, m=1.0) -> PolarizedCurve:
         grid, lambda s: s + 0j, lambda s: np.ones_like(s, dtype=complex), m)
 
 
-def _square_motion(h: float):
-    grid = SGrid.from_step(0.0, 0.5, h)
-    return integrate_motion(ngon_vertices(4), 0.0, 0, grid)
-
-
-def _heptagon_motion(h: float):
-    grid = SGrid.from_step(0.0, 0.5, h)
-    verts = polyline_vertices(HEPTAGON_TURNS, HEPTAGON_LENGTHS)
-    return integrate_motion(verts, parse_expression(HEPTAGON_W0), HEPTAGON_N0, grid)
-
-
 class Artifacts:
     """Shared lazily-built inputs for the checks, at base step ``h``.  A step
     no artifact can be built at is refused here, before any check runs."""
 
     def __init__(self, h: float = 1e-3):
         self.h = float(h)
-        # The grids span [0, 0.4] (nonunit_flow) up to [0, 2 pi] at h/2
-        # (circle_transform_half); SGrid refuses a node count that overflows
-        # or that numpy cannot size, and the 4th-order stencils need 5 nodes.
+        # The grids span [0, 0.4] (nonunit_flow) up to [0, 2 pi] at h/2 (half.circle_transform):
+        # SGrid refuses a count that overflows or numpy cannot size; the stencils need 5 nodes.
         SGrid.from_step(0.0, 2.0 * math.pi, self.h / 2.0)
         count = SGrid.from_step(0.0, 0.4, self.h).count
         if count < 5:
             raise GridTooShortError(f"step h = {self.h!r} is too coarse: the shortest check "
                                     f"grid, [0, 0.4], gets {count} of the 5 nodes it needs")
+
+    @cached_property
+    def half(self) -> Artifacts:
+        """The same artifacts at h/2; __init__ sized their grids, so the twin skips that check."""
+        twin = object.__new__(type(self))
+        twin.h = self.h / 2.0
+        return twin
 
     # -- smooth pairs -----------------------------------------------------
     @cached_property
@@ -138,16 +133,15 @@ class Artifacts:
     # is the arc-length one whose oracle is the rotated circle -e^{is}.
     @cached_property
     def circle(self) -> PolarizedCurve:
-        return self.figure[0]
+        return _circle(self.circle_grid)
 
     @cached_property
     def circle_transform(self) -> PolarizedCurve:
-        return self.figure[1]
+        return darboux_transform(self.circle, DarbouxParams(FIGURE_MU, FIGURE_POINT))
 
     @cached_property
     def circle_transform_half(self) -> PolarizedCurve:
-        grid = SGrid.from_step(0.0, 2.0 * math.pi, self.h / 2.0)
-        return darboux_transform(_circle(grid), DarbouxParams(FIGURE_MU, FIGURE_POINT))
+        return self.half.circle_transform
 
     # arclength_darboux(circle, 0.25, pi) seeds at 1 + 2e^{i pi} = -1 + 2.4e-16j,
     # which is the figure's seed to round-off: the same transform.
@@ -157,16 +151,14 @@ class Artifacts:
 
     @cached_property
     def line_pair(self):
-        grid = SGrid.from_step(0.0, 5.0, self.h)
-        curve = _line(grid)
+        curve = _line(SGrid.from_step(0.0, 5.0, self.h))
         return curve, darboux_transform(curve, DarbouxParams(0.25, 2.0 + 0j))
 
     @cached_property
     def mismatched_pair(self):
         # Seed at distance 1.1/sqrt(mu) instead of 1/sqrt(mu): still a Darboux
         # pair, but no longer arc-length preserving, so lam varies.
-        curve = self.circle
-        return curve, darboux_transform(curve, DarbouxParams(0.25, -1.2 + 0j))
+        return self.circle, darboux_transform(self.circle, DarbouxParams(0.25, -1.2 + 0j))
 
     # -- motions -----------------------------------------------------------
     @cached_property
@@ -176,7 +168,8 @@ class Artifacts:
 
     @cached_property
     def square_motion(self):
-        return _square_motion(self.h)
+        grid = SGrid.from_step(0.0, 0.5, self.h)
+        return integrate_motion(ngon_vertices(4), 0.0, 0, grid)
 
     @cached_property
     def pentagon_motion(self):
@@ -185,7 +178,9 @@ class Artifacts:
 
     @cached_property
     def heptagon_motion(self):
-        return _heptagon_motion(self.h)
+        grid = SGrid.from_step(0.0, 0.5, self.h)
+        verts = polyline_vertices(HEPTAGON_TURNS, HEPTAGON_LENGTHS)
+        return integrate_motion(verts, parse_expression(HEPTAGON_W0), HEPTAGON_N0, grid)
 
     def motions(self):
         """All motion results, labeled."""
@@ -195,21 +190,17 @@ class Artifacts:
                 ("heptagon", self.heptagon_motion)]
 
     # -- pipelines ---------------------------------------------------------
-    # The hexagon rotates rigidly, so its h/2 sup sits on round-off and a
-    # halving ratio there moves with rounding alone: it has its sup only.
     @cached_property
     def hexagon_pipelines(self):
         return pipelines_agree(self.hexagon_motion)
 
     @cached_property
     def square_pipelines(self):
-        return (pipelines_agree(self.square_motion),
-                pipelines_agree(_square_motion(self.h / 2.0)))
+        return pipelines_agree(self.square_motion)
 
     @cached_property
     def heptagon_pipelines(self):
-        return (pipelines_agree(self.heptagon_motion),
-                pipelines_agree(_heptagon_motion(self.h / 2.0)))
+        return pipelines_agree(self.heptagon_motion)
 
     # -- flows -------------------------------------------------------------
     @cached_property
@@ -235,18 +226,17 @@ class Artifacts:
     # -- figure ------------------------------------------------------------
     @cached_property
     def figure(self):
-        return figure_family(self.circle_grid, FIGURE_MU, FIGURE_POINT)
+        base2 = _circle(self.circle_grid, parse_expression(FIGURE_M2))
+        t2 = darboux_transform(base2, DarbouxParams(FIGURE_MU, FIGURE_POINT))
+        return self.circle, self.circle_transform, t2, base2
 
 
 def figure_family(grid: SGrid, mu: float, initial_point: complex):
     """The figure's curves ``(base1, t1, t2, base2)``: the unit-polarized
     circle, its transform t1, the transform t2 of the same circle carrying the
     polarization FIGURE_M2 (base2), with mu and the initial point shared."""
-    base1 = _circle(grid, 1.0)
-    m2 = parse_expression(FIGURE_M2)
-    base2 = _circle(grid, m2)
-    t1 = darboux_transform(base1, DarbouxParams(mu, initial_point))
-    t2 = darboux_transform(base2, DarbouxParams(mu, initial_point))
+    base1, base2 = _circle(grid, 1.0), _circle(grid, parse_expression(FIGURE_M2))
+    t1, t2 = (darboux_transform(b, DarbouxParams(mu, initial_point)) for b in (base1, base2))
     return base1, t1, t2, base2
 
 
@@ -256,15 +246,19 @@ def figure_family(grid: SGrid, mu: float, initial_point: complex):
 # override name; a key of None is a fixed bound that nothing moves.
 
 
+def _halving(e_h: float, e_half: float) -> float:
+    """e(h)/e(h/2), about 16 at fourth order; inf for a zero e(h/2), NaN (a fail) for a NaN."""
+    return e_h / e_half if e_half else math.inf
+
+
 def _check_rotated_circle(art: Artifacts):
     def err(t: PolarizedCurve) -> float:
         s = t.grid.values()
         return float(np.abs(t.points - (-np.exp(1j * s))).max())
 
-    e1 = err(art.circle_transform)
-    e2 = err(art.circle_transform_half)
-    return [("max error", e1, "<", ".error", 1e-6),
-            ("halving ratio", e1 / e2 if e2 > 0 else math.inf, ">=", ".ratio-min", 10.0)]
+    e_h, e_half = err(art.circle_transform), err(art.half.circle_transform)
+    return [("max error", e_h, "<", ".error", 1e-6),
+            ("halving ratio", _halving(e_h, e_half), ">=", ".ratio-min", 10.0)]
 
 
 def _check_cross_ratio(art: Artifacts):
@@ -322,10 +316,12 @@ def _check_iso_cross_ratio(art: Artifacts):
 
 
 def _check_pipelines(art: Artifacts):
+    # The hexagon rotates rigidly, so its h/2 sup sits on round-off and a
+    # halving ratio there moves with rounding alone: it has its sup only.
     entries = [("hexagon sup", art.hexagon_pipelines, "<", "", 1e-5)]
-    for label, (full, half) in (("square", art.square_pipelines),
-                                ("heptagon", art.heptagon_pipelines)):
-        ratio = full / half if half else math.inf
+    for label, full, half in (("square", art.square_pipelines, art.half.square_pipelines),
+                              ("heptagon", art.heptagon_pipelines, art.half.heptagon_pipelines)):
+        ratio = _halving(full, half)
         entries += [(f"{label} sup", full, "<", "", 1e-5),
                     (f"{label} halving ratio", ratio, ">=", ".ratio-min", 10.0),
                     (f"{label} halving ratio", ratio, "<=", ".ratio-max", 20.0)]

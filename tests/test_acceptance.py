@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from darbouxflow import arclength_darboux, darboux, equivalence, run_suite, verification
+from darbouxflow.errors import CurveError
 
 CHECK_NAMES = [
     "rotated-circle-darboux",
@@ -146,6 +147,15 @@ def test_flow_preserves_discrete_arclength_exactly_when_seeded_that_way(
     _check(acceptance_results, "discrete-arclength")
 
 
+def test_the_half_step_twin_skips_the_refusal_its_parent_made():
+    # Artifacts(6e-17) sizes [0, 2 pi] at h/2 and accepts; the same refusal
+    # at the twin's own step would size it at h/4, which numpy cannot
+    art = verification.Artifacts(6e-17)
+    with pytest.raises(CurveError, match="^grid node count is too large to allocate$"):
+        verification.Artifacts(3e-17)
+    assert vars(art.half) == {"h": 3e-17} and art.half is art.half
+
+
 def test_circle_arclength_pair_is_the_figure_transform(artifacts):
     # the arc-length seed at angle pi lands on the figure's seed -1 to round-off
     base, transform = artifacts.circle_arclength_pair
@@ -157,8 +167,10 @@ def test_circle_arclength_pair_is_the_figure_transform(artifacts):
 def test_run_suite_builds_nothing_twice(monkeypatch):
     """No two motions share (vertices, w0, grid) and no two Riccati solves
     share (source points, source polarization, mu, seed): each artifact is
-    built once and shared by every check that reads it."""
-    motions, solves = Counter(), Counter()
+    built once and shared by every check that reads it.  The totals are
+    pinned too: the h/2 twin solves only the circle transform and the two
+    motions a halving ratio reads, not the figure's t2."""
+    motions, solves, steps = Counter(), Counter(), []
     integrate, solve = verification.integrate_motion, darboux.riccati_solve
 
     def recorded_motion(vertices, w0, n0, grid):
@@ -170,6 +182,7 @@ def test_run_suite_builds_nothing_twice(monkeypatch):
         m = np.asarray(source.m, dtype=float)
         seed = complex(round(y0.real, 12), round(y0.imag, 12))
         solves[source.points.tobytes(), m.tobytes(), mu, seed] += 1
+        steps.append(source.grid.count - 1)
         return solve(source, mu, y0)
 
     # equivalence is patched too, so a motion integrated there would count
@@ -177,7 +190,7 @@ def test_run_suite_builds_nothing_twice(monkeypatch):
         monkeypatch.setattr(module, "integrate_motion", recorded_motion, raising=False)
     monkeypatch.setattr(darboux, "riccati_solve", recorded_solve)
     run_suite(h=1e-2)
-    assert len(motions) >= 6 and len(solves) >= 6
+    assert (len(steps), sum(steps), sum(motions.values())) == (37, 6461, 6)
     twice = ([key[1:] for key, n in motions.items() if n > 1],
              [key[2:] for key, n in solves.items() if n > 1])
     assert twice == ([], [])

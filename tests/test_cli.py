@@ -535,6 +535,31 @@ def test_arclength_mu_prints_only_the_error(tmp_path, values, code, stderr):
     assert proc.stdout == ""
 
 
+OVERFLOWING_CSV = "n,s,x,y\n" + "".join(
+    f"0,{i * 0.25!r},{x!r},0\n" for i, x in enumerate((0, 1e308, -1e308, 1e308, 0)))
+
+
+@pytest.mark.parametrize("text, stderr", [
+    # the samples' difference tangents overflow
+    (DARBOUX_INI.replace("kind = circle", "kind = samples\ncsv = {tmp}/overflow.csv")
+     .replace("h = 1e-2", "h = 0.25"), "error: [curve] csv: x' is not finite at s = 0.0\n"),
+    # the input's tangent is finite, the transform's (mu/m) d^2/x' overflows
+    (DARBOUX_INI.replace("kind = circle", "kind = circle\nradius = 1e200")
+     .replace("mu = 0.25", "mu = 1e-9").replace("-1+0j", "0"),
+     "error: the transform's tangent xh' is not finite at s = 0.0\n"),
+    # |x'|^2 overflows, so the arc-length seed reads an infinite deviation
+    (DARBOUX_INI.replace("kind = circle", "kind = circle\nradius = 1e300")
+     .replace("initial_point = -1+0j", "offset_angle = 0"),
+     "error: curve is not arc-length polarized: max |1/m - |x'|^2| = inf\n"),
+], ids=["samples-tangent", "transform-tangent", "arclength-deviation"])
+def test_an_overflow_prints_only_its_refusal(tmp_path, capsys, text, stderr):
+    # pytest turns a numpy RuntimeWarning into an error, so none may escape
+    (tmp_path / "overflow.csv").write_text(OVERFLOWING_CSV)
+    cfg = _write(tmp_path, text.replace("{tmp}", str(tmp_path)))
+    assert main(["darboux", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == ("", stderr)
+
+
 def test_leading_zero_integer_is_a_usage_error(tmp_path, capsys):
     text = (SCENARIO_DIR / "motion_hexagon.ini").read_text().replace(
         "w0 = -pi/6 ", "w0 = -pi/06 ")

@@ -251,6 +251,13 @@ def test_curve_rejects_nonfinite_points():
         PolarizedCurve.from_samples(g, pts)
 
 
+def test_sampled_tangents_that_overflow_are_refused_by_s():
+    # the stencil overflows to inf - inf = nan at every node, without a warning
+    g = SGrid(0.0, 0.25, 5)
+    with pytest.raises(CurveError, match=r"^x' is not finite at s = 0\.0$"):
+        PolarizedCurve.from_samples(g, [0, 1e308, -1e308, 1e308, 0])
+
+
 def test_polarization_must_not_change_sign_or_vanish():
     # m sampled on the refined grid: even entries at the nodes, odd ones at
     # the RK4 midpoints.  Each refusal names the s of the first bad stage,
@@ -377,6 +384,8 @@ def test_arclength_deviation():
     fast = PolarizedCurve.from_generator(
         g, lambda s: 2 * s + 0j, lambda s: 2 * np.ones_like(s, dtype=complex), 1.0)
     assert fast.arclength_deviation() == pytest.approx(3.0)
+    # |x'|^2 overflows: the deviation is inf, without numpy's warning
+    assert _circle(g, 1e300).arclength_deviation() == math.inf
 
 
 # -------------------------------------------------------- discrete curves
