@@ -41,50 +41,52 @@ class DarbouxParams:
 def riccati_solve(source: PolarizedCurve, mu: float, y0: complex) -> np.ndarray:
     """Integrate the Riccati equation against ``source`` over its whole grid.
 
-    The initial value y0 is imposed at the first grid node; integration runs
-    forward with classic RK4, evaluating the source curve on the refined
-    (node + midpoint) grid.  The step is written out over Python lists of
-    the stage coefficients, so it runs in built-in complex arithmetic with
-    no call per stage; the operations and their order are those of
-    ``ode.rk4_path`` with the right-hand side a d^2, d = x - y, including
-    the Kahan-compensated update.  SingularTangentError names the first
-    stage s where |x'| <= EPS_REG, BlowupError the first non-finite node.
+    Classic RK4 from y0 at the first node, on the refined (node + midpoint)
+    stage data, with a Kahan-compensated update.  A numpy table scales each
+    stage's a = (mu/m)/x' by the step fraction its slope enters with (p =
+    (h/2)a at the node, q = (h/2)a and r = h a at the midpoint, t = (h/6)a at
+    the next node), so the step runs over Python lists in built-in complex
+    arithmetic.  It divides by 3.0, as fl(1/3) would bias every increment;
+    the tests hold its round-off to a long-double run of ``ode.rk4_path``'s
+    map.  SingularTangentError names the first stage s where |x'| <= EPS_REG,
+    BlowupError the first non-finite node.
     """
     grid = source.grid
     if grid.count == 1:
         return np.array([y0], dtype=complex)
     xs, xps, ms = source._stage_data
     _regular(xps, _at_stage(grid))
-    a = ((mu / ms) / xps).tolist()
-    x = xs.tolist()
+    a = (mu / ms) / xps
     h = np.diff(grid.values())
-    y = complex(y0)
-    comp = 0.0 * y
+    mid = 0.5 * h * a[1::2]
+    nodes = xs[0::2].tolist()
+    y, comp = complex(y0), 0j
     out = [y]
     # Built-in complex arithmetic yields inf/nan at a pole without raising,
     # and a non-finite state stays non-finite, so one check on the finished
     # row finds the node where the solution left the grid's window.
-    for x0, a0, x1, a1, x2, a2, step, half, sixth in zip(
-            x[0::2], a[0::2], x[1::2], a[1::2], x[2::2], a[2::2],
-            h.tolist(), (0.5 * h).tolist(), (h / 6.0).tolist()):
+    for x0, xm, x1, p, q, r, t in zip(
+            nodes, xs[1::2].tolist(), nodes[1:], (0.5 * h * a[0:-1:2]).tolist(),
+            mid.tolist(), (2.0 * mid).tolist(), (h / 6.0 * a[2::2]).tolist()):
         d = x0 - y
-        k1 = a0 * d * d
-        d = x1 - (y + half * k1)
-        k2 = a1 * d * d
-        d = x1 - (y + half * k2)
-        k3 = a1 * d * d
-        d = x2 - (y + step * k3)
-        k4 = a2 * d * d
-        d = sixth * (k1 + 2.0 * (k2 + k3) + k4) - comp
-        t = y + d
-        comp = (t - y) - d
-        y = t
+        k1 = p * d * d
+        g = xm - y
+        d = g - k1
+        k2 = q * d * d
+        d = g - k2
+        k3 = r * d * d
+        d = x1 - y - k3
+        d = ((k1 + 2.0 * k2 + k3) / 3.0 + t * d * d) - comp
+        z = y + d
+        comp = (z - y) - d
+        y = z
         out.append(y)
     vals = np.asarray(out)
     finite = np.isfinite(vals)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise BlowupError(f"integration blew up at grid index {i}", index=i)
+        raise BlowupError(f"integration blew up at grid index {i}", index=i,
+                          s=grid.s0 + i * grid.h)
     return vals
 
 
@@ -95,13 +97,13 @@ def _transform_row(curve: PolarizedCurve, params: DarbouxParams) -> PolarizedCur
     if abs(y0 - curve.points[0]) <= EPS_REG:
         raise CoincidentPointsError("initial point coincides with the curve start")
     vals = riccati_solve(curve, mu, y0)
-    sep = np.abs(vals - curve.points)
+    d = vals - curve.points
+    sep = np.abs(d)
     if sep.min() <= EPS_REG:
         i = int(np.argmin(sep))
         raise CoincidentPointsError(f"transform collides with the curve at node {i}")
     # The pair equation gives the transform's tangent pointwise from the two
     # position rows, so store it instead of re-differencing the samples.
-    d = vals - curve.points
     with np.errstate(over="ignore", invalid="ignore"):
         xhp = (mu / curve.m) * d * d / curve.derivatives
     _finite_at(xhp, "the transform's tangent xh'", _at_stage(curve.grid, 2))

@@ -40,14 +40,11 @@ class NonRegularError(CurveError):
 
 
 class BlowupError(RuntimeError):
-    """Integration produced non-finite values.
+    """Integration went non-finite or lost track at grid ``index``, abscissa ``s``."""
 
-    ``index`` is the grid index reached when the blow-up was detected.
-    """
-
-    def __init__(self, message, index=None):
+    def __init__(self, message, index=None, s=None):
         super().__init__(message)
-        self.index = index
+        self.index, self.s = index, s
 
 
 @contextmanager

@@ -134,7 +134,8 @@ def integrate_motion(vertices, w0, n0: int, grid: SGrid) -> MotionResult:
     finite = np.isfinite(psi).all(axis=0) & np.isfinite(x0)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise BlowupError(f"integration blew up at grid index {i}", index=i)
+        raise BlowupError(f"integration blew up at grid index {i}", index=i,
+                          s=grid.s0 + i * grid.h)
     # Adjacent edges must not be anti-parallel; collinear ones are fine.
     bad = (math.pi - np.abs(np.diff(psi, axis=0)) <= EPS_REG).T
     if bad.any():
@@ -153,7 +154,7 @@ def integrate_motion(vertices, w0, n0: int, grid: SGrid) -> MotionResult:
         i = int(bad[0]) + 1
         raise BlowupError(
             f"angle jump {jumps[i - 1]:.3f} at grid index {i}: step too coarse to "
-            f"track branches", index=i)
+            f"track branches", index=i, s=grid.s0 + i * grid.h)
     values = np.empty(theta.shape, dtype=complex)
     values[0] = x0
     values[1:] = x0 + np.cumsum(a[:, None] * np.exp(1j * psi), axis=0)

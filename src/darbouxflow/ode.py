@@ -6,9 +6,9 @@ stage order (node i at 2i, the midpoint at 2i+1); ``SGrid.refined_values``
 is the one source of the stage abscissas in that layout.  ``rk4_path`` is
 the generic driver: the state may be a scalar or any numpy array, and
 right-hand sides are addressed by stage index, so tabulated coefficients
-need no s arithmetic.  The package's solvers write the step out inline
-(``darboux.riccati_solve``, ``motion.integrate_motion``) and do not come
-through here; ``rk4_path`` remains the reference the tests drive.
+need no s arithmetic.  The package's solvers write their steps out inline
+and do not come through here.  The tests hold ``darboux.riccati_solve``,
+whose coefficient table rounds differently, to this map run in long double.
 """
 from __future__ import annotations
 

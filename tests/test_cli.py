@@ -765,12 +765,15 @@ def test_tol_loosens_lower_and_upper_bounds(tmp_path, capsys, session_artifacts,
     assert "FAIL" not in out
 
 
-def test_tol_does_not_move_fixed_bounds(tmp_path, capsys, session_artifacts):
+def test_tol_does_not_move_fixed_bounds(tmp_path, capsys, session_artifacts,
+                                       acceptance_results):
     cfg = _write(tmp_path, "[run]\ncommand = verify\n")
     assert main(["verify", "--config", cfg, "--tol", "1e6"]) == 0
     out = capsys.readouterr().out
     assert "; svg polylines 3 == 3; svg markers 1 == 1\n" in out
     assert "; mismatched lam spread 0.0755 > 0.0001\n" in out
     assert " > 1; non-unit-speed column deviation " in out
-    # the named bounds did move: an upper bound times 1e6, a lower one over it
-    assert "max error 3.59e-14 < 1; halving ratio 15.6 >= 1e-05\n" in out
+    # the named bounds did move: an upper bound times 1e6, a lower one over
+    # it, next to the values this run measured
+    (_, error, _, _), (_, ratio, _, _) = acceptance_results["rotated-circle-darboux"].bounds
+    assert f"max error {error:.3g} < 1; halving ratio {ratio:.3g} >= 1e-05\n" in out

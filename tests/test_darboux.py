@@ -6,6 +6,8 @@ is an exact oracle; the unit circle with mu = 1/4 and a diametral seed maps
 to the antipodal circle -e^{is}.
 """
 import cmath
+import functools
+import inspect
 import math
 
 import numpy as np
@@ -228,24 +230,120 @@ def _list_closure_riccati(source, mu, y0):
     return rk4_path(source.grid.values(), rhs, complex(y0))
 
 
-@pytest.mark.parametrize("kind", ["analytic circle", "sampled circle", "m = 1 + 0.3 sin s",
-                                  "interpolated flow row"])
-def test_riccati_solve_is_bit_identical_to_the_closure_step(kind):
+def _long_double_riccati(source, mu, y0):
+    """The RK4 map of ``_list_closure_riccati`` in np.clongdouble, h/2 and
+    h/6 included, on the same double stage data: a reference whose own
+    round-off sits some thousand times below a double solve's."""
+    xs, xps, ms = source._stage_data
+    a = ((mu / ms) / xps).astype(np.clongdouble)
+    x = xs.astype(np.clongdouble)
+
+    def rhs(k, y):
+        d = x[k] - y
+        return a[k] * d * d
+
+    y = np.clongdouble(y0)
+    comp = 0 * y
+    out = [y]
+    for i, h in enumerate(np.diff(source.grid.values()).astype(np.longdouble)):
+        k1 = rhs(2 * i, y)
+        k2 = rhs(2 * i + 1, y + h / 2 * k1)
+        k3 = rhs(2 * i + 1, y + h / 2 * k2)
+        k4 = rhs(2 * i + 2, y + h * k3)
+        d = h / 6 * (k1 + 2 * (k2 + k3) + k4) - comp
+        z = y + d
+        comp = (z - y) - d
+        y = z
+        out.append(y)
+    return np.asarray(out)
+
+
+@functools.cache
+def _round_off_panel():
+    """(curve, mu, seed) of the solves the round-off oracle reads: the four
+    stage-data kinds, the verify line pair, the figure's t2 and its reverse
+    solve, and edge (2, 3) of the verify line flow."""
     g = SGrid.from_step(0.0, 2 * math.pi, 1e-3)
-    if kind == "analytic circle":
-        base = _circle(g)
-    elif kind == "sampled circle":
-        base = PolarizedCurve.from_samples(g, np.exp(1j * g.values()), 1.0)
-    elif kind == "m = 1 + 0.3 sin s":
-        base = _circle(g, m=lambda s: 1.0 + 0.3 * np.sin(s))
-    else:
-        # a flow row carries pair-equation tangents at the nodes only, so
-        # its stage data come from the Lagrange midpoint interpolation
-        base = propagate_edge(_line(SGrid.from_step(0.0, 2.0, 1e-3)), 1.0, 1j)
-    y0 = base.points[0] - 1.2 + 0.3j
-    fast = riccati_solve(base, 0.25, y0)
-    want = _list_closure_riccati(base, 0.25, y0)
-    assert np.array_equal(fast.view(float), want.view(float))
+    line = _line(SGrid.from_step(0.0, 2.0, 1e-3))
+    m2 = parse_expression(FIGURE_M2)
+    t2 = figure_family(g, FIGURE_MU, FIGURE_POINT)[2]
+    # a flow row carries pair-equation tangents at the nodes only, so its
+    # stage data come from the Lagrange midpoint interpolation
+    flow_row = propagate_edge(line, 1.0, 1j)
+    row2 = propagate_edge(propagate_edge(line, 0.25, 2.0 + 0j), 0.25, 4.0 + 0j)
+    panel = {
+        "analytic circle": _circle(g),
+        "sampled circle": PolarizedCurve.from_samples(g, np.exp(1j * g.values()), 1.0),
+        "m = 1 + 0.3 sin s": _circle(g, m=lambda s: 1.0 + 0.3 * np.sin(s)),
+        "interpolated flow row": flow_row,
+    }
+    panel = {kind: (base, 0.25, base.points[0] - 1.2 + 0.3j) for kind, base in panel.items()}
+    panel["verify line pair"] = (_line(SGrid.from_step(0.0, 5.0, 1e-3)), 0.25, 2.0 + 0j)
+    panel["figure t2"] = (_circle(g, m2), FIGURE_MU, FIGURE_POINT)
+    panel["t2 back to the circle"] = (PolarizedCurve(g, t2.points, m2, t2.derivatives),
+                                      FIGURE_MU, 1.0 + 0j)
+    panel["line flow edge (2, 3)"] = (row2, 0.25, 6.0 + 0j)
+    return panel
+
+
+ROUND_OFF_KINDS = list(_round_off_panel())
+
+
+@functools.cache
+def _round_off_references():
+    """Per kind: (curve, mu, seed, long-double reference, the closure step's error)."""
+    refs = {}
+    for kind, (curve, mu, y0) in _round_off_panel().items():
+        want = _long_double_riccati(curve, mu, y0)
+        refs[kind] = curve, mu, y0, want, _round_off(_list_closure_riccati(curve, mu, y0), want)
+    return refs
+
+
+def _round_off(vals, want):
+    return float(np.abs(vals - want).max())
+
+
+@functools.cache
+def _round_off_ratios(solve):
+    """The round-off of ``solve`` over the closure step's, kind by kind."""
+    return {kind: _round_off(solve(curve, mu, y0), want) / closure
+            for kind, (curve, mu, y0, want, closure) in _round_off_references().items()}
+
+
+def _geometric_mean(values):
+    return math.exp(sum(math.log(v) for v in values) / len(values))
+
+
+long_double = pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                                 reason="long double is no wider than double here")
+
+
+@long_double
+@pytest.mark.parametrize("kind", ROUND_OFF_KINDS)
+def test_riccati_solve_round_off_stays_near_the_closure_steps(kind):
+    # The table step rounds differently from the closure step, so the two
+    # are held to one long-double run of the RK4 map, not to each other.
+    # The verify line pair is the worst case: its linearization amplifies
+    # round-off by about e^5 over [0, 5], and it reads about 2x there.
+    assert _round_off_ratios(riccati_solve)[kind] <= 2.5
+
+
+@long_double
+def test_riccati_solve_round_off_is_no_worse_than_the_closure_steps_on_the_panel():
+    assert _geometric_mean(_round_off_ratios(riccati_solve).values()) <= 1.0
+
+
+@long_double
+def test_round_off_oracle_refuses_a_step_multiplied_by_a_rounded_third():
+    # fl(1/3) is not 1/3, so multiplying by it biases every increment the
+    # same way; the correctly rounded division does not
+    source = inspect.getsource(riccati_solve)
+    assert source.count("/ 3.0") == 1
+    namespace = dict(riccati_solve.__globals__)
+    exec(source.replace("/ 3.0", "* (1.0 / 3.0)"), namespace)
+    ratios = _round_off_ratios(namespace["riccati_solve"])
+    assert ratios["verify line pair"] > 2.5
+    assert _geometric_mean(ratios.values()) > 1.0
 
 
 def test_riccati_blowup_index_matches_reference(recwarn):

@@ -402,7 +402,7 @@ def test_coarse_grid_cannot_track_branches():
         grid = SGrid.from_step(0.0, s1, h)
         with pytest.raises(BlowupError, match=f"angle jump {jump} at grid index {index}:") as info:
             integrate_motion(ngon_vertices(n), w0, 0, grid)
-        assert info.value.index == index
+        assert (info.value.index, info.value.s) == (index, index * h)
 
 
 def test_motion_theta_unwraps_like_the_row_by_row_loop():

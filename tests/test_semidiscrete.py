@@ -85,6 +85,7 @@ def test_nonunit_seed_eventually_blows_up():
         infinitesimal_darboux(FlowSpec(_base(), 1.0, 0, _line(grid, speed=2.0)))
     assert str(info.value) == "edge (1, 2): integration blew up at grid index 565"
     assert info.value.index == 565
+    assert info.value.s == pytest.approx(0.565, abs=1e-15)
 
 
 def test_mid_grid_collision_is_reported_as_such():
