@@ -28,7 +28,7 @@ from .errors import (BlowupError, CoincidentPointsError, ConfigError, CurveError
                      NonRegularError, SingularTangentError)
 from .geometry import Sheet
 from .motion import integrate_motion
-from .output import ensure_dir, write_csv, write_svg
+from .output import write_csv, write_svg
 from .semidiscrete import FlowSpec, infinitesimal_darboux
 from .verification import FIGURE_MU, FIGURE_POINT, figure_family, run_suite
 
@@ -96,7 +96,7 @@ def _write_outputs(sc: Scenario, outdir, stem: str, sheet: Sheet, svg_first=Fals
         if path is None and k:
             continue
         path = os.path.join(outdir or "", stem + ext if path is None else path)
-        ensure_dir(path)
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         write(path)
         files.append(path)
     for path in files:

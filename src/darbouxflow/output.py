@@ -9,7 +9,6 @@ collection of polylines (version 1.1) with an auto-computed viewBox.
 from __future__ import annotations
 
 import itertools
-import os
 
 import numpy as np
 
@@ -29,14 +28,20 @@ SPACING_RTOL = 1e-9
 
 
 def write_csv(path, sheet: Sheet) -> None:
-    """Write a sheet as n,s,x,y rows (LF line endings, 17 significant digits),
-    one block of rows per curve; the s column is formatted once."""
-    s_text = [f"{s:.17g}" for s in sheet.grid.values().tolist()]
+    """Write a sheet as n,s,x,y rows (LF line endings, 17 significant digits).
+
+    Each curve's block is one ``%`` over a per-row template, with the s column
+    formatted once; ``%.17g`` and ``format(x, ".17g")`` share one formatter,
+    so the bytes are those of a point-by-point f-string."""
+    count = sheet.grid.count
+    fields = [None] * (3 * count)
+    fields[::3] = [f"{s:.17g}" for s in sheet.grid.values().tolist()]
     with open(path, "w", newline="") as fh:
         fh.write("n,s,x,y\n")
         for n, row in enumerate(sheet.values):
-            fh.write("".join([f"{n},{s},{x:.17g},{y:.17g}\n" for s, x, y in
-                              zip(s_text, row.real.tolist(), row.imag.tolist())]))
+            fields[1::3] = row.real.tolist()
+            fields[2::3] = row.imag.tolist()
+            fh.write(f"{n},%s,%.17g,%.17g\n" * count % tuple(fields))
 
 
 def read_csv(path):
@@ -75,12 +80,14 @@ def read_csv(path):
         raise CurveError(f"{path}: rows have differing grid lengths")
     ss = table[:, 1].reshape(len(labels), count)
     svals = ss[0]
-    steps = np.diff(svals)
-    if (steps <= 0).any():
+    if (svals[1:] <= svals[:-1]).any():
         raise CurveError(f"{path}: s values must increase")
     # A one-row file has no step; it reads as a one-node grid of step 1.
-    h = float(svals[-1] - svals[0]) / (count - 1) if count > 1 else 1.0
+    h = (float(svals[-1]) - float(svals[0])) / (count - 1) if count > 1 else 1.0
+    if np.isinf(h):
+        raise CurveError(f"{path}: s values span more than a float holds")
     if count > 2:
+        steps = np.diff(svals)
         off = np.abs(steps - h) > SPACING_RTOL * h
         if off.any():
             i = int(np.argmax(off))
@@ -106,26 +113,23 @@ def svg_text(curves, colors=None, markers=()) -> str:
     ``curves`` is an iterable of 1-D complex arrays; ``colors`` optionally
     overrides the default red/blue/black cycle; ``markers`` is an iterable of
     complex points drawn as small dots.  The viewBox is the data bounding box
-    with a 5% margin, and the y axis is flipped so the picture matches the
-    mathematical orientation.
+    with a 5% margin (one float spacing at least), and the y axis is flipped
+    so the picture matches the mathematical orientation.  Each polyline's
+    points are one ``%.8g`` template; numpy's float64 flip rounds as Python's
+    does, so the bytes are those of a point-by-point f-string.
     """
     curves = [np.asarray(c, dtype=complex).ravel() for c in curves]
     if not curves or any(c.size == 0 for c in curves):
         raise CurveError("svg output needs at least one non-empty curve")
     markers = [complex(m) for m in markers]
-    clouds = list(curves)
-    if markers:
-        clouds.append(np.asarray(markers, dtype=complex))
-    allpts = np.concatenate(clouds)
+    allpts = np.concatenate(curves + [np.asarray(markers, dtype=complex)])
     xmin, xmax = float(allpts.real.min()), float(allpts.real.max())
     ymin, ymax = float(allpts.imag.min()), float(allpts.imag.max())
-    margin = 0.05 * max(xmax - xmin, ymax - ymin, 1e-30)
-    xmin -= margin
-    xmax += margin
-    ymin -= margin
-    ymax += margin
-    width = xmax - xmin
-    height = ymax - ymin
+    # At least one spacing of the largest coordinate, so padding is never absorbed.
+    margin = max(0.05 * max(xmax - xmin, ymax - ymin, 1e-30),
+                 float(np.spacing(max(-xmin, xmax, -ymin, ymax))))
+    xmin, xmax, ymin, ymax = xmin - margin, xmax + margin, ymin - margin, ymax + margin
+    width, height = xmax - xmin, ymax - ymin
     stroke = max(width, height) / 240.0
     if colors is None:
         colors = [_COLORS[i % len(_COLORS)] for i in range(len(curves))]
@@ -140,8 +144,10 @@ def svg_text(curves, colors=None, markers=()) -> str:
         f'{width:.8g} {height:.8g}">'
     ]
     for curve, color in zip(curves, colors):
-        pts = " ".join([f"{x:.8g},{flip - y:.8g}"
-                        for x, y in zip(curve.real.tolist(), curve.imag.tolist())])
+        xy = [None] * (2 * curve.size)
+        xy[::2] = curve.real.tolist()
+        xy[1::2] = (flip - curve.imag).tolist()
+        pts = ("%.8g,%.8g " * curve.size % tuple(xy))[:-1]
         parts.append(
             f'<polyline fill="none" stroke="{color}" '
             f'stroke-width="{stroke:.8g}" points="{pts}"/>'
@@ -159,10 +165,3 @@ def write_svg(path, curves, colors=None, markers=()) -> None:
     """Write svg_text(...) to ``path``."""
     with open(path, "w", newline="") as fh:
         fh.write(svg_text(curves, colors=colors, markers=markers))
-
-
-def ensure_dir(path) -> None:
-    """Create the directory for ``path`` if needed (no-op for bare names)."""
-    d = os.path.dirname(os.fspath(path))
-    if d:
-        os.makedirs(d, exist_ok=True)

@@ -551,13 +551,33 @@ OVERFLOWING_CSV = "n,s,x,y\n" + "".join(
     (DARBOUX_INI.replace("kind = circle", "kind = circle\nradius = 1e300")
      .replace("initial_point = -1+0j", "offset_angle = 0"),
      "error: curve is not arc-length polarized: max |1/m - |x'|^2| = inf\n"),
-], ids=["samples-tangent", "transform-tangent", "arclength-deviation"])
+    # the span of the s column overflows, so the file has no finite step
+    (DARBOUX_INI.replace("kind = circle", "kind = samples\ncsv = {tmp}/span.csv")
+     .replace("h = 1e-2", "h = 1"),
+     "error: [curve] csv: {tmp}/span.csv: s values span more than a float holds\n"),
+], ids=["samples-tangent", "transform-tangent", "arclength-deviation", "csv-span"])
 def test_an_overflow_prints_only_its_refusal(tmp_path, capsys, text, stderr):
     # pytest turns a numpy RuntimeWarning into an error, so none may escape
     (tmp_path / "overflow.csv").write_text(OVERFLOWING_CSV)
+    (tmp_path / "span.csv").write_text("n,s,x,y\n0,-1.7e308,1,2\n0,1.7e308,1,2\n")
     cfg = _write(tmp_path, text.replace("{tmp}", str(tmp_path)))
     assert main(["darboux", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr() == ("", stderr)
+    assert capsys.readouterr() == ("", stderr.replace("{tmp}", str(tmp_path)))
+
+
+def test_a_picture_thinner_than_its_float_spacing_is_drawn(tmp_path, capsys):
+    # 0.05 of the extent is below one spacing of 1e300, so a 5% margin alone
+    # would be absorbed and leave a zero-width viewBox
+    text = (MOTION_INI.replace("kind = ngon\nn = 6", "kind = vertices\n"
+                               "values = 1e300+0j, 1e300+1j, 1e300+2j")
+            .replace("-pi/6", "0.1").replace("s1 = 0.25\nh = 1e-3", "s1 = 0.1\nh = 0.01")
+            + "\n[output]\ncsv = tiny.csv\nsvg = tiny.svg\n")
+    out = tmp_path / "out"
+    assert main(["motion", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    assert capsys.readouterr() == (f"{out / 'tiny.csv'}\n{out / 'tiny.svg'}\n", "")
+    root = ET.parse(out / "tiny.svg").getroot()
+    width, height = float(root.get("width")), float(root.get("height"))
+    assert np.isfinite([width, height]).all() and width > 0 and height > 0
 
 
 def test_leading_zero_integer_is_a_usage_error(tmp_path, capsys):

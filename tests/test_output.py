@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from darbouxflow.errors import CurveError
 from darbouxflow.geometry import SGrid, Sheet
@@ -56,14 +57,14 @@ def test_sheet_from_csv_restores_grid(tmp_path):
     assert back.tangents is None  # samples only; derivatives fall back to FD
 
 
-@given(st.lists(st.floats(-1e300, 1e300, allow_nan=False, width=64),
-                min_size=2, max_size=8))
-def test_csv_floats_survive_verbatim(tmp_path_factory, xs):
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(2, 8), st.just(2)),
+                  elements=st.floats(-1e300, 1e300, allow_nan=False, width=64)))
+def test_csv_floats_survive_verbatim(tmp_path_factory, xy):
     tmp = tmp_path_factory.mktemp("csv")
-    grid = SGrid(0.0, 1.0, len(xs))
-    sheet = Sheet(grid, np.asarray(xs, dtype=complex)[None, :])
-    path = tmp / "row.csv"
+    sheet = Sheet(SGrid(0.0, 1.0, xy.shape[1]), xy.view(complex)[..., 0])
+    path = tmp / "rows.csv"
     write_csv(path, sheet)
+    assert path.read_bytes() == _reference_csv_text(sheet).encode()
     _, values = read_csv(path)
     assert np.array_equal(values, sheet.values)
 
@@ -169,9 +170,13 @@ def test_read_csv_rejects_mismatched_grids(tmp_path):
      "s values must increase"),
     ("n,s,x,y\n0,0.5,0,0\n0,0.5,1,0\n0,0.5,2,0\n", "s values must increase"),
     ("n,s,x,y\n0,1,0,0\n0,0,1,0\n", "s values must increase"),
+    # s steps that overflow a float are refused without numpy's warning
+    ("n,s,x,y\n0,-1.7e308,1,2\n0,1.7e308,1,2\n", "s values span more than a float holds"),
+    ("n,s,x,y\n0,1e308,1,2\n0,1.7e308,1,2\n0,-1.7e308,1,2\n", "s values must increase"),
 ], ids=["empty", "header-only", "blank-body", "text-field", "hash-row", "short-row",
         "three-fields", "fractional-n", "infinite-n", "nan-x", "infinite-s", "infinite-y",
-        "decreasing-s", "constant-s", "reversed-pair"])
+        "decreasing-s", "constant-s", "reversed-pair", "overflowing-span",
+        "overflowing-fall"])
 def test_read_csv_rejects_malformed_files(tmp_path, text, message):
     p = tmp_path / "bad.csv"
     p.write_text(text)
@@ -248,6 +253,9 @@ def test_svg_viewbox_margin():
     assert y0 == pytest.approx(-0.05)
     assert w == pytest.approx(1.1)
     assert h == pytest.approx(1.1)
+    # one point has no extent: the margin falls back to one float spacing
+    root = ET.fromstring(svg_text([np.array([1 + 1j])]))
+    assert [float(v) for v in root.get("viewBox").split()][2:] == [4.4408921e-16] * 2
 
 
 def test_svg_color_cycle_and_override():
