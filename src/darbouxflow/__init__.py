@@ -24,7 +24,7 @@ from .errors import (
 )
 from .geometry import DiscretePolarizedCurve, PolarizedCurve, SGrid, Sheet, ngon_vertices
 from .motion import integrate_motion
-from .output import sheet_from_csv, write_csv, write_svg
+from .output import write_csv, write_svg
 from .semidiscrete import FlowSpec, infinitesimal_darboux
 from .verification import Artifacts, CheckResult, run_suite
 
@@ -55,7 +55,6 @@ __all__ = [
     "run_suite",
     "SGrid",
     "Sheet",
-    "sheet_from_csv",
     "SingularTangentError",
     "write_csv",
     "write_svg",

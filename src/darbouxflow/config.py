@@ -28,9 +28,9 @@ paths.  Example::
 
 Curve kinds: ``circle`` (radius), ``line`` (x(s) = s), ``ngon`` (n, radius —
 closed, so n+1 vertices), ``vertices`` (comma-separated complex values or
-(x, y) pairs), ``samples`` (csv = a previously emitted n,s,x,y file, row =
-which n to use for a smooth curve).  m and w0 accept closed-form expressions
-in s, each evaluated once, on the grid's RK4 stage abscissas
+(x, y) pairs), ``samples`` (csv = an n,s,x,y file whose s column sits on the
+[grid] nodes, row = the n of the row to use).  m and w0 accept closed-form
+expressions in s, each evaluated once, on the grid's RK4 stage abscissas
 ``grid.refined_values()``: a motion's ``Scenario.w0`` holds those values.
 mu is a number, a comma-separated per-edge list, or ``arclength``.  A
 value the library refuses raises the library's own error (exit code by type),
@@ -50,13 +50,16 @@ import numpy as np
 
 from .errors import ConfigError, labeled
 from .expressions import ExpressionError, parse_expression
-from .geometry import (DiscretePolarizedCurve, PolarizedCurve, SGrid, _on_stages, _polygon,
-                       _resolve_m, ngon_vertices)
+from .geometry import (DiscretePolarizedCurve, PolarizedCurve, SGrid, _circle, _line,
+                       _on_stages, _polygon, _resolve_m, ngon_vertices)
 from .output import read_csv
 
 __all__ = ["ConfigError", "Scenario", "load_scenario", "COMMANDS"]
 
 COMMANDS = ("darboux", "flow", "motion", "verify", "figure1")
+
+#: How far an s of a samples CSV may sit from its [grid] node, over the span.
+SPACING_RTOL = 1e-9
 
 
 @dataclass
@@ -182,25 +185,30 @@ def _smooth_curve(cp, section: str, grid: SGrid, m) -> PolarizedCurve:
     if kind == "circle":
         radius = _radius(cp, section)
         with labeled(f"[{section}] radius"):
-            return PolarizedCurve.from_generator(
-                grid, lambda s: radius * np.exp(1j * s),
-                lambda s: 1j * radius * np.exp(1j * s), m)
+            return _circle(grid, radius, m)
     if kind == "line":
-        return PolarizedCurve.from_generator(
-            grid, lambda s: s + 0j, lambda s: np.ones_like(s, dtype=complex), m)
+        return _line(grid, m)
     if kind == "samples":
         path = _get(cp, section, "csv", required=True)
         if not os.path.exists(path):
             _fail(section, "csv", f"no such file: {path}")
         with labeled(f"[{section}] csv"):
-            csv_grid, values = read_csv(path)
+            s, values, labels = read_csv(path)
             row = _get(cp, section, "row", default=0, parse=_integer)
-            if not 0 <= row < len(values):
-                _fail(section, "row", f"file has rows 0..{len(values) - 1}")
-            if csv_grid.count != grid.count or abs(csv_grid.s0 - grid.s0) > 1e-12 or (
-                    abs(csv_grid.s1 - grid.s1) > 1e-9):
-                _fail(section, "csv", "sample grid does not match the [grid] section")
-            return PolarizedCurve.from_samples(grid, values[row], m)
+            if row not in labels:
+                _fail(section, "row", f"no n = {row} in {path}; its n are "
+                                      f"{', '.join(map(str, labels))}")
+            if len(s) != grid.count:
+                _fail(section, "csv", f"{path}: {len(s)} s values for {grid.count} [grid] nodes")
+            nodes = grid.values()
+            # The slack adds a few float spacings of s; an s too far to subtract is off.
+            with np.errstate(over="ignore"):
+                off = abs(s - nodes) > SPACING_RTOL * (grid.s1 - grid.s0) + 4 * np.spacing(abs(s))
+            if off.any():
+                i = int(np.argmax(off))
+                _fail(section, "csv", f"{path}: s = {float(s[i])!r} is off its [grid] node "
+                                      f"{float(nodes[i])!r}")
+            return PolarizedCurve.from_samples(grid, values[labels.index(row)], m)
     _fail(section, "kind", f"unknown smooth curve kind {kind!r} "
                            "(expected circle, line, or samples)")
 

@@ -208,12 +208,13 @@ def _resolve_m(m, grid: SGrid) -> np.ndarray:
 
 def _polygon(vertices) -> np.ndarray:
     """``vertices`` as a nonempty 1-D complex array of finite plane points,
-    consecutive ones more than EPS_REG apart."""
+    consecutive ones more than EPS_REG and less than a float's range apart."""
     v = np.asarray(vertices, dtype=complex)
     if v.ndim != 1 or len(v) < 1:
         raise CurveError("vertices must be a nonempty 1-D sequence of plane points")
     _finite_at(v, "x", lambda n: f"vertex {n}")
-    gaps = np.abs(np.diff(v))
+    with np.errstate(over="ignore"):
+        gaps = _finite_at(np.abs(np.diff(v)), "edge length", lambda n: f"edge ({n}, {n + 1})")
     if len(gaps) and gaps.min() <= EPS_REG:
         n = int(np.argmin(gaps))
         raise CoincidentPointsError(f"consecutive vertices {n} and {n + 1} coincide")
@@ -297,6 +298,18 @@ class PolarizedCurve:
         """max_i |1/m(s_i) - |x'(s_i)|^2| — zero iff arc-length polarized, inf if |x'|^2 overflows."""
         with np.errstate(over="ignore"):
             return float(np.abs(1.0 / self.m - np.abs(self.derivatives) ** 2).max())
+
+
+def _circle(grid: SGrid, radius: float = 1.0, m=1.0) -> PolarizedCurve:
+    """The circle radius e^{is} with its exact tangent."""
+    return PolarizedCurve.from_generator(
+        grid, lambda s: radius * np.exp(1j * s), lambda s: 1j * radius * np.exp(1j * s), m)
+
+
+def _line(grid: SGrid, m=1.0) -> PolarizedCurve:
+    """The unit-speed line x(s) = s with its exact tangent."""
+    return PolarizedCurve.from_generator(
+        grid, lambda s: s + 0j, lambda s: np.ones_like(s, dtype=complex), m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -77,7 +77,12 @@ def integrate_motion(vertices, w0, n0: int, grid: SGrid) -> MotionResult:
     # towards vertex 0, w_n = psi_n - theta_{n+1}, so those rates flip sign.
     E = len(edges)
     order = np.r_[n0:E, n0 - 1:-1:-1]
-    psi = np.angle(edges[0]) + np.r_[0.0, np.cumsum(np.angle(edges[1:] / edges[:-1]))]
+    # Turning angles; an edge quotient that overflows is taken over the unit edges.
+    with np.errstate(over="ignore"):
+        turns = edges[1:] / edges[:-1]
+    far = ~np.isfinite(turns)
+    turns[far] = (edges[1:] / a[1:])[far] / (edges[:-1] / a[:-1])[far]
+    psi = np.angle(edges[0]) + np.r_[0.0, np.cumsum(np.angle(turns))]
     coef = -2.0 / a[order]
     coef[E - n0:] *= -1.0
     coef, y, comp = coef.tolist(), psi[order].tolist(), [0.0] * E
@@ -157,7 +162,8 @@ def integrate_motion(vertices, w0, n0: int, grid: SGrid) -> MotionResult:
             f"track branches", index=i, s=grid.s0 + i * grid.h)
     values = np.empty(theta.shape, dtype=complex)
     values[0] = x0
-    values[1:] = x0 + np.cumsum(a[:, None] * np.exp(1j * psi), axis=0)
+    with np.errstate(over="ignore"):  # Sheet refuses a vertex the sum overflows
+        values[1:] = x0 + np.cumsum(a[:, None] * np.exp(1j * psi), axis=0)
     return MotionResult(sheet=Sheet(grid, values, tangents=np.exp(1j * theta)), theta=theta)
 
 

@@ -2,29 +2,28 @@
 
 CSV layout is one row per (n, s_i) with columns n, s, x, y; floats are
 printed with 17 significant digits so a re-parsed file reproduces the
-original doubles bit for bit.  SVG output is a static, deterministic
-collection of polylines (version 1.1) with an auto-computed viewBox.
+original doubles bit for bit.  ``read_csv`` checks a file's structure; a
+samples scenario holds its s column to the [grid] (see ``config``).  SVG
+output is a static, deterministic collection of polylines (version 1.1)
+with an auto-computed viewBox; an extent that overflows a float is refused.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from .errors import CurveError
-from .geometry import SGrid, Sheet
+from .geometry import Sheet
 
-__all__ = ["write_csv", "read_csv", "sheet_from_csv", "svg_text", "write_svg"]
+__all__ = ["write_csv", "read_csv", "svg_text", "write_svg"]
 
 _COLORS = ("red", "blue", "black")
 
 #: Width of an SVG picture in user units; the height keeps the aspect ratio.
 SVG_WIDTH = 480.0
-
-#: Relative slack on each s step of a CSV grid.  Values printed with 17
-#: significant digits come back within about 1e-13 h of an even grid.
-SPACING_RTOL = 1e-9
 
 
 def write_csv(path, sheet: Sheet) -> None:
@@ -45,12 +44,10 @@ def write_csv(path, sheet: Sheet) -> None:
 
 
 def read_csv(path):
-    """Parse an n,s,x,y file back into (SGrid, complex value array by row).
-
-    n must be an integer.  Rows must form a complete rectangular sheet:
-    every n present on the same increasing, evenly spaced s grid, each in
-    file order.  Any malformed or non-finite row raises CurveError naming the file.
-    """
+    """Parse an n,s,x,y file into (s column, complex values by row, n labels),
+    the rows sorted by n.  n must be an integer, every field finite, and every
+    n present on the same s column, each in file order; which grid that column
+    is on is the caller's to check.  Else CurveError names the file."""
     with open(path, newline="") as fh:
         lines = (ln for ln in fh if ln.strip())
         if next(lines, "").strip().lower().replace(" ", "") != "n,s,x,y":
@@ -79,32 +76,11 @@ def read_csv(path):
     if (counts != count).any():
         raise CurveError(f"{path}: rows have differing grid lengths")
     ss = table[:, 1].reshape(len(labels), count)
-    svals = ss[0]
-    if (svals[1:] <= svals[:-1]).any():
-        raise CurveError(f"{path}: s values must increase")
-    # A one-row file has no step; it reads as a one-node grid of step 1.
-    h = (float(svals[-1]) - float(svals[0])) / (count - 1) if count > 1 else 1.0
-    if np.isinf(h):
-        raise CurveError(f"{path}: s values span more than a float holds")
-    if count > 2:
-        steps = np.diff(svals)
-        off = np.abs(steps - h) > SPACING_RTOL * h
-        if off.any():
-            i = int(np.argmax(off))
-            raise CurveError(
-                f"{path}: s values are not evenly spaced: row n={int(labels[0])}, "
-                f"s={float(svals[i + 1])!r} follows a step of {float(steps[i])!r}, "
-                f"expected {h!r}")
-    moved = (ss != svals).any(axis=1)
+    moved = (ss != ss[0]).any(axis=1)
     if moved.any():
         raise CurveError(f"{path}: row {int(labels[np.argmax(moved)])} uses a different s grid")
-    return (SGrid(float(svals[0]), h, count),
-            table[:, 2:].copy().view(complex).reshape(len(labels), count))
-
-
-def sheet_from_csv(path) -> Sheet:
-    """Reconstruct a Sheet from a file produced by write_csv."""
-    return Sheet(*read_csv(path))
+    return (ss[0].copy(), table[:, 2:].copy().view(complex).reshape(len(labels), count),
+            [int(n) for n in labels.tolist()])
 
 
 def svg_text(curves, colors=None, markers=()) -> str:
@@ -116,7 +92,8 @@ def svg_text(curves, colors=None, markers=()) -> str:
     with a 5% margin (one float spacing at least), and the y axis is flipped
     so the picture matches the mathematical orientation.  Each polyline's
     points are one ``%.8g`` template; numpy's float64 flip rounds as Python's
-    does, so the bytes are those of a point-by-point f-string.
+    does, so the bytes are those of a point-by-point f-string.  A picture
+    whose padded extent overflows a float is refused.
     """
     curves = [np.asarray(c, dtype=complex).ravel() for c in curves]
     if not curves or any(c.size == 0 for c in curves):
@@ -129,14 +106,15 @@ def svg_text(curves, colors=None, markers=()) -> str:
     margin = max(0.05 * max(xmax - xmin, ymax - ymin, 1e-30),
                  float(np.spacing(max(-xmin, xmax, -ymin, ymax))))
     xmin, xmax, ymin, ymax = xmin - margin, xmax + margin, ymin - margin, ymax + margin
-    width, height = xmax - xmin, ymax - ymin
+    # Flip y: a point x + iy is drawn at (x, ymin + ymax - y).
+    width, height, flip = xmax - xmin, ymax - ymin, ymin + ymax
+    if not all(map(math.isfinite, (width, height, flip))):
+        raise CurveError("svg picture spans more than a float holds")
     stroke = max(width, height) / 240.0
     if colors is None:
         colors = [_COLORS[i % len(_COLORS)] for i in range(len(curves))]
     elif len(colors) < len(curves):
         raise CurveError("fewer colors than curves")
-    # Flip y: a point x + iy is drawn at (x, ymin + ymax - y).
-    flip = ymin + ymax
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{SVG_WIDTH:.8g}" height="{SVG_WIDTH * height / width:.8g}" '

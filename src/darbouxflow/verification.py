@@ -22,7 +22,7 @@ from .equivalence import (frameless_identity_check, iso_darboux_check,
                           pipelines_agree)
 from .errors import BlowupError, ConfigError, CurveError, GridTooShortError
 from .expressions import parse_expression
-from .geometry import (DiscretePolarizedCurve, PolarizedCurve, SGrid,
+from .geometry import (DiscretePolarizedCurve, PolarizedCurve, SGrid, _circle, _line,
                        fd_derivative, ngon_vertices)
 from .motion import (frame_compatibility_check, integrate_motion,
                      mkdv_residual)
@@ -90,16 +90,6 @@ def _worst(values) -> float:
     """The largest value, NaN if any is: Python's max keeps its first
     argument against a NaN, so a NaN defect in a later position would pass."""
     return float(np.max(list(values)))
-
-
-def _circle(grid: SGrid, m=1.0) -> PolarizedCurve:
-    return PolarizedCurve.from_generator(
-        grid, lambda s: np.exp(1j * s), lambda s: 1j * np.exp(1j * s), m)
-
-
-def _line(grid: SGrid, m=1.0) -> PolarizedCurve:
-    return PolarizedCurve.from_generator(
-        grid, lambda s: s + 0j, lambda s: np.ones_like(s, dtype=complex), m)
 
 
 class Artifacts:
@@ -226,7 +216,7 @@ class Artifacts:
     # -- figure ------------------------------------------------------------
     @cached_property
     def figure(self):
-        base2 = _circle(self.circle_grid, parse_expression(FIGURE_M2))
+        base2 = _circle(self.circle_grid, m=parse_expression(FIGURE_M2))
         t2 = darboux_transform(base2, DarbouxParams(FIGURE_MU, FIGURE_POINT))
         return self.circle, self.circle_transform, t2, base2
 
@@ -235,7 +225,7 @@ def figure_family(grid: SGrid, mu: float, initial_point: complex):
     """The figure's curves ``(base1, t1, t2, base2)``: the unit-polarized
     circle, its transform t1, the transform t2 of the same circle carrying the
     polarization FIGURE_M2 (base2), with mu and the initial point shared."""
-    base1, base2 = _circle(grid, 1.0), _circle(grid, parse_expression(FIGURE_M2))
+    base1, base2 = _circle(grid), _circle(grid, m=parse_expression(FIGURE_M2))
     t1, t2 = (darboux_transform(b, DarbouxParams(mu, initial_point)) for b in (base1, base2))
     return base1, t1, t2, base2
 

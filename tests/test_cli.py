@@ -130,9 +130,9 @@ def test_darboux_writes_named_outputs(tmp_path, capsys):
     printed = capsys.readouterr().out.splitlines()
     assert printed == [str(out / "pair.csv"), str(out / "pair.svg")]
 
-    grid, values = read_csv(out / "pair.csv")
+    s, values, _ = read_csv(out / "pair.csv")
     assert values.shape == (2, 101)
-    assert grid.s0 == 0.0 and abs(grid.s1 - 1.0) < 1e-12
+    assert s[0] == 0.0 and abs(s[-1] - 1.0) < 1e-12
     # Rows: the unit circle and its transform, both on |x| ~ 1 scales.
     assert abs(values[0, 0] - 1.0) < 1e-15
 
@@ -149,7 +149,7 @@ def test_flow_uses_default_filename(tmp_path, capsys):
     out = tmp_path / "flowout"
     assert main(["flow", "--config", cfg, "--out", str(out)]) == 0
     assert capsys.readouterr().out.strip() == str(out / "flow.csv")
-    _, values = read_csv(out / "flow.csv")
+    values = read_csv(out / "flow.csv")[1]
     assert values.shape == (4, 101)
 
 
@@ -158,7 +158,7 @@ def test_motion_writes_vertex_paths(tmp_path, capsys):
     out = tmp_path / "motionout"
     assert main(["motion", "--config", cfg, "--out", str(out)]) == 0
     capsys.readouterr()
-    _, values = read_csv(out / "motion.csv")
+    values = read_csv(out / "motion.csv")[1]
     assert values.shape == (7, 251)  # closed hexagon: 7 vertex trajectories
 
 
@@ -402,7 +402,8 @@ def test_exit_code_follows_the_failure_type_while_loading(tmp_path, capsys, monk
      .replace("h = 1e-2", "h = 0.5"),
      "[curve] csv: need at least 5 nodes for the 4th-order stencil, got 3"),
     ("darboux", DARBOUX_INI.replace("kind = circle", "kind = samples\ncsv = {tmp}/three.csv\n"
-                                    "row = 1"), "[curve] row: file has rows 0..0"),
+                                    "row = 1"),
+     "[curve] row: no n = 1 in {tmp}/three.csv; its n are 0\n"),
     ("darboux", DARBOUX_INI.replace("kind = circle", "kind = samples\ncsv = {tmp}/three.csv\n"
                                     "row = x"), "[curve] row: not an integer: 'x'"),
 ], ids=["mu-zero", "not-arclength-polarized", "seed-edge-outside", "initial-misses-vertex",
@@ -414,7 +415,7 @@ def test_bad_input_found_while_running_is_a_usage_error(tmp_path, capsys, comman
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.startswith(f"error: {message}".replace("{tmp}", str(tmp_path)))
     assert captured.out == "" and not out.exists()
 
 
@@ -483,6 +484,20 @@ def test_polarization_vanishing_between_nodes_is_a_usage_error(tmp_path, capsys)
         assert err == "error: [polarization] m: polarization vanishes at s = 0.0005\n"
 
 
+@pytest.mark.parametrize("s0", [1e4, 1e8])
+def test_a_motion_reads_back_as_samples_at_any_offset(tmp_path, capsys, s0):
+    # the s column carries the float spacing of s0, which the grid rule allows for
+    grid = f"s0 = {s0!r}\ns1 = {s0 + 0.25!r}\nh = 1e-3"
+    motion = MOTION_INI.replace("s0 = 0\ns1 = 0.25\nh = 1e-3", grid)
+    back = DARBOUX_INI.replace("kind = circle", f"kind = samples\ncsv = {tmp_path}/motion.csv\n"
+                               "row = 2").replace("s0 = 0\ns1 = 1\nh = 1e-2", grid)
+    for command, text in (("motion", motion), ("darboux", back)):
+        assert main([command, "--config", _write(tmp_path, text), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert np.array_equal(read_csv(tmp_path / "pair.csv")[1][0],
+                          read_csv(tmp_path / "motion.csv")[1][2])
+
+
 def test_unevenly_spaced_samples_are_a_usage_error(tmp_path, capsys):
     samples = tmp_path / "uneven.csv"
     samples.write_text(
@@ -491,7 +506,8 @@ def test_unevenly_spaced_samples_are_a_usage_error(tmp_path, capsys):
         "s1 = 1\nh = 1e-2", "s1 = 0.8\nh = 0.2")
     cfg = _write(tmp_path, text)
     assert main(["darboux", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
-    assert "not evenly spaced" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: [curve] csv: {samples}: s = 0.1 is off its [grid] node 0.2\n")
 
 
 def test_malformed_samples_csv_is_a_usage_error(tmp_path, capsys):
@@ -535,6 +551,12 @@ def test_arclength_mu_prints_only_the_error(tmp_path, values, code, stderr):
     assert proc.stdout == ""
 
 
+def _wide_motion(values, w0="0", s1="0.01"):
+    """A motion of the polygon ``values`` over [0, s1] at h = 0.01."""
+    return (MOTION_INI.replace("kind = ngon\nn = 6", f"kind = vertices\nvalues = {values}")
+            .replace("-pi/6", w0).replace("s1 = 0.25\nh = 1e-3", f"s1 = {s1}\nh = 0.01"))
+
+
 OVERFLOWING_CSV = "n,s,x,y\n" + "".join(
     f"0,{i * 0.25!r},{x!r},0\n" for i, x in enumerate((0, 1e308, -1e308, 1e308, 0)))
 
@@ -551,18 +573,31 @@ OVERFLOWING_CSV = "n,s,x,y\n" + "".join(
     (DARBOUX_INI.replace("kind = circle", "kind = circle\nradius = 1e300")
      .replace("initial_point = -1+0j", "offset_angle = 0"),
      "error: curve is not arc-length polarized: max |1/m - |x'|^2| = inf\n"),
-    # the span of the s column overflows, so the file has no finite step
+    # the distance of an s from its [grid] node overflows
     (DARBOUX_INI.replace("kind = circle", "kind = samples\ncsv = {tmp}/span.csv")
-     .replace("h = 1e-2", "h = 1"),
-     "error: [curve] csv: {tmp}/span.csv: s values span more than a float holds\n"),
-], ids=["samples-tangent", "transform-tangent", "arclength-deviation", "csv-span"])
+     .replace("s0 = 0\ns1 = 1\nh = 1e-2", "s0 = 1e308\ns1 = 1.7e308\nh = 7e307"),
+     "error: [curve] csv: {tmp}/span.csv: s = -1.7e+308 is off its [grid] node 1e+308\n"),
+    # the picture's padded extent overflows; the CSV is written, the SVG is not
+    (_wide_motion("0+0j, 1.7e308+0j, 1.7e308+1e308j", "0.1", "0.1")
+     + "\n[output]\ncsv = wide.csv\nsvg = wide.svg\n",
+     "error: svg picture spans more than a float holds\n"),
+    # a vertex rebuilt from the edges overflows, though the input's is finite
+    (_wide_motion("-1.5e308+0j, 0+0j, 1.5e308+0j"), "error: x is not finite at row 2, s = 0.0\n"),
+    # an edge's vector overflows
+    (_wide_motion("-1.5e308+0j, 1.5e308+0j, 1.5e308+1j"),
+     "error: [curve] values: edge length is not finite at edge (0, 1)\n"),
+], ids=["samples-tangent", "transform-tangent", "arclength-deviation", "csv-span", "svg-extent",
+        "motion-rebuild", "polygon-edge"])
 def test_an_overflow_prints_only_its_refusal(tmp_path, capsys, text, stderr):
     # pytest turns a numpy RuntimeWarning into an error, so none may escape
     (tmp_path / "overflow.csv").write_text(OVERFLOWING_CSV)
     (tmp_path / "span.csv").write_text("n,s,x,y\n0,-1.7e308,1,2\n0,1.7e308,1,2\n")
     cfg = _write(tmp_path, text.replace("{tmp}", str(tmp_path)))
-    assert main(["darboux", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    out = tmp_path / "out"
+    command = re.search(r"command = (\w+)", text)[1]
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr() == ("", stderr.replace("{tmp}", str(tmp_path)))
+    assert all("nan" not in f.read_text() and "inf" not in f.read_text() for f in out.glob("*"))
 
 
 def test_a_picture_thinner_than_its_float_spacing_is_drawn(tmp_path, capsys):

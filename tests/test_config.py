@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from darbouxflow import SGrid, Sheet, errors, write_csv
 from darbouxflow.config import COMMANDS, ConfigError, load_scenario
@@ -212,8 +213,50 @@ def test_samples_curve_must_be_evenly_spaced(tmp_path):
         "kind = circle\nradius = 1.0",
         f"kind = samples\ncsv = {tmp_path / 'c.csv'}\nrow = 0").replace(
         "s1 = 1\nh = 1e-2", "s1 = 0.8\nh = 0.2")
-    with pytest.raises(CurveError, match=r"^\[curve\] csv: .*not evenly spaced"):
+    with pytest.raises(ConfigError, match=r"^\[curve\] csv: .*: s = 0\.1 is off its \[grid\] "
+                                          r"node 0\.2$"):
         load_scenario(_write(tmp_path, text))
+
+
+def test_samples_summed_step_by_step_load(tmp_path):
+    # s += h at s0 = 1e6 drifts up to 3 float spacings off the nodes, far more
+    # than 1e-9 of the span: round-off, which the grid rule allows
+    s = [1e6]
+    for _ in range(8):
+        s.append(s[-1] + 1e-3)
+    (tmp_path / "c.csv").write_text("n,s,x,y\n" + "".join(
+        f"0,{v!r},{k * 1e-3!r},0\n" for k, v in enumerate(s)))
+    text = DARBOUX_INI.replace(
+        "kind = circle\nradius = 1.0", f"kind = samples\ncsv = {tmp_path / 'c.csv'}").replace(
+        "s0 = 0\ns1 = 1\nh = 1e-2", "s0 = 1e6\ns1 = 1000000.008\nh = 1e-3")
+    sc = load_scenario(_write(tmp_path, text))
+    assert not np.array_equal(s, sc.grid.values())
+    assert np.array_equal(sc.source.points, np.arange(9) * 1e-3)
+
+
+def test_samples_row_is_an_n_label(tmp_path):
+    (tmp_path / "c.csv").write_text("n,s,x,y\n" + "".join(
+        f"{n},{s!r},{s!r},{n}\n" for n in (7, 3) for s in (0.0, 0.25, 0.5, 0.75, 1.0)))
+    text = DARBOUX_INI.replace("kind = circle\nradius = 1.0",
+                               f"kind = samples\ncsv = {tmp_path / 'c.csv'}\nrow = 7").replace(
+        "h = 1e-2", "h = 0.25")
+    assert np.array_equal(load_scenario(_write(tmp_path, text)).source.points.imag, [7.0] * 5)
+    with pytest.raises(ConfigError, match=r"^\[curve\] row: no n = 1 in .*c\.csv; its n are 3, 7$"):
+        load_scenario(_write(tmp_path, text.replace("row = 7", "row = 1")))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.floats(-1e8, 1e8), st.floats(1e-3, 1.0), st.integers(5, 40))
+def test_samples_read_back_at_any_offset(tmp_path_factory, s0, h, count):
+    # the package reads its own CSV back at any s offset, bit for bit
+    tmp = tmp_path_factory.mktemp("offset")
+    grid = SGrid(s0, h, count)
+    rows = np.exp(0.1j * np.arange(count)) * np.array([[1.0], [2.0]])
+    write_csv(tmp / "c.csv", Sheet(grid, rows))
+    text = DARBOUX_INI.replace(
+        "kind = circle\nradius = 1.0", f"kind = samples\ncsv = {tmp / 'c.csv'}\nrow = 1").replace(
+        "s0 = 0\ns1 = 1\nh = 1e-2", f"s0 = {s0!r}\ns1 = {grid.s1!r}\nh = {h!r}")
+    assert np.array_equal(load_scenario(_write(tmp, text)).source.points, rows[1])
 
 
 def test_command_line_overrides_and_conflicts(tmp_path):

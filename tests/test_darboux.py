@@ -31,20 +31,10 @@ from darbouxflow.errors import (
     NotArclengthPolarizedError,
 )
 from darbouxflow.expressions import parse_expression
-from darbouxflow.geometry import PolarizedCurve, SGrid
+from darbouxflow.geometry import PolarizedCurve, SGrid, _circle, _line
 from darbouxflow.ode import rk4_path
 from darbouxflow.semidiscrete import propagate_edge
 from darbouxflow.verification import FIGURE_M2, FIGURE_MU, FIGURE_POINT, figure_family
-
-
-def _line(grid, m=1.0):
-    return PolarizedCurve.from_generator(
-        grid, lambda s: s + 0j, lambda s: np.ones_like(s, dtype=complex), m)
-
-
-def _circle(grid, m=1.0):
-    return PolarizedCurve.from_generator(
-        grid, lambda s: np.exp(1j * s), lambda s: 1j * np.exp(1j * s), m)
 
 
 def _tanh_transform(s, u0, mu=0.25):
@@ -279,7 +269,7 @@ def _round_off_panel():
     }
     panel = {kind: (base, 0.25, base.points[0] - 1.2 + 0.3j) for kind, base in panel.items()}
     panel["verify line pair"] = (_line(SGrid.from_step(0.0, 5.0, 1e-3)), 0.25, 2.0 + 0j)
-    panel["figure t2"] = (_circle(g, m2), FIGURE_MU, FIGURE_POINT)
+    panel["figure t2"] = (_circle(g, m=m2), FIGURE_MU, FIGURE_POINT)
     panel["t2 back to the circle"] = (PolarizedCurve(g, t2.points, m2, t2.derivatives),
                                       FIGURE_MU, 1.0 + 0j)
     panel["line flow edge (2, 3)"] = (row2, 0.25, 6.0 + 0j)

@@ -12,6 +12,7 @@ from darbouxflow.errors import (CoincidentPointsError, CurveError, GridTooShortE
 from darbouxflow.expressions import parse_expression
 from darbouxflow.geometry import (
     DiscretePolarizedCurve,
+    _circle,
     _lagrange_deriv_weights,
     _lagrange_weights,
     PolarizedCurve,
@@ -129,12 +130,6 @@ def test_fd_derivative_axis_argument():
 
 
 # --------------------------------------------------------- smooth curves
-
-def _circle(grid, radius=1.0, m=1.0):
-    return PolarizedCurve.from_generator(
-        grid, lambda s: radius * np.exp(1j * s),
-        lambda s: 1j * radius * np.exp(1j * s), m)
-
 
 def test_generator_curve_uses_analytic_derivatives():
     g = SGrid(0.0, math.pi / 16, 33)

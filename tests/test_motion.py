@@ -441,3 +441,10 @@ def test_tangential_angles_reference_shape_guard():
     for reference in (np.zeros(3), np.zeros(1), np.zeros((1, 3))):
         with pytest.raises(CurveError):
             tangential_angles(sheet, reference=reference)
+
+
+def test_row_zero_is_the_polygon_when_an_edge_quotient_overflows():
+    # the turning angle of edges 1e-8 and 1e301 is taken over the unit edges
+    v = np.array([0, 1e-8, 1e301 + 1e300j])
+    row0 = integrate_motion(v, 0.0, 0, ONE_NODE).sheet.values[:, 0]
+    assert np.allclose(row0, v, rtol=1e-15, atol=0.0)

@@ -1,6 +1,5 @@
 """CSV round-trips and SVG structure."""
 import math
-import re
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -9,9 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from darbouxflow.config import load_scenario
 from darbouxflow.errors import CurveError
 from darbouxflow.geometry import SGrid, Sheet
-from darbouxflow.output import read_csv, sheet_from_csv, svg_text, write_csv, write_svg
+from darbouxflow.output import read_csv, svg_text, write_csv, write_svg
 
 
 def _sample_sheet():
@@ -24,9 +24,10 @@ def test_csv_round_trip_is_bit_identical(tmp_path):
     sheet = _sample_sheet()
     path = tmp_path / "sheet.csv"
     write_csv(path, sheet)
-    grid, values = read_csv(path)
-    assert np.array_equal(grid.values(), sheet.grid.values())
+    s, values, labels = read_csv(path)
+    assert np.array_equal(s, sheet.grid.values())
     assert np.array_equal(values, sheet.values)
+    assert labels == [0, 1]
 
 
 def test_csv_header_and_line_endings(tmp_path):
@@ -46,17 +47,6 @@ def test_csv_17_digit_format(tmp_path):
     assert "0.33333333333333331" in path.read_text()
 
 
-def test_sheet_from_csv_restores_grid(tmp_path):
-    sheet = _sample_sheet()
-    path = tmp_path / "sheet.csv"
-    write_csv(path, sheet)
-    back = sheet_from_csv(path)
-    assert back.grid.count == sheet.grid.count
-    assert back.grid.h == pytest.approx(sheet.grid.h)
-    assert np.array_equal(back.values, sheet.values)
-    assert back.tangents is None  # samples only; derivatives fall back to FD
-
-
 @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(2, 8), st.just(2)),
                   elements=st.floats(-1e300, 1e300, allow_nan=False, width=64)))
 def test_csv_floats_survive_verbatim(tmp_path_factory, xy):
@@ -65,8 +55,7 @@ def test_csv_floats_survive_verbatim(tmp_path_factory, xy):
     path = tmp / "rows.csv"
     write_csv(path, sheet)
     assert path.read_bytes() == _reference_csv_text(sheet).encode()
-    _, values = read_csv(path)
-    assert np.array_equal(values, sheet.values)
+    assert np.array_equal(read_csv(path)[1], sheet.values)
 
 
 def _reference_csv_text(sheet):
@@ -153,45 +142,58 @@ def test_read_csv_rejects_mismatched_grids(tmp_path):
 
 
 
-@pytest.mark.parametrize("text, message", [
-    ("", "expected an 'n,s,x,y' header"),
-    ("n,s,x,y\n", "no data rows"),
-    ("n,s,x,y\n\n\n", "no data rows"),
-    ("n,s,x,y\n0,0,1,0\n0,abc,1,0\n", "could not convert string 'abc'"),
-    ("n,s,x,y\n#1,0,1,0\n", "could not convert string '#1'"),
-    ("n,s,x,y\n0,0,1,0\n0,1,1\n", "number of columns changed"),
-    ("n,s,x,y\n0,0,1\n0,1,1\n", "rows have 3 fields"),
-    ("n,s,x,y\n0.5,0,1,0\n", "n must be an integer, got 0.5"),
-    ("n,s,x,y\ninf,0,1,0\n", "n must be an integer, got inf"),
-    ("n,s,x,y\n0,0,1,0\n0,1,nan,0\n", "data row 2 has a non-finite field"),
-    ("n,s,x,y\n0,0,1,0\n0,inf,1,0\n", "data row 2 has a non-finite field"),
-    ("n,s,x,y\n0,0,1,-inf\n", "data row 1 has a non-finite field"),
-    ("n,s,x,y\n" + "".join(f"0,{1 - k / 8},{k},0\n" for k in range(8)),
-     "s values must increase"),
-    ("n,s,x,y\n0,0.5,0,0\n0,0.5,1,0\n0,0.5,2,0\n", "s values must increase"),
-    ("n,s,x,y\n0,1,0,0\n0,0,1,0\n", "s values must increase"),
-    # s steps that overflow a float are refused without numpy's warning
-    ("n,s,x,y\n0,-1.7e308,1,2\n0,1.7e308,1,2\n", "s values span more than a float holds"),
-    ("n,s,x,y\n0,1e308,1,2\n0,1.7e308,1,2\n0,-1.7e308,1,2\n", "s values must increase"),
+def _load_samples(tmp_path, path, grid="0 1 0.25"):
+    """Read ``path`` back as a samples curve over ``grid`` ("s0 s1 h"), as every
+    export job reads its motion CSV."""
+    s0, s1, h = grid.split()
+    ini = tmp_path / "samples.ini"
+    ini.write_text(f"[run]\ncommand = darboux\n[curve]\nkind = samples\ncsv = {path}\n"
+                   "[polarization]\nmu = 0.25\n[parameters]\ninitial_point = -1+0j\n"
+                   f"[grid]\ns0 = {s0}\ns1 = {s1}\nh = {h}\n")
+    return load_scenario(ini)
+
+
+@pytest.mark.parametrize("text, grid, message", [
+    ("", None, "expected an 'n,s,x,y' header"),
+    ("n,s,x,y\n", None, "no data rows"),
+    ("n,s,x,y\n\n\n", None, "no data rows"),
+    ("n,s,x,y\n0,0,1,0\n0,abc,1,0\n", None, "could not convert string 'abc'"),
+    ("n,s,x,y\n#1,0,1,0\n", None, "could not convert string '#1'"),
+    ("n,s,x,y\n0,0,1,0\n0,1,1\n", None, "number of columns changed"),
+    ("n,s,x,y\n0,0,1\n0,1,1\n", None, "rows have 3 fields"),
+    ("n,s,x,y\n0.5,0,1,0\n", None, "n must be an integer, got 0.5"),
+    ("n,s,x,y\ninf,0,1,0\n", None, "n must be an integer, got inf"),
+    ("n,s,x,y\n0,0,1,0\n0,1,nan,0\n", None, "data row 2 has a non-finite field"),
+    ("n,s,x,y\n0,0,1,0\n0,inf,1,0\n", None, "data row 2 has a non-finite field"),
+    ("n,s,x,y\n0,0,1,-inf\n", None, "data row 1 has a non-finite field"),
+    ("n,s,x,y\n0,0,0,0\n0,0.5,1,0\n1,0,nan,0\n1,0.5,1,1\n", None,
+     "data row 3 has a non-finite field"),
+    # the grid rule: each s sits on its [grid] node
+    ("n,s,x,y\n" + "".join(f"0,{1 - k / 8},{k},0\n" for k in range(8)), "0.125 1 0.125",
+     "s = 1.0 is off its [grid] node 0.125"),
+    ("n,s,x,y\n0,0.5,0,0\n0,0.5,1,0\n0,0.5,2,0\n", "0.5 1.5 0.5",
+     "s = 0.5 is off its [grid] node 1.0"),
+    ("n,s,x,y\n0,1,0,0\n0,0,1,0\n", "0 1 1", "s = 1.0 is off its [grid] node 0.0"),
+    # an s whose distance to its node overflows is refused without numpy's warning
+    ("n,s,x,y\n0,-1.7e308,1,2\n0,1.7e308,1,2\n", "1e308 1.7e308 7e307",
+     "s = -1.7e+308 is off its [grid] node 1e+308"),
+    ("n,s,x,y\n0,1e308,1,2\n0,1.7e308,1,2\n0,-1.7e308,1,2\n", "-8e307 8e307 8e307",
+     "s = 1e+308 is off its [grid] node -8e+307"),
+    ("n,s,x,y\n0,0,0,0\n0,1,1,0\n", None, "2 s values for 5 [grid] nodes"),
 ], ids=["empty", "header-only", "blank-body", "text-field", "hash-row", "short-row",
         "three-fields", "fractional-n", "infinite-n", "nan-x", "infinite-s", "infinite-y",
-        "decreasing-s", "constant-s", "reversed-pair", "overflowing-span",
-        "overflowing-fall"])
-def test_read_csv_rejects_malformed_files(tmp_path, text, message):
+        "nan-in-second-row", "decreasing-s", "constant-s", "reversed-pair", "overflowing-span",
+        "overflowing-fall", "too-few-nodes"])
+def test_read_csv_rejects_malformed_files(tmp_path, text, grid, message):
+    # read back as a samples curve: one line naming the key and the file, no warning
     p = tmp_path / "bad.csv"
     p.write_text(text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(CurveError, match=message) as info:
-            read_csv(p)
-    assert str(info.value).startswith(f"{p}: ")
-
-
-def test_sheet_from_csv_refuses_non_finite_fields(tmp_path):
-    p = tmp_path / "nan.csv"
-    p.write_text("n,s,x,y\n0,0,0,0\n0,0.5,1,0\n1,0,nan,0\n1,0.5,1,1\n")
-    with pytest.raises(CurveError, match=f"^{re.escape(str(p))}: data row 3 has a non-finite field$"):
-        sheet_from_csv(p)
+        with pytest.raises(ValueError) as info:
+            _load_samples(tmp_path, p, grid or "0 1 0.25")
+    text = str(info.value)
+    assert text.startswith(f"[curve] csv: {p}: ") and message in text and "\n" not in text
 
 
 def test_read_csv_groups_interleaved_rows_by_n(tmp_path):
@@ -199,23 +201,23 @@ def test_read_csv_groups_interleaved_rows_by_n(tmp_path):
     # its rows in file order and the sheet's rows come out sorted by n
     p = tmp_path / "mixed.csv"
     p.write_text("n, s, x, y\n2,0,5,-0.0\n0,0,1,0\n2,0.5,6,1\n0,0.5,2,0\n")
-    grid, values = read_csv(p)
-    assert np.array_equal(grid.values(), [0.0, 0.5])
+    s, values, labels = read_csv(p)
+    assert np.array_equal(s, [0.0, 0.5])
     assert np.array_equal(values, [[1, 2], [5, 6 + 1j]])
+    assert labels == [0, 2]
     assert math.copysign(1.0, values[1, 0].imag) == -1.0
 
 
-#: s steps 0.1, 0.4, 0.1, 0.2: the span still reads as an even h = 0.2.
+#: s steps 0.1, 0.4, 0.1, 0.2 over the span of s0 = 0, s1 = 0.8, h = 0.2.
 UNEVEN_CSV = "n,s,x,y\n" + "".join(f"0,{s!r},{s!r},0\n" for s in (0.0, 0.1, 0.5, 0.6, 0.8))
 
 
 def test_read_csv_rejects_uneven_spacing(tmp_path):
     p = tmp_path / "uneven.csv"
     p.write_text(UNEVEN_CSV)
-    with pytest.raises(CurveError, match=r"row n=0, s=0\.1 follows a step of 0\.1, expected 0\.2"):
-        read_csv(p)
-    with pytest.raises(CurveError, match="not evenly spaced"):
-        sheet_from_csv(p)
+    with pytest.raises(ValueError, match=r"^\[curve\] csv: .*: s = 0\.1 is off its \[grid\] "
+                                         r"node 0\.2$"):
+        _load_samples(tmp_path, p, "0 0.8 0.2")
 
 
 def test_read_csv_spacing_tolerance(tmp_path):
@@ -225,12 +227,13 @@ def test_read_csv_spacing_tolerance(tmp_path):
         s = h * np.arange(5)
         s[2] += jitter * h
         p = tmp_path / f"jitter{ok}.csv"
-        p.write_text("n,s,x,y\n" + "".join(f"0,{float(v)!r},0,0\n" for v in s))
+        p.write_text("n,s,x,y\n" + "".join(f"0,{float(v)!r},{float(v)!r},0\n" for v in s))
         if ok:
-            assert read_csv(p)[0] == SGrid(0.0, h, 5)
+            assert np.array_equal(_load_samples(tmp_path, p).source.points, s)
         else:
-            with pytest.raises(CurveError, match="not evenly spaced"):
-                read_csv(p)
+            with pytest.raises(ValueError, match=r"s = 0\.5000000025 is off its \[grid\] "
+                                                 r"node 0\.5$"):
+                _load_samples(tmp_path, p)
 
 # ------------------------------------------------------------------ svg
 
