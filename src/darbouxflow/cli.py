@@ -19,6 +19,7 @@ import argparse
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .errors import (BlowupError, CoincidentPointsError, ConfigError, CurveError
                      NonRegularError, SingularTangentError)
 from .geometry import Sheet
 from .motion import integrate_motion
-from .output import write_csv, write_svg
+from .output import svg_text, write_csv
 from .semidiscrete import FlowSpec, infinitesimal_darboux
 from .verification import FIGURE_MU, FIGURE_POINT, figure_family, run_suite
 
@@ -83,23 +84,23 @@ def _build_parser() -> argparse.ArgumentParser:
 def _write_outputs(sc: Scenario, outdir, stem: str, sheet: Sheet, svg_first=False,
                    **style) -> int:
     """Write ``sheet`` as CSV and its rows as SVG polylines (``style`` goes to
-    write_svg), at the scenario's [output] paths or ``stem``.csv/.svg, under
+    svg_text), at the scenario's [output] paths or ``stem``.csv/.svg, under
     --out.  The first file (the CSV, or the SVG with ``svg_first``) is always
-    written, the second only when the scenario names it.  Prints the paths
-    written, in that order, once both are written; returns exit code 0."""
-    outputs = [(sc.csv_path, ".csv", lambda path: write_csv(path, sheet)),
-               (sc.svg_path, ".svg", lambda path: write_svg(path, list(sheet.values), **style))]
-    if svg_first:
-        outputs.reverse()
-    files = []
-    for k, (path, ext, write) in enumerate(outputs):
-        if path is None and k:
-            continue
-        path = os.path.join(outdir or "", stem + ext if path is None else path)
+    written, the second only when the scenario names it.  The SVG text is
+    built before either file is opened, so a picture svg_text refuses leaves
+    no file.  Prints the paths written, in that order, once both are written;
+    returns exit code 0."""
+    named = [(sc.csv_path, ".csv"), (sc.svg_path, ".svg")][::-1 if svg_first else 1]
+    files = [(os.path.join(outdir or "", stem + ext if path is None else path), ext)
+             for k, (path, ext) in enumerate(named) if path is not None or not k]
+    svg = svg_text(list(sheet.values), **style) if svg_first or sc.svg_path is not None else None
+    for path, ext in files:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        write(path)
-        files.append(path)
-    for path in files:
+        if ext == ".csv":
+            write_csv(path, sheet)
+        else:
+            Path(path).write_text(svg, newline="")
+    for path, _ in files:
         print(path)
     return 0
 

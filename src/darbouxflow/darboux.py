@@ -12,13 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BlowupError,
-    CoincidentPointsError,
-    CurveError,
-    NotArclengthPolarizedError,
-)
-from .geometry import EPS_REG, PolarizedCurve, _at_stage, _finite_at, _regular, dot, fd_derivative
+from .errors import CoincidentPointsError, CurveError, NotArclengthPolarizedError
+from .geometry import (EPS_REG, PolarizedCurve, _at_stage, _finite_at, _finite_steps, _regular,
+                       dot, fd_derivative)
 
 #: Tolerance on |1/m - |x'|^2| below which a curve counts as arc-length polarized.
 ARC_TOL = 1e-8
@@ -82,17 +78,17 @@ def riccati_solve(source: PolarizedCurve, mu: float, y0: complex) -> np.ndarray:
         y = z
         out.append(y)
     vals = np.asarray(out)
-    finite = np.isfinite(vals)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise BlowupError(f"integration blew up at grid index {i}", index=i,
-                          s=grid.s0 + i * grid.h)
+    _finite_steps(np.isfinite(vals), grid)
     return vals
 
 
-def _transform_row(curve: PolarizedCurve, params: DarbouxParams) -> PolarizedCurve:
-    """The body of darboux_transform, shared with flow edges
-    (semidiscrete.propagate_edge)."""
+def darboux_transform(curve: PolarizedCurve, params: DarbouxParams) -> PolarizedCurve:
+    """Darboux transform of ``curve`` seeded at the grid start.
+
+    The result shares the grid and polarization of ``curve``; a collision
+    between the pair anywhere on the grid raises CoincidentPointsError.
+    A flow edge (``semidiscrete.propagate_edge``) is one such transform.
+    """
     mu, y0 = params.mu, params.initial_point
     if abs(y0 - curve.points[0]) <= EPS_REG:
         raise CoincidentPointsError("initial point coincides with the curve start")
@@ -110,15 +106,6 @@ def _transform_row(curve: PolarizedCurve, params: DarbouxParams) -> PolarizedCur
     # The row shares the source's refined m, so m is never evaluated again
     # down a flow.
     return PolarizedCurve(curve.grid, vals, curve._refined_m, xhp)
-
-
-def darboux_transform(curve: PolarizedCurve, params: DarbouxParams) -> PolarizedCurve:
-    """Darboux transform of ``curve`` seeded at the grid start.
-
-    The result shares the grid and polarization of ``curve``; a collision
-    between the pair anywhere on the grid raises CoincidentPointsError.
-    """
-    return _transform_row(curve, params)
 
 
 def arclength_darboux(curve: PolarizedCurve, mu: float, offset_angle: float) -> PolarizedCurve:

@@ -40,7 +40,8 @@ class NonRegularError(CurveError):
 
 
 class BlowupError(RuntimeError):
-    """Integration went non-finite or lost track at grid ``index``, abscissa ``s``."""
+    """Integration went non-finite (a motion step overflowing included) or lost
+    track at grid ``index``, abscissa ``s``."""
 
     def __init__(self, message, index=None, s=None):
         super().__init__(message)

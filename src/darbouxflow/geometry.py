@@ -12,12 +12,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import (
-    CoincidentPointsError,
-    CurveError,
-    GridTooShortError,
-    SingularTangentError,
-)
+from .errors import (BlowupError, CoincidentPointsError, CurveError, GridTooShortError,
+                     SingularTangentError)
 from .ode import _interleave
 
 #: Regularity constant; every near-zero guard funnels through it.
@@ -160,6 +156,15 @@ def _finite_at(values: np.ndarray, name: str, where, shape=None, note="") -> np.
         index = np.unravel_index(np.argmin(finite), values.shape)
         raise CurveError(f"{name} is not finite at {where(*index)}")
     return values
+
+
+def _finite_steps(finite: np.ndarray, grid: SGrid) -> None:
+    """The RK4 loops' refusal: BlowupError ``integration blew up at grid index
+    <i>``, with i and its s, at the first node of ``grid`` ``finite`` marks False."""
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise BlowupError(f"integration blew up at grid index {i}", index=i,
+                          s=grid.s0 + i * grid.h)
 
 
 def _one_signed(values: np.ndarray, where) -> np.ndarray:

@@ -24,8 +24,8 @@ from math import sin
 import numpy as np
 
 from .errors import BlowupError, CurveError, NonRegularError
-from .geometry import (EPS_REG, DiscretePolarizedCurve, SGrid, Sheet, _on_stages, _polygon,
-                       fd_derivative)
+from .geometry import (EPS_REG, DiscretePolarizedCurve, SGrid, Sheet, _finite_steps,
+                       _on_stages, _polygon, fd_derivative)
 
 #: Largest per-step angle change the recorder accepts before declaring the
 #: step size too coarse to track branches.
@@ -61,8 +61,9 @@ def integrate_motion(vertices, w0, n0: int, grid: SGrid) -> MotionResult:
     CurveError naming it, consecutive ones that coincide
     CoincidentPointsError, and a w0 that is not finite CurveError at the
     first such s (at s0 if its call divides by zero or overflows); edges
-    folding back on each other at a grid node raise NonRegularError, and
-    an angle jump of MAX_ANGLE_JUMP in one step BlowupError.
+    folding back on each other at a grid node raise NonRegularError, and a
+    state that overflows or goes non-finite BlowupError at that node, as
+    does an angle jump of MAX_ANGLE_JUMP in one step.
     """
     v0 = _polygon(vertices)
     if len(v0) < 2:
@@ -89,58 +90,58 @@ def integrate_motion(vertices, w0, n0: int, grid: SGrid) -> MotionResult:
     x, xcomp = complex(v0[0]), 0j
     rows, xs = [y], [x]
     h = np.diff(grid.values())
-    for wa, wb, wc, step, half, sixth in zip(
-            w[0::2].tolist(), w[1::2].tolist(), w[2::2].tolist(),
-            h.tolist(), (0.5 * h).tolist(), (h / 6.0).tolist()):
-        # theta_{n0} at each stage, from the seed edge's stages as computed below
-        p, c = y[0], coef[0]
-        t1 = p + wa
-        p2 = p + half * (c * sin(t1 - p))
-        t2 = p2 + wb
-        p3 = p + half * (c * sin(t2 - p2))
-        t3 = p3 + wb
-        seeds = t1, t2, t3, p + step * (c * sin(t3 - p3)) + wc
-        new, carry = [], []
-        for part in (slice(0, E - n0), slice(E - n0, E)):
-            t1, t2, t3, t4 = seeds
-            for c, p, e in zip(coef[part], y[part], comp[part]):
-                d = t1 - p
-                q1 = c * sin(d)
-                t1 = p - d
-                p2 = p + half * q1
-                d = t2 - p2
-                q2 = c * sin(d)
-                t2 = p2 - d
-                p3 = p + half * q2
-                d = t3 - p3
-                q3 = c * sin(d)
-                t3 = p3 - d
-                p4 = p + step * q3
-                d = t4 - p4
-                q4 = c * sin(d)
-                t4 = p4 - d
-                d = sixth * (q1 + 2.0 * (q2 + q3) + q4) - e
-                t = p + d
-                carry.append((t - p) - d)
-                new.append(t)
-        # t1..t4 end at theta_0 of each stage, the direction x_0 moves in.
-        y, comp = new, carry
-        d = sixth * (cmath.exp(1j * t1) + 2.0 * (cmath.exp(1j * t2) + cmath.exp(1j * t3))
-                     + cmath.exp(1j * t4)) - xcomp
-        t = x + d
-        xcomp = (t - x) - d
-        x = t
-        rows.append(y)
-        xs.append(x)
-
-    psi = np.empty((E, grid.count))
-    psi[order] = np.array(rows).T
-    x0 = np.array(xs)
-    finite = np.isfinite(psi).all(axis=0) & np.isfinite(x0)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise BlowupError(f"integration blew up at grid index {i}", index=i,
-                          s=grid.s0 + i * grid.h)
+    # math.sin refuses an infinite angle, so a step that overflows stops the
+    # loop; its node reads non-finite, and the rows are checked once.
+    try:
+        for wa, wb, wc, step, half, sixth in zip(
+                w[0::2].tolist(), w[1::2].tolist(), w[2::2].tolist(),
+                h.tolist(), (0.5 * h).tolist(), (h / 6.0).tolist()):
+            # theta_{n0} at each stage, from the seed edge's stages as computed below
+            p, c = y[0], coef[0]
+            t1 = p + wa
+            p2 = p + half * (c * sin(t1 - p))
+            t2 = p2 + wb
+            p3 = p + half * (c * sin(t2 - p2))
+            t3 = p3 + wb
+            seeds = t1, t2, t3, p + step * (c * sin(t3 - p3)) + wc
+            new, carry = [], []
+            for part in (slice(0, E - n0), slice(E - n0, E)):
+                t1, t2, t3, t4 = seeds
+                for c, p, e in zip(coef[part], y[part], comp[part]):
+                    d = t1 - p
+                    q1 = c * sin(d)
+                    t1 = p - d
+                    p2 = p + half * q1
+                    d = t2 - p2
+                    q2 = c * sin(d)
+                    t2 = p2 - d
+                    p3 = p + half * q2
+                    d = t3 - p3
+                    q3 = c * sin(d)
+                    t3 = p3 - d
+                    p4 = p + step * q3
+                    d = t4 - p4
+                    q4 = c * sin(d)
+                    t4 = p4 - d
+                    d = sixth * (q1 + 2.0 * (q2 + q3) + q4) - e
+                    t = p + d
+                    carry.append((t - p) - d)
+                    new.append(t)
+            # t1..t4 end at theta_0 of each stage, the direction x_0 moves in.
+            y, comp = new, carry
+            d = sixth * (cmath.exp(1j * t1) + 2.0 * (cmath.exp(1j * t2) + cmath.exp(1j * t3))
+                         + cmath.exp(1j * t4)) - xcomp
+            t = x + d
+            xcomp = (t - x) - d
+            x = t
+            rows.append(y)
+            xs.append(x)
+    except ValueError:
+        rows.append([math.nan] * E)
+        xs.append(math.nan)
+    x0, table = np.array(xs), np.array(rows)
+    _finite_steps(np.isfinite(table).all(axis=1) & np.isfinite(x0), grid)
+    psi = table.T[np.argsort(order)]
     # Adjacent edges must not be anti-parallel; collinear ones are fine.
     bad = (math.pi - np.abs(np.diff(psi, axis=0)) <= EPS_REG).T
     if bad.any():

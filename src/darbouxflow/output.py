@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -140,6 +141,6 @@ def svg_text(curves, colors=None, markers=()) -> str:
 
 
 def write_svg(path, curves, colors=None, markers=()) -> None:
-    """Write svg_text(...) to ``path``."""
-    with open(path, "w", newline="") as fh:
-        fh.write(svg_text(curves, colors=colors, markers=markers))
+    """Write svg_text(...) to ``path``, built before the file is opened, so a
+    picture svg_text refuses leaves any file at ``path`` as it was."""
+    Path(path).write_text(svg_text(curves, colors=colors, markers=markers), newline="")

@@ -1,9 +1,9 @@
 """Infinitesimal Darboux transformations: smooth motions of discrete curves.
 
 A sheet x_n(s) is built row by row from one seeded smooth curve: each edge
-(n, n+1) carries a parameter mu and the neighbor row solves the same Riccati
-equation as a smooth Darboux transform, so every edge keeps its tangential
-cross ratio pinned at mu/m for all s.
+(n, n+1) carries a parameter mu and the neighbor row is the smooth Darboux
+transform of its row with that mu, so every edge keeps its tangential cross
+ratio pinned at mu/m for all s.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .darboux import DarbouxParams, PairTable, _transform_row
+from .darboux import DarbouxParams, PairTable, darboux_transform
 from .errors import CurveError, labeled
 from .geometry import DiscretePolarizedCurve, PolarizedCurve, Sheet
 
@@ -58,13 +58,14 @@ class FlowSpec:
 
 
 def propagate_edge(source: PolarizedCurve, mu_edge: float, initial_point: complex) -> PolarizedCurve:
-    """Solve one edge of a flow: the neighbor row seeded at ``initial_point``
-    at the grid start.
+    """Solve one edge of a flow: the neighbor row is the Darboux transform of
+    ``source`` with parameter ``mu_edge``, seeded at ``initial_point`` at the
+    grid start.
 
     The edge relation is symmetric in the pair, so the neighbor n+1 and the
     neighbor n-1 solve the same equation.
     """
-    return _transform_row(source, DarbouxParams(mu_edge, initial_point))
+    return darboux_transform(source, DarbouxParams(mu_edge, initial_point))
 
 
 def infinitesimal_darboux(spec: FlowSpec) -> Sheet:

@@ -127,6 +127,9 @@ def test_run_suite_refuses_a_step_its_artifacts_do_not_have(artifacts):
     assert len(run_suite(h=artifacts.h, artifacts=artifacts)) == len(CHECK_NAMES)
     with pytest.raises(ValueError, match=r"^h = 0.01 is not the artifacts' step 0.001$"):
         run_suite(h=1e-2, artifacts=artifacts)
+    with pytest.raises(ValueError, match=r"^tolerance multiplier must be a finite positive "
+                                         r"number, got 0.0$"):
+        run_suite(tol_multiplier=0.0, artifacts=artifacts)
 
 
 def test_position_sheet_satisfies_the_frameless_identity(acceptance_results):

@@ -577,7 +577,7 @@ OVERFLOWING_CSV = "n,s,x,y\n" + "".join(
     (DARBOUX_INI.replace("kind = circle", "kind = samples\ncsv = {tmp}/span.csv")
      .replace("s0 = 0\ns1 = 1\nh = 1e-2", "s0 = 1e308\ns1 = 1.7e308\nh = 7e307"),
      "error: [curve] csv: {tmp}/span.csv: s = -1.7e+308 is off its [grid] node 1e+308\n"),
-    # the picture's padded extent overflows; the CSV is written, the SVG is not
+    # the picture's padded extent overflows; it is refused before either file is opened
     (_wide_motion("0+0j, 1.7e308+0j, 1.7e308+1e308j", "0.1", "0.1")
      + "\n[output]\ncsv = wide.csv\nsvg = wide.svg\n",
      "error: svg picture spans more than a float holds\n"),
@@ -597,7 +597,19 @@ def test_an_overflow_prints_only_its_refusal(tmp_path, capsys, text, stderr):
     command = re.search(r"command = (\w+)", text)[1]
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr() == ("", stderr.replace("{tmp}", str(tmp_path)))
-    assert all("nan" not in f.read_text() and "inf" not in f.read_text() for f in out.glob("*"))
+    assert list(out.glob("*")) == []
+
+
+def test_an_overflowing_motion_step_is_a_numerical_failure(tmp_path, capsys):
+    # math.sin refuses the angle that overflows in the first step
+    text = (MOTION_INI.replace("kind = ngon\nn = 6", "kind = vertices\n"
+                               "values = 0+0j, 1e-8+0j, 2e-8+1e-8j")
+            .replace("-pi/6", "0.5").replace("s1 = 0.25\nh = 1e-3", "s1 = 1e300\nh = 1e300"))
+    out = tmp_path / "out"
+    assert main(["motion", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "numerical failure: integration blew up at grid index 1\n")
+    assert not out.exists()
 
 
 def test_a_picture_thinner_than_its_float_spacing_is_drawn(tmp_path, capsys):

@@ -191,11 +191,14 @@ def _reference_riccati(source, mu, y0):
     return rk4_path(source.grid.values(), rhs, complex(y0))
 
 
-@pytest.mark.parametrize("kind", ["analytic circle", "sampled circle", "m = 1 + 0.3 sin s"])
+@pytest.mark.parametrize("kind", ["analytic circle", "sampled circle", "m = 1 + 0.3 sin s",
+                                  "one node"])
 def test_riccati_solve_matches_numpy_scalar_reference(kind):
     g = SGrid.from_step(0.0, 2 * math.pi, 1e-3)
     if kind == "analytic circle":
         base = _circle(g)
+    elif kind == "one node":  # the seed alone
+        base = _circle(SGrid(0.0, 1e-3, 1))
     elif kind == "sampled circle":
         base = PolarizedCurve.from_samples(g, np.exp(1j * g.values()), 1.0)
     else:

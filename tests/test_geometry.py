@@ -210,6 +210,13 @@ def test_short_sampled_curve_is_refused_when_built():
     with pytest.raises(GridTooShortError,
                        match="^need at least 5 nodes for the 4th-order stencil, got 3$"):
         PolarizedCurve.from_samples(g, g.values() + 0j)
+    # given its tangents, a short curve builds, but its Riccati stages cannot
+    # interpolate the midpoints
+    g = SGrid(0.0, 0.5, 4)
+    curve = PolarizedCurve(g, g.values() + 0j, 1.0, derivatives=np.ones(4, dtype=complex))
+    with pytest.raises(GridTooShortError,
+                       match="^need at least 5 samples to interpolate midpoints, got 4$"):
+        riccati_solve(curve, 0.25, 1j)
 
 
 def test_fd_derivative_runs_once_per_sampled_curve(monkeypatch):

@@ -295,6 +295,8 @@ def test_motion_rejects_bad_seed_edge_and_shape():
         integrate_motion(SQUARE, 0.0, 4, grid)
     with pytest.raises(CurveError):
         integrate_motion(np.stack([SQUARE, SQUARE]), 0.0, 0, grid)
+    with pytest.raises(CurveError, match="^a motion needs at least two vertices$"):
+        integrate_motion(SQUARE[:1], 0.0, 0, grid)
 
 
 def test_motion_conserves_edge_lengths():
@@ -390,6 +392,8 @@ def test_frame_compatibility_on_pentagon():
     grid = SGrid.from_step(0.0, 1.0, 1e-3)
     res = integrate_motion(ngon_vertices(5), 0.2, 0, grid)
     assert frame_compatibility_check(res) < 1e-8
+    # one edge has no interior vertex, so the law holds vacuously
+    assert frame_compatibility_check(integrate_motion([0j, 1 + 0j], 0.2, 0, grid)) == 0.0
 
 
 def test_coarse_grid_cannot_track_branches():
@@ -403,6 +407,15 @@ def test_coarse_grid_cannot_track_branches():
         with pytest.raises(BlowupError, match=f"angle jump {jump} at grid index {index}:") as info:
             integrate_motion(ngon_vertices(n), w0, 0, grid)
         assert (info.value.index, info.value.s) == (index, index * h)
+
+
+def test_a_step_that_overflows_blows_up_at_its_node():
+    # 2/a = 2e8 times h = 1e300 overflows the angles mid-step, and math.sin
+    # refuses the infinite angle before the step's node is recorded
+    grid = SGrid.from_step(0.0, 1e300, 1e300)
+    with pytest.raises(BlowupError, match="^integration blew up at grid index 1$") as info:
+        integrate_motion([0j, 1e-8 + 0j, 2e-8 + 1e-8j], 0.5, 0, grid)
+    assert (info.value.index, info.value.s) == (1, 1e300)
 
 
 def test_motion_theta_unwraps_like_the_row_by_row_loop():

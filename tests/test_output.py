@@ -289,6 +289,15 @@ def test_svg_needs_data():
         svg_text([np.array([], dtype=complex)])
 
 
+def test_a_refused_svg_leaves_the_file_at_its_path(tmp_path):
+    p = tmp_path / "pic.svg"
+    write_svg(p, [np.array([0, 1 + 1j])])
+    before = p.read_text()
+    with pytest.raises(CurveError, match="^svg picture spans more than a float holds$"):
+        write_svg(p, [np.array([0, 1.7e308, 1.7e308 + 1e308j])])
+    assert p.read_text() == before
+
+
 def test_write_svg_creates_file(tmp_path):
     p = tmp_path / "pic.svg"
     write_svg(p, [np.array([0, 1 + 1j])])

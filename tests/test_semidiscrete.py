@@ -125,6 +125,8 @@ def test_propagate_edge_guards():
         propagate_edge(row, 0.0, 2.0 + 0j)
     with pytest.raises(CurveError, match="^mu must be a nonzero finite real, got nan$"):
         propagate_edge(row, float("nan"), 2.0 + 0j)
+    with pytest.raises(CurveError, match="^initial point must be finite$"):
+        propagate_edge(row, 0.25, complex(math.inf, 0.0))
     with pytest.raises(CoincidentPointsError):
         propagate_edge(row, 0.25, 0j)
 

@@ -1,9 +1,9 @@
-"""Source size budget: the package stays within 2,341 lines, its size when
+"""Source size budget: the package stays within 2,338 lines, its size when
 the budget was last tightened, so new work pays for itself in deletions."""
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "darbouxflow"
-LINE_BUDGET = 2341
+LINE_BUDGET = 2338
 
 
 def test_source_stays_within_its_line_budget():
